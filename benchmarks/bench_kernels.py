@@ -8,6 +8,7 @@ evaluator), then the full identity suite runs end-to-end in a subprocess per
 backend.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
+Runs from a plain checkout: the package is imported from ../src.
 """
 
 import argparse
@@ -15,15 +16,20 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
-from tracediagrams import _kernels_pure as pure
-from tracediagrams.builders import adjugate_diagram
-from tracediagrams.diagrams import (VECTOR, LayeredDiagram, Mat,
-                                    canonical_ciliation, compose_vertical,
-                                    to_graph)
-from tracediagrams.evaluate import _vertex_tensor, eval_contraction
-from tracediagrams.identities import random_matrix
-from tracediagrams.tensor import Tensor
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
+
+from tracediagrams import _kernels_pure as pure  # noqa: E402
+from tracediagrams.builders import adjugate_diagram  # noqa: E402
+from tracediagrams.diagrams import (  # noqa: E402
+    VECTOR, LayeredDiagram, Mat, canonical_ciliation, compose_vertical,
+    to_graph)
+from tracediagrams.evaluate import (  # noqa: E402
+    _vertex_tensor, eval_contraction)
+from tracediagrams.identities import random_matrix  # noqa: E402
+from tracediagrams.tensor import Tensor  # noqa: E402
 
 try:
     from tracediagrams import _speedups as compiled
@@ -86,7 +92,8 @@ def bench_epsilon_network(kernels):
 
 
 def bench_end_to_end(backend):
-    env = dict(os.environ, TRACEDIAGRAMS_KERNELS=backend)
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, TRACEDIAGRAMS_KERNELS=backend, PYTHONPATH=path)
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "tracediagrams", "check", "--all",

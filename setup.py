@@ -6,8 +6,6 @@ compiler, no Cython), installation proceeds and the package falls back to the
 pure-Python kernels at import time.
 """
 
-import os
-
 from setuptools import setup
 from setuptools.command.build_ext import build_ext
 from setuptools.errors import CCompilerError, ExecError, PlatformError
@@ -31,8 +29,6 @@ class OptionalBuildExt(build_ext):
 
 
 def extensions():
-    if os.environ.get("TRACEDIAGRAMS_NO_EXT"):
-        return []
     try:
         from Cython.Build import cythonize
     except ImportError:

@@ -17,9 +17,9 @@ from .evaluate import (Bindings, CrossCheckMismatch, EvalResult,
 from .kernels import BACKEND as KERNEL_BACKEND
 from .linalg import (Matrix, Permutation, Polynomial, Rat, adjugate_oracle,
                      charpoly_oracle, det_oracle, format_rat,
-                     lagrange_interpolate, levi_civita, perm_sign, rat,
-                     reversal_sign, solve_oracle)
-from .tensor import Tensor, tensor_contract, tensor_trace
+                     lagrange_interpolate, levi_civita, rat, reversal_sign,
+                     solve_oracle)
+from .tensor import Tensor, tensor_contract
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "adjugate_oracle", "canonical_ciliation", "charpoly_oracle",
     "compose_vertical", "det_oracle", "eval_checked", "eval_contraction",
     "eval_layered", "format_rat", "juxtapose_horizontal",
-    "lagrange_interpolate", "levi_civita", "perm_sign", "rat",
-    "reversal_sign", "solve_oracle", "tensor_contract", "tensor_trace",
-    "tensors_proportional", "to_graph", "validate_graph", "validate_layered",
+    "lagrange_interpolate", "levi_civita", "rat", "reversal_sign",
+    "solve_oracle", "tensor_contract", "tensors_proportional", "to_graph",
+    "validate_graph", "validate_layered",
 ]

@@ -170,18 +170,21 @@ def cross_product_node(n: int, vectors) -> Tensor:
     if len(vectors) != n - 1 or any(len(v) != n for v in vectors):
         raise ValueError(f"need {n - 1} vectors of length {n}")
     node = eval_layered(complemental_node(n - 1, n), {}).tensor
-    out = []
-    for c in range(1, n + 1):
-        acc = 0
-        for ins in _indices(range(1, n + 1), repeat=n - 1):
-            coeff = node.get((c,), ins)
-            if coeff:
-                term = coeff
-                for s, i in enumerate(ins):
-                    term *= vectors[s][i - 1]
-                acc += term
-        out.append(acc)
-    return Tensor(n, 1, 0, out)
+    return Tensor(n, 1, 0, [_bind_inputs(node, (c,), vectors)
+                            for c in range(1, n + 1)])
+
+
+def _bind_inputs(t: Tensor, outs, vectors) -> Rat:
+    """The entry of t at output index outs with vectors[s] bound to input
+    slot s: the sum over input indices of the entry times the components."""
+    acc = 0
+    for ins in _indices(range(1, t.n + 1), repeat=t.in_arity):
+        coeff = t.get(outs, ins)
+        if coeff:
+            for s, i in enumerate(ins):
+                coeff *= vectors[s][i - 1]
+            acc += coeff
+    return acc
 
 
 # -- Adjugate, Cramer, cross-out ---------------------------------------------
@@ -367,15 +370,7 @@ def scalar_probe(diagram: LayeredDiagram, bindings, vectors) -> Rat:
     if t.out_arity != 0 or t.in_arity != len(vectors):
         raise ValueError("probe arity mismatch")
     vectors = [tuple(rat(x) for x in v) for v in vectors]
-    acc = 0
-    for ins in _indices(range(1, t.n + 1), repeat=t.in_arity):
-        coeff = t.get((), ins)
-        if coeff:
-            term = coeff
-            for s, i in enumerate(ins):
-                term *= vectors[s][i - 1]
-            acc += term
-    return acc
+    return _bind_inputs(t, (), vectors)
 
 
 def jacobi_diagrams(k: int, n: int, name: str):

@@ -343,7 +343,7 @@ def cmd_builtin(args) -> int:
         print("error: --n (or --matrix) is required", file=sys.stderr)
         return 2
     try:
-        text = _run_builtin(args.name, n, args.k, args.j, matrix, args)
+        text = _run_builtin(args.name, n, args.k, matrix, args)
     except KeyError:
         print(f"error: unknown builtin {args.name!r}; "
               "run `tracediag list`", file=sys.stderr)
@@ -370,7 +370,7 @@ BUILTIN_SUMMARIES = {
 }
 
 
-def _run_builtin(name: str, n: int, k, j, matrix, args) -> str:
+def _run_builtin(name: str, n: int, k, matrix, args) -> str:
     def need_matrix():
         if matrix is None:
             raise ValueError("this builtin needs --matrix")
@@ -475,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
     p.add_argument("--matrix", help="JSON matrix literal file")
     p.add_argument("--vector", help="JSON vector literal file")
     p.set_defaults(fn=cmd_builtin)

@@ -135,7 +135,7 @@ class LayeredDiagram:
         return profile
 
 
-def _piece_polarities(piece: Piece, n: int, ins: tuple[str, ...]):
+def piece_polarities(piece: Piece, n: int, ins: tuple[str, ...]):
     """Output polarities for a piece given its input polarities, or an
     error string."""
     match piece:
@@ -210,7 +210,7 @@ def _chain_profile(d: LayeredDiagram):
             j_in, _ = piece_arity(piece, d.n)
             ins = tuple(profile[pos:pos + j_in])
             pos += j_in
-            outs = _piece_polarities(piece, d.n, ins)
+            outs = piece_polarities(piece, d.n, ins)
             if isinstance(outs, str):
                 problems.append(f"layer {li}: {outs}")
                 return problems
@@ -482,7 +482,7 @@ def to_graph(d: LayeredDiagram) -> Diagram:
                             b.tail = ("vertex", vid)
                             replacement.append((eid, "head"))
                             refs.append((eid, "tail"))
-                    cil_refs[vid] = refs
+                    cil_refs[vid] = [refs[slot - 1] for slot in cil]
                     vertices.append(GNode(direction, ()))  # filled below
                 case _:
                     raise TypeError(f"unknown piece: {piece!r}")
@@ -498,13 +498,9 @@ def to_graph(d: LayeredDiagram) -> Diagram:
         else:
             b.tail = ("vertex", vid)
 
-    # resolve ciliation slot orders now that all cap merges are done
-    slot_orders = _collect_slot_orders(d)
+    # ciliations are final now that all cap merges have remapped edge ids
     for vid, refs in cil_refs.items():
-        node = vertices[vid]
-        ordered = tuple(refs[slot - 1] for slot in slot_orders[vid])
-        vertices[vid] = GNode(node.direction, ordered)
-    del cil_refs
+        vertices[vid] = GNode(vertices[vid].direction, tuple(refs))
 
     edges = {eid: GEdge(b.tail, b.head, tuple(b.labels))
              for eid, b in builds.items()}
@@ -515,15 +511,3 @@ def to_graph(d: LayeredDiagram) -> Diagram:
             "conversion produced an invalid graph: " + "; ".join(problems))
     return graph
 
-
-def _collect_slot_orders(d: LayeredDiagram) -> dict[int, tuple[int, ...]]:
-    """Vertex id -> its piece's ciliation, in the same visit order used by
-    to_graph (inputs first, then pieces by layer, left to right)."""
-    orders = {}
-    vid = len(d.inputs)
-    for layer in d.layers:
-        for piece in layer:
-            if isinstance(piece, NVertex):
-                orders[vid] = piece.ciliation
-                vid += 1
-    return orders

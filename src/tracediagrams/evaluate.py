@@ -20,10 +20,10 @@ from functools import reduce
 from math import lcm
 
 from . import kernels
-from .diagrams import (COVECTOR, SINK, VECTOR, Cap, Cross, Cup, Diagram,
-                       GInput, GNode, GOutput, Id, LayeredDiagram, Mat,
-                       NVertex, Perm, piece_arity, to_graph, validate_graph,
-                       validate_layered)
+from .diagrams import (COVECTOR, Cap, Cross, Cup, Diagram, GInput, GNode,
+                       GOutput, Id, LayeredDiagram, Mat, NVertex, Perm,
+                       piece_arity, piece_polarities, to_graph,
+                       validate_graph, validate_layered)
 from .linalg import Matrix, Rat, levi_civita
 from .tensor import Tensor
 
@@ -115,38 +115,28 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings) -> EvalResult:
             ins_pol = tuple(polarities[pos_old:pos_old + j_in])
             match piece:
                 case Id():
-                    out_pol = ins_pol
+                    pass
                 case Cross():
-                    out_pol = (ins_pol[1], ins_pol[0])
-                    state = _swap_out_axes(state, offset)
+                    state = _permute_out_axes(state, offset, (2, 1))
                 case Perm(images=images):
-                    out_pol = [None] * len(images)
-                    for s, target in enumerate(images):
-                        out_pol[target - 1] = ins_pol[s]
                     state = _permute_out_axes(state, offset, images)
                 case Cup():
-                    out_pol = (COVECTOR, VECTOR)
                     state, t = _apply_piece(state, _cup_tensor(n), offset)
                     terms += t
                 case Cap():
-                    out_pol = ()
                     state, t = _apply_piece(state, _cap_tensor(n), offset)
                     terms += t
                 case Mat():
-                    out_pol = ins_pol
                     piece_t = _mat_tensor(piece, ins_pol[0], bindings, n)
                     state, t = _apply_piece(state, piece_t, offset)
                     terms += t
-                case NVertex(direction=direction, in_count=j,
-                             ciliation=cil):
-                    out_pol = ((COVECTOR if direction == SINK else VECTOR),
-                               ) * (n - j)
+                case NVertex(in_count=j, ciliation=cil):
                     state, t = _apply_piece(state, _vertex_tensor(n, j, cil),
                                             offset)
                     terms += t
                 case _:
                     raise TypeError(f"unknown piece: {piece!r}")
-            new_polarities.extend(out_pol)
+            new_polarities.extend(piece_polarities(piece, n, ins_pol))
             pos_old += j_in
             offset += j_out
         polarities = new_polarities
@@ -186,12 +176,6 @@ def _apply_piece(state: Tensor, piece: Tensor, offset: int):
     if perm != list(range(total)):
         vals = kernels.permute_axes(n, vals, total, perm)
     return Tensor(n, new_out, state.in_arity, vals), terms
-
-
-def _swap_out_axes(state: Tensor, offset: int) -> Tensor:
-    perm = list(range(state.arity))
-    perm[offset], perm[offset + 1] = perm[offset + 1], perm[offset]
-    return state.permuted_axes(perm)
 
 
 def _permute_out_axes(state: Tensor, offset: int, images) -> Tensor:

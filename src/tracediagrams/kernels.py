@@ -10,7 +10,7 @@ import os
 
 _requested = os.environ.get("TRACEDIAGRAMS_KERNELS", "").lower()
 
-if _requested in ("pure", "python"):
+if _requested == "pure":
     from . import _kernels_pure as _impl
     BACKEND = "pure"
 elif _requested == "compiled":

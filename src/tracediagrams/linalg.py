@@ -128,11 +128,6 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
 
-def perm_sign(p: Permutation) -> int:
-    """(-1)^(inversion count)."""
-    return p.sign
-
-
 def reversal_sign(n: int) -> int:
     """Sign of the order reversal on n elements: (-1)^floor(n/2)."""
     if n < 1:

@@ -127,37 +127,6 @@ class Tensor:
                                     list(perm))
         return Tensor(self.n, self.out_arity, self.in_arity, vals)
 
-    def compose(self, other: "Tensor") -> "Tensor":
-        """self after other; pairs self's inputs with other's outputs."""
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        if self.in_arity != other.out_arity:
-            raise ValueError(
-                f"arity mismatch: composing in_arity {self.in_arity} "
-                f"with out_arity {other.out_arity}")
-        pairs = [(self.out_arity + i, i) for i in range(self.in_arity)]
-        vals, _ = kernels.pair_contract(
-            self.n, self.entries, self.arity, other.entries, other.arity,
-            pairs)
-        return Tensor(self.n, self.out_arity, other.in_arity, vals)
-
-    def tensor_product(self, other: "Tensor") -> "Tensor":
-        """Juxtaposition: outputs then inputs of both factors, self first."""
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        vals, _ = kernels.pair_contract(
-            self.n, self.entries, self.arity, other.entries, other.arity, [])
-        # raw layout: (self.out, self.in, other.out, other.in);
-        # target:     (self.out, other.out, self.in, other.in)
-        lo, ki = self.out_arity, self.in_arity
-        lo2, ki2 = other.out_arity, other.in_arity
-        perm = (list(range(lo))
-                + [lo + ki + i for i in range(lo2)]
-                + [lo + i for i in range(ki)]
-                + [lo + ki + lo2 + i for i in range(ki2)])
-        vals = kernels.permute_axes(self.n, vals, len(perm), perm)
-        return Tensor(self.n, lo + lo2, ki + ki2, vals)
-
     def __eq__(self, other):
         return (isinstance(other, Tensor)
                 and self.n == other.n
@@ -204,29 +173,3 @@ def tensor_contract(a: Tensor, b: Tensor, pairing) -> Tensor:
                                     b.entries, b.arity, pairing)
     return Tensor(a.n, a.arity - len(pairing), b.arity - len(pairing), vals)
 
-
-def tensor_trace(a: Tensor, pairing) -> Tensor:
-    """Self-contraction: each (p, q) pair of a's own axes is summed over
-    equal indices.  Surviving axes keep their order; the result's out/in
-    split is the count of surviving output/input axes."""
-    pairing = [(int(p), int(q)) for p, q in pairing]
-    used = [p for pq in pairing for p in pq]
-    if len(set(used)) != len(used):
-        raise ValueError("duplicate axis in self-pairing")
-    for p in used:
-        if not 0 <= p < a.arity:
-            raise ValueError(f"axis {p} out of range")
-    free = [i for i in range(a.arity) if i not in used]
-    n = a.n
-    strides = [n ** (a.arity - 1 - i) for i in range(a.arity)]
-    out = []
-    for combo in product(range(n), repeat=len(free)):
-        base = sum(d * strides[ax] for d, ax in zip(combo, free))
-        acc = 0
-        for diag in product(range(n), repeat=len(pairing)):
-            off = sum(d * (strides[p] + strides[q])
-                      for d, (p, q) in zip(diag, pairing))
-            acc += a.entries[base + off]
-        out.append(acc)
-    out_survive = sum(1 for i in free if i < a.out_arity)
-    return Tensor(n, out_survive, len(free) - out_survive, out)

@@ -79,13 +79,3 @@ def test_kernel_errors_match():
         with pytest.raises(ValueError):
             impl.permute_axes(2, [1, 2, 3, 4], 2, [0, 0])
 
-
-def test_backend_env_override():
-    import subprocess
-    import sys
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from tracediagrams.kernels import BACKEND; print(BACKEND)"],
-        env={"TRACEDIAGRAMS_KERNELS": "pure", "PATH": "/usr/bin:/bin"},
-        capture_output=True, text=True)
-    assert out.stdout.strip() == "pure"

@@ -11,8 +11,7 @@ from tracediagrams.linalg import (Matrix, Permutation, Polynomial,
                                   adjugate_oracle, charpoly_oracle,
                                   det_oracle, format_rat,
                                   lagrange_interpolate, levi_civita,
-                                  perm_sign, rat, reversal_sign,
-                                  solve_oracle)
+                                  rat, reversal_sign, solve_oracle)
 
 A_FIXTURE = Matrix([[2, 3], [4, 5]])
 
@@ -40,12 +39,12 @@ def test_rat_format_round_trip():
 # -- permutations ----------------------------------------------------------------
 
 def test_perm_sign_examples():
-    assert perm_sign(Permutation.identity(3)) == 1
-    assert perm_sign(Permutation.transposition(2, 1, 2)) == -1
+    assert Permutation.identity(3).sign == 1
+    assert Permutation.transposition(2, 1, 2).sign == -1
     # full reversal on 4 elements: brute-force count gives 6 inversions
     reversal = Permutation.reversal(4)
     assert brute_inversions(reversal.images) == 6
-    assert perm_sign(reversal) == 1
+    assert reversal.sign == 1
 
 
 def test_reversal_sign_values():
@@ -56,7 +55,7 @@ def test_reversal_sign_values():
 
 def test_reversal_sign_matches_perm_sign():
     for n in range(1, 9):
-        assert reversal_sign(n) == perm_sign(Permutation.reversal(n))
+        assert reversal_sign(n) == Permutation.reversal(n).sign
 
 
 def test_permutation_compose_inverse_cycles():
