@@ -81,12 +81,12 @@ class IdentityReport:
     id: str
     params: dict
     trials: int
-    outcome: str                       # "pass" | "fail"
+    outcome: str                       # "pass" | "fail" | "error"
     counterexample: dict | None
     elapsed: float
 
     def line(self, timings: bool = False) -> str:
-        status = "PASS" if self.outcome == "pass" else "FAIL"
+        status = self.outcome.upper()
         bits = [status, self.id]
         bits += [f"{k}={v}" for k, v in self.params.items()]
         if timings:
@@ -187,6 +187,10 @@ def run_check(check_id: str, n: int, trials: int = 10,
     except CheckFailure as failure:
         outcome, counterexample = "fail", dict(failure.counterexample)
         counterexample["message"] = str(failure)
+    except Exception as exc:           # a broken check must not hide the rest
+        outcome = "error"
+        counterexample = {"seed": seed, "n": n,
+                          "message": f"{type(exc).__name__}: {exc}"}
     elapsed = time.perf_counter() - start
     return IdentityReport(check_id, params, ctx.trials, outcome,
                           counterexample, elapsed)

@@ -214,7 +214,7 @@ def _builder_catalog(n):
 
 def test_criterion_09_cross_evaluator_equivalence():
     count = 0
-    for n in (2, 3):
+    for n in (2, 3, 4):
         for diagram, bindings in _builder_catalog(n):
             eval_checked(diagram, bindings)    # raises on any mismatch
             count += 1
@@ -222,8 +222,8 @@ def test_criterion_09_cross_evaluator_equivalence():
     for _ in range(200):
         d = random_layered_diagram(rng.choice((2, 3)), rng)
         eval_checked(d, random_bindings(d, rng))
-    report(9, f"layered = contraction on {count} builder diagrams and 200 "
-              "fuzzed diagrams at n <= 3")
+    report(9, f"layered = contraction on {count} builder diagrams at "
+              "n <= 4 and 200 fuzzed diagrams at n <= 3")
 
 
 def test_criterion_10_isotopy_regressions():

@@ -195,6 +195,25 @@ def test_cmd_check_failure_exits_nonzero(monkeypatch, capsys):
     assert "FAIL loop_dim" in out and "0/1 checks passed" in out
 
 
+def test_cmd_check_error_does_not_hide_other_checks(capsys):
+    from tracediagrams import identities
+
+    @identities._register("raises_demo", "always raises", n_range=(2, 3))
+    def raises_demo(ctx):
+        raise ValueError(f"broken at n={ctx.n}")
+
+    try:
+        code = main(["check", "--all", "--max-n", "2", "--trials", "1",
+                     "--seed", "5"])
+    finally:
+        del identities.REGISTRY["raises_demo"]
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "ERROR raises_demo n=2" in out and "FAIL" not in out
+    passed = sum(line.startswith("PASS ") for line in out.splitlines())
+    assert passed > 0 and f"{passed}/{passed + 1} checks passed" in out
+
+
 def test_cmd_check_jsonl(capsys):
     assert main(["check", "loop_dim", "--n", "2", "--format", "jsonl"]) == 0
     record = json.loads(capsys.readouterr().out.strip())

@@ -97,6 +97,24 @@ def test_failure_carries_counterexample():
     assert failure.counterexample["seed"] == 7
 
 
+def test_run_check_records_unexpected_exception_as_error():
+    from tracediagrams import identities
+
+    @identities._register("raises_demo", "always raises", uses_trials=False)
+    def raises_demo(ctx):
+        raise ZeroDivisionError("no inverse")
+
+    try:
+        report = run_check("raises_demo", n=3, seed=9)
+    finally:
+        del REGISTRY["raises_demo"]
+    assert report.outcome == "error"
+    assert report.counterexample == {
+        "seed": 9, "n": 3, "message": "ZeroDivisionError: no inverse"}
+    assert report.line().startswith("ERROR raises_demo n=3")
+    assert report.record()["outcome"] == "error"
+
+
 def test_report_line_format():
     report = IdentityReport("demo", {"n": 2, "trials": 1, "seed": 0}, 1,
                             "fail", {"x": 1}, 0.5)
