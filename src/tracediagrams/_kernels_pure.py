@@ -14,13 +14,23 @@ table, axis by axis with the last axis fastest.  `permute_axes` then copies
 each run along the result's trailing axes with one list slice.
 `pair_contract` gathers b's entries at each summation offset into a column
 once, and builds each row of the result from a's nonzero summands times
-those columns, adding them in summation order.  `epsilon_network`
-prunes ε factors by all-different propagation: a digit already held by
-another variable of a shared ε factor is never bound.
+those columns, adding them in summation order.
+
+`epsilon_network` builds a search plan once per call.  ε signs come from
+a table per (n, arity) of the n!/(n-m)! tuples of distinct digits, read
+through an itemgetter over the factor's variables; a miss means ε = 0.
+Each free variable is one level with flat tuples of the ε, δ and matrix
+checks it completes, the clash variables whose digits it may not take
+(all-different propagation on ε factors), and its weight in the flat
+output index, which is carried down the recursion.  The last level's loop
+adds into the result directly, with no call per leaf.
 
 term counts returned by the kernels are the number of multiply-accumulate
 operations actually performed (zero factors prune eagerly).
 """
+
+from itertools import permutations
+from operator import itemgetter
 
 
 def _strides(n, naxes):
@@ -103,18 +113,22 @@ def permute_axes(n, vals, naxes, perm):
     return out
 
 
-def _eps(digits):
-    """Sign of a 0-based index sequence: 0 on repeats, else parity."""
-    m = len(digits)
-    inv = 0
-    for i in range(m):
-        di = digits[i]
-        for j in range(i + 1, m):
-            if di == digits[j]:
-                return 0
-            if di > digits[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
+# (n, arity) -> {tuple of distinct digits in range(n): its Levi-Civita sign}
+_eps_sign_cache: dict[tuple[int, int], dict[tuple, int]] = {}
+
+
+def _sign_table(n, m):
+    """Every tuple of m distinct digits in range(n), n!/(n-m)! of them,
+    mapped to the parity sign of its order.  Any other tuple (a repeated
+    digit, or m > n) is absent: its ε is 0."""
+    table = _eps_sign_cache.get((n, m))
+    if table is None:
+        table = {}
+        for p in permutations(range(n), m):
+            inv = sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
+            table[p] = -1 if inv & 1 else 1
+        _eps_sign_cache[(n, m)] = table
+    return table
 
 
 def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
@@ -129,87 +143,124 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
     out_vars selects the digits forming the result's mixed-radix index (most
     significant first); returns (out_vals of length n**len(out_vars), terms).
 
-    Enumeration is depth-first in var-id order; every factor is evaluated as
-    soon as its last variable is bound, so zero factors prune whole subtrees.
-    ε factors also prune earlier, by all-different propagation: each free
-    variable has a list of clash variables, the other variables of its ε
-    factors that are fixed or bound before it, and a digit one of them holds
-    is skipped.  Only subtrees whose ε factor would evaluate to 0 are cut,
-    so the leaves, their order and the term count are unchanged.  A variable
-    repeated inside one factor and clashes between fixed variables are left
-    to the full ε evaluation.
+    Enumeration is depth-first over the free variables in var-id order,
+    from a plan built once per call.  Each free variable is one level
+    holding the checks of the factors it completes: the factors whose
+    highest-id free variable it is, so a factor that completes at a fixed
+    variable runs at the preceding free level, and factors with no free
+    variable run once before the search.  A zero factor prunes the whole
+    subtree.  An ε check reads the sign of its variables' digits, taken
+    with an itemgetter, from the table of `_sign_table`; a miss is ε = 0,
+    which covers repeated digits, a variable repeated inside one factor,
+    clashes between fixed variables and factors longer than n.  ε factors
+    also prune earlier, by all-different propagation: a level never binds
+    a digit held by a fixed or lower-id variable of one of its ε factors.
+    Each variable has a weight in the flat output index (summed over its
+    positions in out_vars), and the index is carried down the recursion;
+    the last level adds into the result and counts terms in its own loop.
+    Only subtrees whose product would be 0 are cut, so the leaves, their
+    order and the term count are those of a plain enumeration.
     """
     digits = [0] * nvars
     fixed_map = dict(fixed)
     for v, d in fixed_map.items():
         digits[v] = d
+    free = [v for v in range(nvars) if v not in fixed_map]
+    level_of = {v: i for i, v in enumerate(free)}
 
-    sched = [[] for _ in range(nvars + 1)]  # sched[v]: factors complete at v
+    weight = [0] * nvars
+    size = 1
+    for ov in reversed(out_vars):
+        weight[ov] += size
+        size *= n
+    out = [0] * size
 
-    def last_var(vs):
-        free = [v for v in vs if v not in fixed_map]
-        return max(free) if free else -1
+    def level(vs):
+        return max((level_of[v] for v in vs if v in level_of), default=-1)
 
+    # checks by level; the extra last slot (level -1) runs before the search
+    eps_at = [[] for _ in range(len(free) + 1)]
+    delta_at = [[] for _ in range(len(free) + 1)]
+    mat_at = [[] for _ in range(len(free) + 1)]
     clash = [set() for _ in range(nvars)]
     for f in eps_factors:
-        sched[last_var(f) + 1].append(("e", tuple(f)))
+        if len(f) < 2:      # ε of at most one index is 1
+            continue
+        eps_at[level(f)].append((itemgetter(*f), _sign_table(n, len(f))))
         for v in f:
             if v not in fixed_map:
                 clash[v].update(u for u in f
                                 if u != v and (u < v or u in fixed_map))
     for v1, v2 in delta_factors:
-        sched[last_var((v1, v2)) + 1].append(("d", (v1, v2)))
+        delta_at[level((v1, v2))].append((v1, v2))
     for h, t, vals in mat_factors:
-        sched[last_var((h, t)) + 1].append(("m", (h, t, vals)))
-    clash = [tuple(sorted(c)) for c in clash]
+        mat_at[level((h, t))].append((h, t, vals))
 
-    out = [0] * (n ** len(out_vars))
-    terms = 0
+    start = 1
+    for get, table in eps_at[-1]:
+        s = table.get(get(digits))
+        if s is None:
+            return out, 0
+        if s < 0:
+            start = -start
+    for a, b in delta_at[-1]:
+        if digits[a] != digits[b]:
+            return out, 0
+    for h, t, vals in mat_at[-1]:
+        e = vals[digits[h] * n + digits[t]]
+        if not e:
+            return out, 0
+        start = start * e
+    base = sum(digits[v] * weight[v] for v in fixed_map)
+    if not free:
+        out[base] += start
+        return out, 1
 
-    def eval_factors(v, partial):
-        for kind, f in sched[v]:
-            if kind == "e":
-                s = _eps([digits[x] for x in f])
-                if s == 0:
-                    return None
-                if s < 0:
-                    partial = -partial
-            elif kind == "d":
-                if digits[f[0]] != digits[f[1]]:
-                    return None
-            else:
-                h, t, vals = f
-                e = vals[digits[h] * n + digits[t]]
-                if not e:
-                    return None
-                partial = partial * e
-        return partial
+    # per level: variable, digits no fixed clash holds, free clash
+    # variables, the three kinds of checks, and the output weight
+    levels = []
+    for i, v in enumerate(free):
+        held = {digits[u] for u in clash[v] if u in fixed_map}
+        levels.append((v, [d for d in range(n) if d not in held],
+                       tuple(sorted(u for u in clash[v]
+                                    if u not in fixed_map)),
+                       tuple(eps_at[i]), tuple(delta_at[i]),
+                       tuple(mat_at[i]), weight[v]))
+    last = len(levels) - 1
 
-    def recurse(v, partial):
-        nonlocal terms
-        if v == nvars:
-            idx = 0
-            for ov in out_vars:
-                idx = idx * n + digits[ov]
-            out[idx] += partial
-            terms += 1
-            return
-        if v in fixed_map:
-            p = eval_factors(v + 1, partial)
-            if p is not None:
-                recurse(v + 1, p)
-            return
-        taken = [digits[u] for u in clash[v]]
-        for d in range(n):
-            if d in taken:
-                continue
+    def descend(i, partial, idx):
+        """Terms of the subtree below level i."""
+        v, cands, clash_v, eps, deltas, mats, wv = levels[i]
+        if clash_v:
+            taken = [digits[u] for u in clash_v]
+            cands = [d for d in cands if d not in taken]
+        leaf = i == last
+        terms = 0
+        for d in cands:
             digits[v] = d
-            p = eval_factors(v + 1, partial)
-            if p is not None:
-                recurse(v + 1, p)
+            p = partial
+            for get, table in eps:
+                s = table.get(get(digits))
+                if s is None:
+                    break
+                if s < 0:
+                    p = -p
+            else:
+                for a, b in deltas:
+                    if digits[a] != digits[b]:
+                        break
+                else:
+                    for h, t, vals in mats:
+                        e = vals[digits[h] * n + digits[t]]
+                        if not e:
+                            break
+                        p = p * e
+                    else:
+                        if leaf:
+                            out[idx + d * wv] += p
+                            terms += 1
+                        else:
+                            terms += descend(i + 1, p, idx + d * wv)
+        return terms
 
-    # factors with no free variables are scheduled at position 0
-    start = eval_factors(0, 1)
-    if start is not None:
-        recurse(0, start)
-    return out, terms
+    return out, descend(0, start, base)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from itertools import product as _indices
 from math import factorial
 
@@ -128,11 +129,15 @@ def antisym_permsum(k: int, n: int) -> list[tuple[int, LayeredDiagram]]:
 
 
 def antisym_tensor(k: int, n: int) -> Tensor:
-    total = Tensor.zeros(n, k, k)
+    """The signed sum of antisym_permsum, each term evaluated with
+    eval_layered and its nonzeros added into one buffer."""
+    size = n ** (2 * k)
+    total = [0] * size
     for sign, d in antisym_permsum(k, n):
-        t = eval_layered(d, {}).tensor
-        total = total + (t if sign > 0 else -t)
-    return total
+        entries = eval_layered(d, {}).tensor.entries
+        for i in compress(range(size), entries):
+            total[i] += sign * entries[i]
+    return Tensor(n, k, k, total)
 
 
 def antisym_nodepair(k: int, n: int) -> LayeredDiagram:

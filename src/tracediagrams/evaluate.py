@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations
 from math import lcm
 
 from . import kernels
@@ -73,11 +74,18 @@ def _vertex_tensor(n: int, in_count: int, ciliation) -> Tensor:
     if cached is not None:
         return cached
 
-    def entry(outs, ins):
-        by_slot = ins + outs          # slots 1..j bottom, j+1..n top
-        return levi_civita(tuple(by_slot[s - 1] for s in ciliation))
+    # Only the n! assignments of distinct digits are nonzero.  Slots 1..j
+    # are the bottom (inputs), j+1..n the top (outputs); the flat layout is
+    # outputs then inputs, so each ciliation position gets its slot's stride.
+    layout = list(range(in_count + 1, n + 1)) + list(range(1, in_count + 1))
+    stride = {s: n ** (n - 1 - axis) for axis, s in enumerate(layout)}
+    weights = [stride[s] for s in ciliation]
+    entries = [0] * n ** n
+    for digits in permutations(range(1, n + 1)):
+        idx = sum((d - 1) * w for d, w in zip(digits, weights))
+        entries[idx] = levi_civita(digits)
 
-    t = Tensor.from_function(n, n - in_count, in_count, entry)
+    t = Tensor(n, n - in_count, in_count, entries)
     _vertex_tensor_cache[key] = t
     return t
 

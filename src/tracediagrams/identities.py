@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import itemgetter
 
 from .builders import (adjugate_diagram, adjugate_value, antisym_nodepair,
                        antisym_tensor, antisym_traced, binet_cauchy_pair,
@@ -502,11 +503,13 @@ def _check_asym_compare(ctx: CheckContext):
 def _check_asym_zero(ctx: CheckContext):
     n = ctx.n
     k = n + 1
-    terms = [(p.sign, p) for p in Permutation.all_permutations(k)]
+    # output slot s reads input slot p(s); k >= 3, so each getter gives a tuple
+    terms = [(p.sign, itemgetter(*(i - 1 for i in p.images)))
+             for p in Permutation.all_permutations(k)]
     for ins in _basis_tuples(n, k):
         image: dict[tuple, int] = {}
-        for sign, p in terms:
-            outs = tuple(ins[p(s) - 1] for s in range(1, k + 1))
+        for sign, get in terms:
+            outs = get(ins)
             image[outs] = image.get(outs, 0) + sign
         if any(image.values()):
             ctx.fail("a basis input survived", inputs=list(ins))

@@ -121,6 +121,29 @@ def test_antisym_beyond_dimension_is_zero():
     assert antisym_tensor(3, 2).is_zero()
 
 
+def rearrangement_sign(outs, ins):
+    """ASym(k) entry: the sign of the rearrangement taking ins to outs, or 0
+    when ins repeats a digit or outs is not a rearrangement of it."""
+    if len(set(ins)) < len(ins) or sorted(outs) != sorted(ins):
+        return 0
+    pos = [ins.index(d) for d in outs]
+    inversions = sum(a > b for i, a in enumerate(pos) for b in pos[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for n in range(1, 5)
+                                 for k in range(n + 2)])
+def test_antisym_tensor_matches_rearrangement_sign(k, n):
+    t = antisym_tensor(k, n)
+    assert (t.n, t.out_arity, t.in_arity) == (n, k, k)
+    assert all(type(x) is int for x in t.entries)
+    if k > n:
+        assert t.is_zero()
+    else:
+        assert t.entries == \
+            Tensor.from_function(n, k, k, rearrangement_sign).entries
+
+
 def test_antisym_idempotent_up_to_factorial():
     for k, n in ((2, 3), (3, 3), (4, 3), (4, 4)):
         t = antisym_tensor(k, n)

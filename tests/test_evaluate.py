@@ -10,12 +10,13 @@ from tracediagrams.builders import (adjugate_diagram, antisym_nodepair,
                                     loop_diagram, trace_loop, vertex_pair)
 from tracediagrams.diagrams import (COVECTOR, SINK, VECTOR, Cap, Cross,
                                     Cup, Id, LayeredDiagram, Mat, NVertex,
-                                    Perm, compose_vertical, to_graph)
+                                    Perm, canonical_ciliation,
+                                    compose_vertical, to_graph)
 from tracediagrams.evaluate import (CrossCheckMismatch, eval_checked,
                                     eval_contraction, eval_layered,
                                     tensors_proportional)
 from tracediagrams.fuzz import random_bindings, random_layered_diagram
-from tracediagrams.linalg import Matrix, reversal_sign
+from tracediagrams.linalg import Matrix, levi_civita, reversal_sign
 from tracediagrams.tensor import Tensor
 
 A = Matrix([[2, 3], [4, 5]])
@@ -198,6 +199,28 @@ def test_vertex_order_sign_regression():
     swapped = eval_layered(LayeredDiagram(
         n, (VECTOR, VECTOR), [(NVertex(SINK, 2, (2, 1, 3)),)]), {}).tensor
     assert swapped == -base
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_vertex_tensor_matches_entrywise_definition(n):
+    # built from its n! nonzeros, a vertex piece must equal the Levi-Civita
+    # sign of every entry's digits read in ciliation order
+    rng = random.Random(100 + n)
+    for j in range(n + 1):
+        ciliations = [canonical_ciliation(n, j)]
+        ciliations += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]
+        for cil in ciliations:
+            def entry(outs, ins):
+                by_slot = ins + outs
+                return levi_civita(tuple(by_slot[s - 1] for s in cil))
+
+            want = Tensor.from_function(n, n - j, j, entry)
+            evaluate_module._vertex_tensor_cache.pop((n, j, cil), None)
+            got = evaluate_module._vertex_tensor(n, j, cil)
+            assert (got.out_arity, got.in_arity) == (n - j, j)
+            assert got.entries == want.entries
+            assert [type(x) for x in got.entries] == \
+                [type(x) for x in want.entries]
 
 
 # -- cross-check ------------------------------------------------------------------

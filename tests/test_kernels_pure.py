@@ -127,14 +127,18 @@ def test_epsilon_network_matches_definition():
     for _ in range(400):
         n = rng.randint(1, 4)
         nvars = rng.randint(0, 6)
-        out_vars = rng.sample(range(nvars), rng.randint(0, min(2, nvars)))
+        if rng.random() < 0.7:
+            out_vars = rng.sample(range(nvars), rng.randint(0, min(2, nvars)))
+        else:                              # var ids may repeat
+            out_vars = rng.choices(range(nvars), k=rng.randint(0, 3)) \
+                if nvars else []
         fixed = [(v, rng.randrange(n)) for v in range(nvars)
-                 if v not in out_vars and rng.random() < 0.25]
+                 if rng.random() < 0.25]
         eps, delta, mats = [], [], []
         if nvars:
             for _ in range(rng.randint(0, 3)):
-                if rng.random() < 0.6:     # distinct var ids
-                    k = rng.randint(1, min(nvars, n + 1))
+                if rng.random() < 0.6:     # distinct var ids, maybe > n
+                    k = rng.randint(1, min(nvars, n + 2))
                     eps.append(tuple(rng.sample(range(nvars), k)))
                 else:                      # var ids may repeat
                     eps.append(tuple(rng.choices(range(nvars),
@@ -168,6 +172,37 @@ def test_epsilon_network_fixed_clash_and_repeat():
     assert pure.epsilon_network(3, 3, [0, 2], [(1, 0)],
                                 [(0, 1, 2)], [], []) == \
         ([0, 0, 0, 0, 0, -1, 0, 1, 0], 2)
+
+
+M3 = [2, 0, Fraction(1, 3), -1, 4, 0, 5, Fraction(-2, 7), 3]
+
+EPSILON_NETWORK_CASES = {
+    # (n, nvars, out_vars, fixed, eps_factors, delta_factors, mat_factors)
+    "repeated out var": (3, 3, [0, 1, 0], [], [(0, 1, 2)], [],
+                         [(2, 1, M3)]),
+    "fixed out var": (3, 3, [1, 2], [(2, 1)], [(0, 1, 2)], [], []),
+    "all-fixed eps, sign only": (3, 4, [3], [(0, 1), (1, 0), (2, 2)],
+                                 [(0, 1, 2)], [], [(3, 0, M3)]),
+    "all-fixed eps, clash": (3, 4, [3], [(0, 1), (1, 2), (2, 1)],
+                             [(0, 1, 2)], [], [(3, 0, M3)]),
+    "eps longer than n": (2, 4, [0, 1], [], [(0, 1, 2)], [],
+                          [(3, 0, [1, 2, 3, 4])]),
+    "eps longer than n, fixed": (2, 3, [], [(0, 0), (1, 1), (2, 0)],
+                                 [(0, 1, 2)], [], []),
+    "fixed var above every free var": (3, 4, [0, 1], [(3, 2)],
+                                       [(0, 3, 1), (2, 3, 0)], [(1, 2)],
+                                       [(1, 0, M3)]),
+    "no eps factors": (3, 4, [0, 3], [(2, 1)], [], [(0, 1), (3, 2)],
+                       [(1, 3, M3), (0, 0, M3)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EPSILON_NETWORK_CASES))
+def test_epsilon_network_edge_cases(case):
+    args = EPSILON_NETWORK_CASES[case]
+    got, want = pure.epsilon_network(*args), epsilon_network_oracle(*args)
+    assert got == want
+    assert [type(x) for x in got[0]] == [type(x) for x in want[0]]
 
 
 def test_kernel_argument_errors():
