@@ -21,7 +21,6 @@ from .evaluate import (CrossCheckMismatch, eval_checked, eval_contraction,
                        eval_layered)
 from .identities import (REGISTRY, report_lines, report_records, run_all,
                          run_check)
-from .kernels import BACKEND
 from .linalg import Matrix, format_rat, rat
 from .tensor import Tensor
 
@@ -437,7 +436,6 @@ def cmd_list(args) -> int:
     print("\nbuiltins:")
     for name, summary in BUILTIN_SUMMARIES.items():
         print(f"  {name:28s} {summary}")
-    print(f"\nkernel backend: {BACKEND}")
     return 0
 
 

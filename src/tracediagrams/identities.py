@@ -171,6 +171,8 @@ def _register(id: str, summary: str, n_range=(2, 6), uses_trials=True,
 
 def run_check(check_id: str, n: int, trials: int = 10,
               seed: int = 0) -> IdentityReport:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if check_id not in REGISTRY:
         raise KeyError(f"unknown identity {check_id!r}; "
                        f"see the registry listing")
@@ -492,8 +494,8 @@ def _check_asym_compare(ctx: CheckContext):
     for k in range(0, n + 1):
         perm_sum = antisym_tensor(k, n)
         pair = eval_layered(antisym_nodepair(k, n), {}).tensor
-        scaled = pair.scale(Fraction(reversal_sign(n), factorial(n - k)))
-        if perm_sum != scaled:
+        # pair = ±(n-k)! * perm_sum, tested on integers without dividing
+        if perm_sum.scale(reversal_sign(n) * factorial(n - k)) != pair:
             ctx.fail("node pair over (n-k)! disagrees with the sum", k=k)
 
 

@@ -5,8 +5,8 @@ flat row-major list; axis 0..l-1 are the output slots, axis l..l+k-1 the
 input slots, and index tuples are 1-based.  A (0,0)-tensor is a boxed scalar,
 which keeps closed diagram evaluations in the same type.
 
-Entries are ints or Fractions; contraction goes through the kernel backend
-(compiled if available) and stays exact.
+Entries are ints or Fractions; contraction goes through tracediagrams.kernels
+and stays exact.
 """
 
 from __future__ import annotations

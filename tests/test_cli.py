@@ -1,16 +1,21 @@
 """CLI surface: parsing, evaluation, checks, builtins, DOT export."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracediagrams.builders import (adjugate_diagram, antisym_nodepair,
                                     loop_diagram, trace_loop, vertex_pair)
 from tracediagrams.cli import (DiagramFileError, dumps_diagram,
                                export_dot, main, parse_diagram_file,
                                parse_matrix_literal)
-from tracediagrams.diagrams import to_graph
+from tracediagrams.diagrams import VECTOR, LayeredDiagram, Mat, to_graph
 from tracediagrams.evaluate import eval_layered
+from tracediagrams.fuzz import random_bindings, random_layered_diagram
 from tracediagrams.linalg import Matrix
 
 TRACE_DOC = {
@@ -90,20 +95,37 @@ def test_matrix_literal_rationals():
         parse_matrix_literal("nope")
 
 
+def assert_round_trip(diagram, bindings):
+    parsed, parsed_bindings = parse_diagram_file(
+        dumps_diagram(diagram, bindings))
+    assert (parsed.n, parsed.inputs, parsed.layers) == \
+        (diagram.n, diagram.inputs, diagram.layers)
+    assert parsed_bindings == bindings
+    assert eval_layered(parsed, parsed_bindings).tensor == \
+        eval_layered(diagram, bindings).tensor
+
+
 def test_round_trip_builder_diagrams():
+    fractional = Matrix([[Fraction(1, 2), 3], [-4, Fraction(-7, 3)]])
     cases = [
         (loop_diagram(3), {}),
         (trace_loop(2, "A"), {"A": Matrix([[2, 3], [4, 5]])}),
         (vertex_pair(3, [["A"], [], ["A"]]), {"A": Matrix.identity(3)}),
         (antisym_nodepair(2, 3), {}),
         (adjugate_diagram(2, "A"), {"A": Matrix([[2, 3], [4, 5]])}),
+        (LayeredDiagram(2, [VECTOR], [[Mat("A", against_orientation=True)]]),
+         {"A": fractional}),
     ]
     for diagram, bindings in cases:
-        text = dumps_diagram(diagram, bindings)
-        parsed, parsed_bindings = parse_diagram_file(text)
-        before = eval_layered(diagram, bindings).tensor
-        after = eval_layered(parsed, parsed_bindings).tensor
-        assert before == after
+        assert_round_trip(diagram, bindings)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 2 ** 32 - 1))
+def test_round_trip_random_diagrams(n, seed):
+    rng = random.Random(seed)
+    diagram = random_layered_diagram(n, rng, max_width=4)
+    assert_round_trip(diagram, random_bindings(diagram, rng))
 
 
 # -- commands ----------------------------------------------------------------------
@@ -214,6 +236,15 @@ def test_cmd_check_error_does_not_hide_other_checks(capsys):
     assert passed > 0 and f"{passed}/{passed + 1} checks passed" in out
 
 
+def test_cmd_check_rejects_nonpositive_trials(capsys):
+    assert main(["check", "cayley_hamilton", "--n", "3", "--trials", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert "error: trials must be >= 1" in captured.err
+    assert "PASS" not in captured.out
+    assert main(["check", "--all", "--trials", "0"]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+
+
 def test_cmd_check_jsonl(capsys):
     assert main(["check", "loop_dim", "--n", "2", "--format", "jsonl"]) == 0
     record = json.loads(capsys.readouterr().out.strip())
@@ -254,7 +285,6 @@ def test_cmd_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "cayley_hamilton" in out and "adjugate" in out
-    assert "kernel backend" in out
 
 
 # -- DOT export -------------------------------------------------------------------

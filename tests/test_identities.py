@@ -50,6 +50,14 @@ def test_unsupported_n():
         run_check("triple_isotopy", n=2)
 
 
+def test_trials_below_one_rejected():
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_check("cayley_hamilton", n=3, trials=trials)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_all(max_n=2, trials=trials)
+
+
 def test_run_all_passes_and_excludes_stretch():
     reports = run_all(max_n=2, trials=2, seed=3)
     assert all(r.outcome == "pass" for r in reports)
@@ -72,9 +80,16 @@ def test_seeded_reruns_survive_hash_randomization():
     import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import tracediagrams
+
+    # the child imports the package from where this process found it
+    root = str(Path(tracediagrams.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
 
     def run(hashseed):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "tracediagrams", "check", "--all",
              "--max-n", "2", "--trials", "2", "--seed", "11"],

@@ -1,4 +1,4 @@
-"""The pure-Python kernels against brute-force definitions.
+"""The contraction kernels against brute-force definitions.
 
 Each oracle enumerates every digit combination with itertools.product and
 applies the definition directly, sharing no index arithmetic or pruning with
@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from tracediagrams import _kernels_pure as pure
+from tracediagrams import kernels
 
 
 def rand_val(rng):
@@ -102,7 +102,7 @@ def test_pair_contract_matches_definition():
         npairs = rng.randint(0, min(a_naxes, b_naxes))
         pairs = list(zip(rng.sample(range(a_naxes), npairs),
                          rng.sample(range(b_naxes), npairs)))
-        assert pure.pair_contract(n, a, a_naxes, b, b_naxes, pairs) == \
+        assert kernels.pair_contract(n, a, a_naxes, b, b_naxes, pairs) == \
             pair_contract_oracle(n, a, a_naxes, b, b_naxes, pairs)
 
 
@@ -118,7 +118,7 @@ def test_permute_axes_matches_definition():
         head = perm[:cut]
         rng.shuffle(head)
         perm = head + perm[cut:]
-        assert pure.permute_axes(n, vals, naxes, perm) == \
+        assert kernels.permute_axes(n, vals, naxes, perm) == \
             permute_axes_oracle(n, vals, naxes, perm)
 
 
@@ -149,13 +149,13 @@ def test_epsilon_network_matches_definition():
                 mats.append((rng.randrange(nvars), rng.randrange(nvars),
                              [rand_val(rng) for _ in range(n * n)]))
         args = (n, nvars, out_vars, fixed, eps, delta, mats)
-        assert pure.epsilon_network(*args) == epsilon_network_oracle(*args)
+        assert kernels.epsilon_network(*args) == epsilon_network_oracle(*args)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_epsilon_network_levi_civita(n):
     # one ε factor on n free output variables is the Levi-Civita tensor
-    vals, terms = pure.epsilon_network(n, n, list(range(n)), [],
+    vals, terms = kernels.epsilon_network(n, n, list(range(n)), [],
                                        [tuple(range(n))], [], [])
     assert vals == [sign(d) for d in product(range(n), repeat=n)]
     assert terms == sum(1 for v in vals if v)
@@ -163,13 +163,13 @@ def test_epsilon_network_levi_civita(n):
 
 def test_epsilon_network_fixed_clash_and_repeat():
     # two fixed variables sharing a digit zero the network
-    assert pure.epsilon_network(3, 3, [2], [(0, 1), (1, 1)],
+    assert kernels.epsilon_network(3, 3, [2], [(0, 1), (1, 1)],
                                 [(0, 1, 2)], [], []) == ([0, 0, 0], 0)
     # a variable repeated inside one ε factor zeroes it too
-    assert pure.epsilon_network(3, 2, [0, 1], [], [(0, 1, 0)], [], []) == \
+    assert kernels.epsilon_network(3, 2, [0, 1], [], [(0, 1, 0)], [], []) == \
         ([0] * 9, 0)
     # a fixed variable removes its digit from the free ones
-    assert pure.epsilon_network(3, 3, [0, 2], [(1, 0)],
+    assert kernels.epsilon_network(3, 3, [0, 2], [(1, 0)],
                                 [(0, 1, 2)], [], []) == \
         ([0, 0, 0, 0, 0, -1, 0, 1, 0], 2)
 
@@ -200,16 +200,16 @@ EPSILON_NETWORK_CASES = {
 @pytest.mark.parametrize("case", sorted(EPSILON_NETWORK_CASES))
 def test_epsilon_network_edge_cases(case):
     args = EPSILON_NETWORK_CASES[case]
-    got, want = pure.epsilon_network(*args), epsilon_network_oracle(*args)
+    got, want = kernels.epsilon_network(*args), epsilon_network_oracle(*args)
     assert got == want
     assert [type(x) for x in got[0]] == [type(x) for x in want[0]]
 
 
 def test_kernel_argument_errors():
     with pytest.raises(ValueError):
-        pure.pair_contract(2, [1, 2, 3, 4], 2, [1, 2, 3, 4], 2,
+        kernels.pair_contract(2, [1, 2, 3, 4], 2, [1, 2, 3, 4], 2,
                            [(0, 0), (0, 1)])
     with pytest.raises(ValueError):
-        pure.pair_contract(2, [1, 2], 1, [1, 2], 1, [(1, 0)])
+        kernels.pair_contract(2, [1, 2], 1, [1, 2], 1, [(1, 0)])
     with pytest.raises(ValueError):
-        pure.permute_axes(2, [1, 2, 3, 4], 2, [0, 0])
+        kernels.permute_axes(2, [1, 2, 3, 4], 2, [0, 0])
