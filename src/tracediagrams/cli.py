@@ -277,16 +277,20 @@ def _read_file(path: str) -> str:
 
 
 def cmd_eval(args) -> int:
+    # parse_diagram_file has validated the diagram, and to_graph checks
+    # the graph it builds
     diagram, bindings = parse_diagram_file(_read_file(args.file))
     if args.evaluator == "layered":
-        result = eval_layered(diagram, bindings)
+        result = eval_layered(diagram, bindings, validated=True)
         tensors = {"layered": result}
     elif args.evaluator == "contraction":
-        result = eval_contraction(to_graph(diagram), bindings)
+        result = eval_contraction(to_graph(diagram), bindings,
+                                  validated=True)
         tensors = {"contraction": result}
     else:
-        layered = eval_layered(diagram, bindings)
-        contraction = eval_contraction(to_graph(diagram), bindings)
+        layered = eval_layered(diagram, bindings, validated=True)
+        contraction = eval_contraction(to_graph(diagram), bindings,
+                                       validated=True)
         diff = layered.tensor.first_difference(contraction.tensor)
         if diff is not None:
             raise CrossCheckMismatch(*diff)
@@ -319,6 +323,9 @@ def cmd_check(args) -> int:
         else:
             lo, hi = check.n_range
             ns = range(lo, min(hi, args.max_n) + 1)
+            if not ns:
+                raise ValueError(f"check {args.id} supports n in {lo}..{hi}, "
+                                 f"got --max-n {args.max_n}")
         reports = [run_check(args.id, n, args.trials, seed) for n in ns]
     emit = report_records if args.format == "jsonl" else report_lines
     for line in emit(reports, timings=args.timings):
@@ -451,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evaluator", choices=("contraction", "layered", "both"),
                    default="both")
     p.add_argument("--term-count", action="store_true",
-                   help="also print contraction term counts")
+                   help="also print each evaluator's multiply-add count")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("check", help="run identity checks")

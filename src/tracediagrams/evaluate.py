@@ -3,9 +3,10 @@
 eval_layered folds the slices of a layered diagram bottom to top, applying
 each piece's elementary map to a running state tensor.  eval_contraction
 works on the graph form: it assigns an index variable to every edge end,
-multiplies a matrix factor per labeled edge and a Levi-Civita factor per
-vertex, and sums over all internal assignments.  The two paths share no
-semantic code, which is what makes eval_checked a meaningful cross-check.
+with a matrix factor per labeled edge and a Levi-Civita factor per vertex,
+and sums the internal variables out of those factors one at a time.  The
+two paths share no semantic code, which is what makes eval_checked a
+meaningful cross-check.
 
 Both evaluators return an EvalResult wrapping the tensor together with the
 number of multiply-accumulate terms and the wall-clock time.
@@ -101,11 +102,14 @@ def _mat_tensor(piece: Mat, polarity: str, bindings: Bindings,
     return Tensor.from_matrix(m)
 
 
-def eval_layered(d: LayeredDiagram, bindings: Bindings) -> EvalResult:
+def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
+                 validated: bool = False) -> EvalResult:
+    """validated=True skips validating d, which the caller has done."""
     start = time.perf_counter()
-    errors = validate_layered(d)
-    if errors:
-        raise ValueError("invalid diagram: " + "; ".join(errors))
+    if not validated:
+        errors = validate_layered(d)
+        if errors:
+            raise ValueError("invalid diagram: " + "; ".join(errors))
     check_bindings(d.matrix_names(), d.n, bindings)
 
     n = d.n
@@ -214,21 +218,25 @@ def _scaled_int_matrix(m: Matrix) -> tuple[list, int]:
 
 
 def eval_contraction(d: Diagram, bindings: Bindings,
-                     probe: tuple | None = None) -> EvalResult:
-    """Sum over index assignments to edge ends.
+                     probe: tuple | None = None, *,
+                     validated: bool = False) -> EvalResult:
+    """Contract the diagram's factors over index variables on edge ends.
 
     Every boundary position gets a variable; unlabeled edges share one
     variable across both ends, labeled edges couple two variables through
     their cumulative matrix, and each vertex contributes the Levi-Civita
-    sign of its ciliation-ordered end variables.
+    sign of its ciliation-ordered end variables.  kernels.epsilon_network
+    sums the internal variables out by sparse variable elimination.
 
     probe=(outs, ins) restricts evaluation to a single entry (returned as a
-    (0,0)-tensor); both tuples are 1-based.
+    (0,0)-tensor); both tuples are 1-based.  validated=True skips
+    validating d, for a graph that to_graph has just built and checked.
     """
     start = time.perf_counter()
-    problems = validate_graph(d)
-    if problems:
-        raise ValueError("invalid graph: " + "; ".join(problems))
+    if not validated:
+        problems = validate_graph(d)
+        if problems:
+            raise ValueError("invalid graph: " + "; ".join(problems))
     check_bindings(d.matrix_names(), d.n, bindings)
 
     n = d.n
@@ -328,9 +336,13 @@ def _tidy(x: Fraction) -> Rat:
 # -- Cross-check and comparison utilities ----------------------------------
 
 def eval_checked(d: LayeredDiagram, bindings: Bindings) -> Tensor:
-    """Run both evaluators and insist on exact entrywise equality."""
-    layered = eval_layered(d, bindings).tensor
-    contraction = eval_contraction(to_graph(d), bindings).tensor
+    """Run both evaluators and insist on exact entrywise equality.
+
+    Each form is validated once: to_graph validates d and checks the graph
+    it builds, so neither evaluator validates again."""
+    graph = to_graph(d)
+    layered = eval_layered(d, bindings, validated=True).tensor
+    contraction = eval_contraction(graph, bindings, validated=True).tensor
     diff = layered.first_difference(contraction)
     if diff is not None:
         raise CrossCheckMismatch(*diff)

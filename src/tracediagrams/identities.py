@@ -226,7 +226,8 @@ def report_records(reports, timings: bool = False):
 # -- Shared helpers -----------------------------------------------------------
 
 def eval_graph(diagram: LayeredDiagram, bindings, probe=None) -> Tensor:
-    return eval_contraction(to_graph(diagram), bindings, probe=probe).tensor
+    return eval_contraction(to_graph(diagram), bindings, probe=probe,
+                            validated=True).tensor
 
 
 def traced_groups(n: int, strands: int, matrix: Matrix) -> dict[int, Tensor]:
@@ -559,7 +560,7 @@ def _check_minus2v(ctx: CheckContext):
 
 @_register("adjugate_formula",
            "vertex pair with one open strand yields the adjugate constant",
-           n_range=(2, 4))
+           n_range=(2, 7))
 def _check_adjugate_formula(ctx: CheckContext):
     n = ctx.n
     composed = compose_vertical(adjugate_diagram(n, "A"),
@@ -614,7 +615,7 @@ def _check_cramer(ctx: CheckContext):
 
 @_register("crossout_lemma",
            "column substitution is invisible behind the nullified strand",
-           n_range=(2, 4))
+           n_range=(2, 6))
 def _check_crossout(ctx: CheckContext):
     n = ctx.n
     bare_vertex = eval_graph(complemental_node(n, n), {})
@@ -660,7 +661,7 @@ def _check_crossout(ctx: CheckContext):
 
 @_register("cayley_hamilton",
            "the traced antisymmetrizer on n+1 strands vanishes",
-           n_range=(2, 4))
+           n_range=(2, 6))
 def _check_cayley(ctx: CheckContext):
     n = ctx.n
     for trial in range(ctx.trials):
@@ -720,7 +721,7 @@ def _check_det_sum(ctx: CheckContext):
 
 @_register("asym_sum_decomposition",
            "traced antisymmetrizer splits by the cycle through the open "
-           "strand", n_range=(2, 4))
+           "strand", n_range=(2, 5))
 def _check_asym_sum(ctx: CheckContext):
     n = ctx.n
     for trial in range(ctx.trials):

@@ -10,23 +10,21 @@ table, axis by axis with the last axis fastest.  `permute_axes` then copies
 each run along the result's trailing axes with one list slice.
 `pair_contract` gathers b's entries at each summation offset into a column
 once, and builds each row of the result from a's nonzero summands times
-those columns, adding them in summation order.
+those columns, adding them in summation order.  These two serve the
+layered evaluator.
 
-`epsilon_network` builds a search plan once per call.  ε signs come from
-a table per (n, arity) of the n!/(n-m)! tuples of distinct digits, read
-through an itemgetter over the factor's variables; a miss means ε = 0.
-Each free variable is one level with flat tuples of the ε, δ and matrix
-checks it completes, the clash variables whose digits it may not take
-(all-different propagation on ε factors), and its weight in the flat
-output index, which is carried down the recursion.  The last level's loop
-adds into the result directly, with no call per leaf.
+`epsilon_network` serves the contraction evaluator and shares no code with
+them.  It sums index variables out of sparse factors, each a dict from the
+digit tuple of its variables to a nonzero value, one variable at a time
+(bucket elimination).  ε factors read their nonzeros from a table per
+(n, arity) of the n!/(n-m)! tuples of distinct digits.
 
 term counts returned by the kernels are the number of multiply-accumulate
 operations actually performed (zero factors prune eagerly).
 """
 
 from itertools import permutations
-from operator import itemgetter
+from operator import itemgetter, mul
 
 
 def _strides(n, naxes):
@@ -127,6 +125,52 @@ def _sign_table(n, m):
     return table
 
 
+def _picker(positions):
+    """Function from a digit tuple to the tuple of its digits at positions."""
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda key: (key[i],)
+    if not positions:
+        return lambda key: ()
+    return itemgetter(*positions)
+
+
+def _join(a, b, drop):
+    """Product of factors a and b with the variables in drop summed out.
+    b is the one indexed by the shared variables, so pass the smaller as b.
+    Returns the factor, zeros dropped, and the number of products formed."""
+    a_scope, a_table = a
+    b_scope, b_table = b
+    shared = [v for v in a_scope if v in b_scope]
+    a_keep = [i for i, v in enumerate(a_scope) if v not in drop]
+    b_keep = [i for i, v in enumerate(b_scope)
+              if v not in drop and v not in a_scope]
+    b_key = _picker([b_scope.index(v) for v in shared])
+    b_out = _picker(b_keep)
+    rows = {}
+    for key, val in b_table.items():
+        rows.setdefault(b_key(key), []).append((b_out(key), val))
+    a_key = _picker([a_scope.index(v) for v in shared])
+    a_out = _picker(a_keep)
+    out = {}
+    get = out.get
+    terms = 0
+    for key, av in a_table.items():
+        matches = rows.get(a_key(key))
+        if matches:
+            head = a_out(key)
+            terms += len(matches)
+            for tail, bv in matches:
+                k = head + tail
+                out[k] = get(k, 0) + av * bv
+    scope = tuple(a_scope[i] for i in a_keep) + \
+        tuple(b_scope[i] for i in b_keep)
+    return (scope, {k: v for k, v in out.items() if v}), terms
+
+
+_UNIT = ((), {(): 1})
+
+
 def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
                     mat_factors):
     """Sum factor products over all assignments of `nvars` index variables.
@@ -139,124 +183,137 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
     out_vars selects the digits forming the result's mixed-radix index (most
     significant first); returns (out_vals of length n**len(out_vars), terms).
 
-    Enumeration is depth-first over the free variables in var-id order,
-    from a plan built once per call.  Each free variable is one level
-    holding the checks of the factors it completes: the factors whose
-    highest-id free variable it is, so a factor that completes at a fixed
-    variable runs at the preceding free level, and factors with no free
-    variable run once before the search.  A zero factor prunes the whole
-    subtree.  An ε check reads the sign of its variables' digits, taken
-    with an itemgetter, from the table of `_sign_table`; a miss is ε = 0,
-    which covers repeated digits, a variable repeated inside one factor,
-    clashes between fixed variables and factors longer than n.  ε factors
-    also prune earlier, by all-different propagation: a level never binds
-    a digit held by a fixed or lower-id variable of one of its ε factors.
-    Each variable has a weight in the flat output index (summed over its
-    positions in out_vars), and the index is carried down the recursion;
-    the last level adds into the result and counts terms in its own loop.
-    Only subtrees whose product would be 0 are cut, so the leaves, their
-    order and the term count are those of a plain enumeration.
+    Sparse variable elimination.  Each factor is a dict from the digit
+    tuple of its variables to a nonzero value: an ε factor is the table of
+    `_sign_table` (a repeated variable, or more variables than n, makes the
+    network zero), a matrix factor its nonzeros (the diagonal, over one
+    variable, when head == tail), a δ factor its n diagonal pairs.  Fixed
+    variables restrict their factors first.  Then the variables that are
+    neither fixed nor outputs are summed out, one at a time in greedy
+    min-degree order: fewest other variables sharing a factor with it, ties
+    to the lower id.  The factors mentioning the variable are joined,
+    smallest first, and each variable that only they mention is summed out
+    at the last join where it appears; zero entries are dropped.  A summed
+    variable that no factor mentions contributes a factor n.  The factors
+    left, all over output variables, are multiplied together and scattered
+    into the dense result; an output variable they do not mention is
+    broadcast over its n digits.
+
+    terms counts the multiply-adds performed: one per product formed in a
+    join (a variable summed out of a lone factor is a join with the unit
+    factor) and one per entry written to the result.
     """
-    digits = [0] * nvars
-    fixed_map = dict(fixed)
-    for v, d in fixed_map.items():
-        digits[v] = d
-    free = [v for v in range(nvars) if v not in fixed_map]
-    level_of = {v: i for i, v in enumerate(free)}
-
-    weight = [0] * nvars
-    size = 1
-    for ov in reversed(out_vars):
-        weight[ov] += size
-        size *= n
-    out = [0] * size
-
-    def level(vs):
-        return max((level_of[v] for v in vs if v in level_of), default=-1)
-
-    # checks by level; the extra last slot (level -1) runs before the search
-    eps_at = [[] for _ in range(len(free) + 1)]
-    delta_at = [[] for _ in range(len(free) + 1)]
-    mat_at = [[] for _ in range(len(free) + 1)]
-    clash = [set() for _ in range(nvars)]
+    zero = [0] * n ** len(out_vars)
+    pinned = dict(fixed)
+    factors = []
     for f in eps_factors:
-        if len(f) < 2:      # ε of at most one index is 1
+        if len(f) < 2:          # ε of at most one index is 1
             continue
-        eps_at[level(f)].append((itemgetter(*f), _sign_table(n, len(f))))
-        for v in f:
-            if v not in fixed_map:
-                clash[v].update(u for u in f
-                                if u != v and (u < v or u in fixed_map))
-    for v1, v2 in delta_factors:
-        delta_at[level((v1, v2))].append((v1, v2))
+        if len(set(f)) < len(f) or len(f) > n:
+            return zero, 0
+        factors.append((tuple(f), _sign_table(n, len(f))))
+    for a, b in delta_factors:
+        if a != b:
+            factors.append(((a, b), {(d, d): 1 for d in range(n)}))
     for h, t, vals in mat_factors:
-        mat_at[level((h, t))].append((h, t, vals))
+        if h == t:
+            factors.append(((h,), {(d,): e for d in range(n)
+                                   if (e := vals[d * n + d])}))
+        else:
+            factors.append(((h, t), {(i, j): e for i in range(n)
+                                     for j in range(n)
+                                     if (e := vals[i * n + j])}))
 
-    start = 1
-    for get, table in eps_at[-1]:
-        s = table.get(get(digits))
-        if s is None:
-            return out, 0
-        if s < 0:
-            start = -start
-    for a, b in delta_at[-1]:
-        if digits[a] != digits[b]:
-            return out, 0
-    for h, t, vals in mat_at[-1]:
-        e = vals[digits[h] * n + digits[t]]
-        if not e:
-            return out, 0
-        start = start * e
-    base = sum(digits[v] * weight[v] for v in fixed_map)
-    if not free:
-        out[base] += start
-        return out, 1
-
-    # per level: variable, digits no fixed clash holds, free clash
-    # variables, the three kinds of checks, and the output weight
-    levels = []
-    for i, v in enumerate(free):
-        held = {digits[u] for u in clash[v] if u in fixed_map}
-        levels.append((v, [d for d in range(n) if d not in held],
-                       tuple(sorted(u for u in clash[v]
-                                    if u not in fixed_map)),
-                       tuple(eps_at[i]), tuple(delta_at[i]),
-                       tuple(mat_at[i]), weight[v]))
-    last = len(levels) - 1
-
-    def descend(i, partial, idx):
-        """Terms of the subtree below level i."""
-        v, cands, clash_v, eps, deltas, mats, wv = levels[i]
-        if clash_v:
-            taken = [digits[u] for u in clash_v]
-            cands = [d for d in cands if d not in taken]
-        leaf = i == last
-        terms = 0
-        for d in cands:
-            digits[v] = d
-            p = partial
-            for get, table in eps:
-                s = table.get(get(digits))
-                if s is None:
-                    break
-                if s < 0:
-                    p = -p
+    scale = 1
+    if pinned:
+        restricted = []
+        for scope, table in factors:
+            at = [i for i, v in enumerate(scope) if v in pinned]
+            if at:
+                want = tuple(pinned[scope[i]] for i in at)
+                held = _picker(at)
+                keep = [i for i, v in enumerate(scope) if v not in pinned]
+                pick = _picker(keep)
+                table = {pick(k): e for k, e in table.items()
+                         if held(k) == want}
+                scope = tuple(scope[i] for i in keep)
+            if not table:
+                return zero, 0
+            if scope:
+                restricted.append((scope, table))
             else:
-                for a, b in deltas:
-                    if digits[a] != digits[b]:
-                        break
-                else:
-                    for h, t, vals in mats:
-                        e = vals[digits[h] * n + digits[t]]
-                        if not e:
-                            break
-                        p = p * e
-                    else:
-                        if leaf:
-                            out[idx + d * wv] += p
-                            terms += 1
-                        else:
-                            terms += descend(i + 1, p, idx + d * wv)
-        return terms
+                scale *= table[()]
+        factors = restricted
 
-    return out, descend(0, start, base)
+    outs = {v for v in out_vars if v not in pinned}
+    mentioned = {v for scope, _ in factors for v in scope}
+    scale *= n ** (nvars - len(pinned) - len(mentioned | outs))
+    elim = mentioned - outs
+    terms = 0
+    while elim:
+        best = None
+        for v in elim:
+            near = set()
+            for scope, _ in factors:
+                if v in scope:
+                    near.update(scope)
+            if best is None or (len(near), v) < best:
+                best = len(near), v
+        v = best[1]
+        bucket = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        if len(bucket) == 1:
+            bucket.append(_UNIT)
+        bucket.sort(key=lambda f: len(f[1]))
+        # each variable only the bucket mentions is summed out at the last
+        # join where it appears (the first join, if that is bucket[0])
+        elsewhere = {u for scope, _ in factors for u in scope}
+        last = {}
+        for i, (scope, _) in enumerate(bucket):
+            for u in scope:
+                if u in elim and u not in elsewhere:
+                    last[u] = max(i, 1)
+        elim.difference_update(last)
+        acc = bucket[0]
+        for i in range(1, len(bucket)):
+            drop = {u for u, at in last.items() if at == i}
+            f = bucket[i]
+            acc, t = _join(f, acc, drop) if len(f[1]) > len(acc[1]) \
+                else _join(acc, f, drop)
+            terms += t
+            if not acc[1]:
+                return zero, terms
+        if acc[0]:
+            factors.append(acc)
+        else:
+            scale *= acc[1][()]
+
+    factors.sort(key=lambda f: len(f[1]))
+    result = factors[0] if factors else _UNIT
+    for f in factors[1:]:
+        result, t = _join(f, result, ())
+        terms += t
+    scope, table = result
+
+    weight = dict.fromkeys(outs, 0)
+    base = 0
+    stride = 1
+    for v in reversed(out_vars):
+        if v in pinned:
+            base += pinned[v] * stride
+        else:
+            weight[v] += stride
+        stride *= n
+    spread = [base]
+    for v, w in weight.items():
+        if v not in scope:
+            spread = [s + d * w for s in spread for d in range(n)]
+    weights = [weight[v] for v in scope]
+    out = zero
+    for key, val in table.items():
+        if scale != 1:
+            val = val * scale
+        idx = sum(map(mul, key, weights))
+        for s in spread:
+            out[idx + s] = val
+    return out, terms + len(table) * len(spread)

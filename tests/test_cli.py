@@ -16,6 +16,7 @@ from tracediagrams.cli import (DiagramFileError, dumps_diagram,
 from tracediagrams.diagrams import VECTOR, LayeredDiagram, Mat, to_graph
 from tracediagrams.evaluate import eval_layered
 from tracediagrams.fuzz import random_bindings, random_layered_diagram
+from tracediagrams.identities import REGISTRY
 from tracediagrams.linalg import Matrix
 
 TRACE_DOC = {
@@ -243,6 +244,18 @@ def test_cmd_check_rejects_nonpositive_trials(capsys):
     assert "PASS" not in captured.out
     assert main(["check", "--all", "--trials", "0"]) == 2
     assert "trials must be >= 1" in capsys.readouterr().err
+
+
+def test_cmd_check_max_n_below_range(capsys):
+    # a --max-n under the check's range selects no n: an error, not 0/0
+    lo, hi = REGISTRY["cayley_hamilton"].n_range
+    assert main(["check", "cayley_hamilton", "--max-n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert f"error: check cayley_hamilton supports n in {lo}..{hi}, " \
+        "got --max-n 1" in captured.err
+    assert "checks passed" not in captured.out
+    assert main(["check", "triple_isotopy", "--max-n", "2"]) == 2
+    assert "supports n in 3..3, got --max-n 2" in capsys.readouterr().err
 
 
 def test_cmd_check_jsonl(capsys):

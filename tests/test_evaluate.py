@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -16,10 +17,12 @@ from tracediagrams.evaluate import (CrossCheckMismatch, eval_checked,
                                     eval_contraction, eval_layered,
                                     tensors_proportional)
 from tracediagrams.fuzz import random_bindings, random_layered_diagram
-from tracediagrams.linalg import Matrix, levi_civita, reversal_sign
+from tracediagrams.linalg import (Matrix, det_oracle, levi_civita,
+                                  reversal_sign)
 from tracediagrams.tensor import Tensor
 
 A = Matrix([[2, 3], [4, 5]])
+M4 = Matrix([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1], [1, 1, 0, 2]])
 
 
 def graph_eval(d, bindings, probe=None):
@@ -248,6 +251,67 @@ def test_eval_checked_small_families_at_n4():
     eval_checked(adjugate_diagram(4, "A"), b)
     eval_checked(antisym_nodepair(2, 4), {})
     eval_checked(trace_loop(4, "A"), b)
+
+
+def test_eval_checked_validates_each_form_once(monkeypatch):
+    import tracediagrams.diagrams as diagrams_module
+    calls = {"validate_layered": 0, "validate_graph": 0}
+    originals = {name: getattr(diagrams_module, name) for name in calls}
+
+    def counting(name):
+        def validate(d):
+            calls[name] += 1
+            return originals[name](d)
+        return validate
+
+    for module in (diagrams_module, evaluate_module):
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name))
+    eval_checked(vertex_pair(3, [["A"]] * 3), {"A": Matrix.identity(3)})
+    assert calls == {"validate_layered": 1, "validate_graph": 1}
+
+
+def test_eval_checked_keeps_error_messages():
+    bad = LayeredDiagram(2, (VECTOR, VECTOR), [(Id(),)])
+    with pytest.raises(ValueError) as layered_err:
+        eval_layered(bad, {})
+    with pytest.raises(ValueError) as checked_err:
+        eval_checked(bad, {})
+    assert str(checked_err.value) == str(layered_err.value)
+    assert str(checked_err.value).startswith("invalid diagram: ")
+    with pytest.raises(ValueError, match="unbound matrix name 'A'"):
+        eval_checked(trace_loop(2, "A"), {})
+
+
+def test_contraction_path_calls_no_layered_kernel(monkeypatch):
+    from tracediagrams import kernels
+
+    rng = random.Random(5)
+    cases = [(vertex_pair(4, [["A"]] * 4), {"A": M4}),
+             (adjugate_diagram(3, "A"), {"A": Matrix.identity(3)}),
+             (antisym_nodepair(2, 3), {})]
+    for _ in range(20):
+        d = random_layered_diagram(rng.choice((2, 3)), rng)
+        cases.append((d, random_bindings(d, rng)))
+    want = [eval_layered(d, b).tensor for d, b in cases]
+
+    def forbidden(*args):
+        raise AssertionError("contraction path called a layered kernel")
+
+    for name in ("pair_contract", "permute_axes", "_offsets"):
+        monkeypatch.setattr(kernels, name, forbidden)
+    assert [graph_eval(d, b) for d, b in cases] == want
+
+
+def test_det_circle_n6_on_both_evaluators():
+    n = 6
+    a = Matrix([[3, -1, 4, 1, -5, 9], [2, 6, -5, 3, 5, -8],
+                [9, 7, 9, -3, 2, 3], [-8, 4, 6, 2, -6, 4],
+                [3, 3, -8, 3, 2, 7], [9, -5, 1, 2, 8, -8]])
+    want = reversal_sign(n) * factorial(n) * det_oracle(a)
+    d = vertex_pair(n, [["A"]] * n)
+    assert eval_layered(d, {"A": a}).tensor.as_scalar() == want
+    assert graph_eval(d, {"A": a}).as_scalar() == want
 
 
 def test_corrupted_ciliation_raises_mismatch(monkeypatch):

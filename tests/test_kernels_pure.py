@@ -2,16 +2,20 @@
 
 Each oracle enumerates every digit combination with itertools.product and
 applies the definition directly, sharing no index arithmetic or pruning with
-the kernels.  Values and term counts must both match exactly.
+the kernels.  Values must match exactly, and so must the term counts of the
+dense kernels.  epsilon_network counts the multiply-adds of its variable
+elimination, not the oracle's leaves, so its counts are pinned separately.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 
 from tracediagrams import kernels
+from tracediagrams.linalg import Matrix, det_oracle
 
 
 def rand_val(rng):
@@ -149,7 +153,8 @@ def test_epsilon_network_matches_definition():
                 mats.append((rng.randrange(nvars), rng.randrange(nvars),
                              [rand_val(rng) for _ in range(n * n)]))
         args = (n, nvars, out_vars, fixed, eps, delta, mats)
-        assert kernels.epsilon_network(*args) == epsilon_network_oracle(*args)
+        assert kernels.epsilon_network(*args)[0] == \
+            epsilon_network_oracle(*args)[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -194,6 +199,22 @@ EPSILON_NETWORK_CASES = {
                                        [(1, 0, M3)]),
     "no eps factors": (3, 4, [0, 3], [(2, 1)], [], [(0, 1), (3, 2)],
                        [(1, 3, M3), (0, 0, M3)]),
+    # variable 3 is summed and in no factor: a factor of n
+    "free var in no factor": (3, 4, [0, 1], [], [(0, 1, 2)], [],
+                              [(2, 1, M3)]),
+    # output variable 2 is in no factor: broadcast over its digits
+    "output var in no factor": (3, 3, [0, 2, 1], [], [], [],
+                                [(0, 1, M3)]),
+    "loop matrix factor": (3, 3, [0, 1], [], [(0, 1, 2)], [],
+                           [(2, 2, M3)]),
+    "two disconnected components": (3, 6, [0, 3], [],
+                                    [(0, 1, 2), (3, 4, 5)], [(2, 5)],
+                                    [(1, 0, M3), (4, 3, M3)]),
+    # summing 0 and 1 out of ε(0, 1, 2)·S(0, 1) with S01 = S10 cancels at
+    # digit 2 of variable 2 before variable 2 meets the output's matrix
+    "intermediate sum cancels": (3, 4, [3], [], [(0, 1, 2)], [],
+                                 [(0, 1, [1, 5, 2, 5, 0, 4, 7, 3, 1]),
+                                  (3, 2, [2, -1, 3, 6, 4, -2, 1, 1, 5])]),
 }
 
 
@@ -201,8 +222,40 @@ EPSILON_NETWORK_CASES = {
 def test_epsilon_network_edge_cases(case):
     args = EPSILON_NETWORK_CASES[case]
     got, want = kernels.epsilon_network(*args), epsilon_network_oracle(*args)
-    assert got == want
+    assert got[0] == want[0]
     assert [type(x) for x in got[0]] == [type(x) for x in want[0]]
+
+
+def test_epsilon_network_cancellation_drops_intermediate_entry():
+    args = EPSILON_NETWORK_CASES["intermediate sum cancels"]
+    vals, terms = kernels.epsilon_network(*args)
+    assert all(vals)
+    # ε·S: 6 products, leaving 2 nonzeros over variable 2 (digit 2
+    # cancelled, else 3); times the output's matrix: 2 · 3 products; 3
+    # entries scattered
+    assert terms == 6 + 6 + 3
+
+
+# Term counts of the det circle Σ ε(a) ε(b) Π A[b_i][a_i] on these matrices,
+# under min-degree elimination with ties to the lower variable id.
+DET_CIRCLE_TERMS = {
+    3: ([[-9, -6, 2], [-8, 9, -4], [9, 7, -4]], 133),
+    4: ([[-5, -7, 3, -2], [-7, 1, -9, 5], [-2, 4, -5, 4], [-5, 6, -6, 9]],
+        1465),
+    5: ([[6, -8, -1, -2, 8], [-7, -4, -4, 5, -7], [-2, -8, -3, -1, -4],
+         [-3, 6, -9, -3, -7], [1, 7, -3, 2, 5]], 18661),
+}
+
+
+@pytest.mark.parametrize("n", sorted(DET_CIRCLE_TERMS))
+def test_epsilon_network_det_circle_terms(n):
+    rows, want_terms = DET_CIRCLE_TERMS[n]
+    flat_a = [x for row in rows for x in row]
+    vals, terms = kernels.epsilon_network(
+        n, 2 * n, [], [], [tuple(range(n)), tuple(range(n, 2 * n))], [],
+        [(n + i, i, flat_a) for i in range(n)])
+    assert vals == [factorial(n) * det_oracle(Matrix(rows))]
+    assert terms == want_terms
 
 
 def test_kernel_argument_errors():
