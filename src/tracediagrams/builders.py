@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from itertools import product as _indices
 from math import factorial
 
@@ -129,15 +128,13 @@ def antisym_permsum(k: int, n: int) -> list[tuple[int, LayeredDiagram]]:
 
 
 def antisym_tensor(k: int, n: int) -> Tensor:
-    """The signed sum of antisym_permsum, each term evaluated with
-    eval_layered and its nonzeros added into one buffer."""
-    size = n ** (2 * k)
-    total = [0] * size
+    """The signed sum of antisym_permsum: the nonzeros of each term's
+    eval_layered state are summed, and the sum is made dense once."""
+    total: dict[int, int] = {}
     for sign, d in antisym_permsum(k, n):
-        entries = eval_layered(d, {}).tensor.entries
-        for i in compress(range(size), entries):
-            total[i] += sign * entries[i]
-    return Tensor(n, k, k, total)
+        for i, x in eval_layered(d, {}, dense=False).nonzeros.items():
+            total[i] = total.get(i, 0) + sign * x
+    return Tensor.from_nonzeros(n, k, k, total)
 
 
 def antisym_nodepair(k: int, n: int) -> LayeredDiagram:

@@ -1,7 +1,10 @@
 """Two independent evaluators from diagrams to exact tensors.
 
-eval_layered folds the slices of a layered diagram bottom to top, applying
-each piece's elementary map to a running state tensor.  eval_contraction
+eval_layered folds the slices of a layered diagram bottom to top over a
+sparse state, a dict from flat index to nonzero value that starts as the
+identity on the inputs.  Each piece is a table from its input block to its
+nonzero (output block, coefficient) pairs, applied to the state's nonzeros
+only; the result is made dense once, at the end.  eval_contraction
 works on the graph form: it assigns an index variable to every edge end,
 with a matrix factor per labeled edge and a Levi-Civita factor per vertex,
 and sums the internal variables out of those factors one at a time.  The
@@ -20,6 +23,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from math import lcm
+from operator import mul
 
 from . import kernels
 from .diagrams import (COVECTOR, Cap, Cross, Cup, Diagram, GInput, GNode,
@@ -32,9 +36,10 @@ from .tensor import Tensor
 
 @dataclass
 class EvalResult:
-    tensor: Tensor
+    tensor: Tensor | None
     term_count: int
     elapsed: float
+    nonzeros: dict | None = None      # eval_layered(..., dense=False) only
 
 
 class CrossCheckMismatch(Exception):
@@ -65,46 +70,109 @@ def check_bindings(names, n: int, bindings: Bindings):
 
 
 # -- Layered evaluator ------------------------------------------------------
+#
+# The state is sparse: a dict from the flat row-major index of an entry
+# (output axes, then input axes) to its nonzero value.  Every piece other
+# than Id is a table from the flat index of its input block to the list of
+# (output block index, nonzero coefficient) it maps that block to.
 
-_vertex_tensor_cache: dict[tuple, Tensor] = {}
-
-
-def _vertex_tensor(n: int, in_count: int, ciliation) -> Tensor:
-    key = (n, in_count, tuple(ciliation))
-    cached = _vertex_tensor_cache.get(key)
-    if cached is not None:
-        return cached
-
-    # Only the n! assignments of distinct digits are nonzero.  Slots 1..j
-    # are the bottom (inputs), j+1..n the top (outputs); the flat layout is
-    # outputs then inputs, so each ciliation position gets its slot's stride.
-    layout = list(range(in_count + 1, n + 1)) + list(range(1, in_count + 1))
-    stride = {s: n ** (n - 1 - axis) for axis, s in enumerate(layout)}
-    weights = [stride[s] for s in ciliation]
-    entries = [0] * n ** n
-    for digits in permutations(range(1, n + 1)):
-        idx = sum((d - 1) * w for d, w in zip(digits, weights))
-        entries[idx] = levi_civita(digits)
-
-    t = Tensor(n, n - in_count, in_count, entries)
-    _vertex_tensor_cache[key] = t
-    return t
+# (n, piece) -> table, for every piece but Mat: a Mat table is read off the
+# matrix bound to its name, so it is built on each use
+_piece_table_cache: dict[tuple, dict] = {}
 
 
-def _mat_tensor(piece: Mat, polarity: str, bindings: Bindings,
-                n: int) -> Tensor:
-    m = bindings[piece.name]
-    # Upward action on the wire: a label along a vector wire's (upward)
-    # orientation acts as A; along a covector wire's (downward) orientation
-    # it acts upward as A^T.  The against flag swaps either case.
+def _vertex_table(n: int, in_count: int, ciliation) -> dict:
+    """The n! nonzeros of a vertex piece, keyed by input block: the ε sign
+    of the slots' digits read in ciliation order.  Slots 1..j are the
+    bottom (the input block), j+1..n the top (the output block)."""
+    in_w = [n ** (in_count - s) if s <= in_count else 0 for s in ciliation]
+    out_w = [0 if s <= in_count else n ** (n - s) for s in ciliation]
+    table: dict[int, list] = {}
+    for digits in permutations(range(n)):
+        sign = levi_civita([d + 1 for d in digits])
+        table.setdefault(sum(map(mul, digits, in_w)), []).append(
+            (sum(map(mul, digits, out_w)), sign))
+    return table
+
+
+def _perm_table(n: int, images) -> dict:
+    """The digit relabelling of a permutation piece: the wire at position s
+    moves to images[s-1], and so does its digit."""
+    m = len(images)
+    targets = [0]
+    for t in images:
+        w = n ** (m - t)
+        targets = [o + d * w for o in targets for d in range(n)]
+    return {b: [(o, 1)] for b, o in enumerate(targets)}
+
+
+def _piece_table(piece, n: int) -> dict:
+    key = (n, piece)
+    table = _piece_table_cache.get(key)
+    if table is None:
+        match piece:
+            case Cross():
+                table = _perm_table(n, (2, 1))
+            case Perm(images=images):
+                table = _perm_table(n, images)
+            case Cup():
+                table = {0: [(d * (n + 1), 1) for d in range(n)]}
+            case Cap():
+                table = {d * (n + 1): [(0, 1)] for d in range(n)}
+            case NVertex(in_count=j, ciliation=cil):
+                table = _vertex_table(n, j, cil)
+            case _:
+                raise TypeError(f"unknown piece: {piece!r}")
+        _piece_table_cache[key] = table
+    return table
+
+
+def _mat_table(piece: Mat, polarity: str, bindings: Bindings) -> dict:
+    """Column j of the matrix the label applies upward, keyed by j.  A label
+    along a vector wire's (upward) orientation acts as A; along a covector
+    wire's (downward) orientation it acts upward as A^T.  The against flag
+    swaps either case."""
+    rows = bindings[piece.name].rows
     if (polarity == COVECTOR) != bool(piece.against_orientation):
-        m = m.transpose()
-    return Tensor.from_matrix(m)
+        return {j: [(i, x) for i, x in enumerate(row) if x]
+                for j, row in enumerate(rows)}
+    return {j: [(i, row[j]) for i, row in enumerate(rows) if row[j]]
+            for j in range(len(rows))}
+
+
+def _apply(state: dict, n: int, arity: int, offset: int, j_in: int,
+           j_out: int, table: dict) -> tuple[dict, int]:
+    """Apply a piece table to the state's axes [offset, offset + j_in); the
+    piece's j_out axes take their place.  Returns the new state, zeros
+    dropped, and the number of products formed."""
+    low_size = n ** (arity - offset - j_in)
+    span = n ** j_in * low_size
+    out_span = n ** j_out * low_size
+    out: dict = {}
+    get = out.get
+    terms = 0
+    for key, val in state.items():
+        high, rest = divmod(key, span)
+        block, low = divmod(rest, low_size)
+        row = table.get(block)
+        if row:
+            terms += len(row)
+            base = high * out_span + low
+            for ob, c in row:
+                k = base + ob * low_size
+                out[k] = get(k, 0) + val * c
+    return {k: v for k, v in out.items() if v}, terms
 
 
 def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
-                 validated: bool = False) -> EvalResult:
-    """validated=True skips validating d, which the caller has done."""
+                 validated: bool = False, dense: bool = True) -> EvalResult:
+    """Fold the slices of d over a sparse state, starting from the identity
+    on its inputs.  terms counts one product per (state nonzero, table
+    coefficient) pair; relabelling by Cross and Perm counts none.
+
+    validated=True skips validating d, which the caller has done.
+    dense=False leaves the result's tensor None and returns the state's
+    nonzeros, {flat row-major index: value}, as its nonzeros."""
     start = time.perf_counter()
     if not validated:
         errors = validate_layered(d)
@@ -114,7 +182,9 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
 
     n = d.n
     k = len(d.inputs)
-    state = Tensor.identity(n, k)
+    size = n ** k
+    state = {i * (size + 1): 1 for i in range(size)}
+    arity = 2 * k
     polarities = list(d.inputs)
     terms = 0
 
@@ -125,76 +195,25 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
         for piece in layer:
             j_in, j_out = piece_arity(piece, n)
             ins_pol = tuple(polarities[pos_old:pos_old + j_in])
-            match piece:
-                case Id():
-                    pass
-                case Cross():
-                    state = _permute_out_axes(state, offset, (2, 1))
-                case Perm(images=images):
-                    state = _permute_out_axes(state, offset, images)
-                case Cup():
-                    state, t = _apply_piece(state, _cup_tensor(n), offset)
+            if not isinstance(piece, Id):
+                if isinstance(piece, Mat):
+                    table = _mat_table(piece, ins_pol[0], bindings)
+                else:
+                    table = _piece_table(piece, n)
+                state, t = _apply(state, n, arity, offset, j_in, j_out,
+                                  table)
+                if not isinstance(piece, (Cross, Perm)):
                     terms += t
-                case Cap():
-                    state, t = _apply_piece(state, _cap_tensor(n), offset)
-                    terms += t
-                case Mat():
-                    piece_t = _mat_tensor(piece, ins_pol[0], bindings, n)
-                    state, t = _apply_piece(state, piece_t, offset)
-                    terms += t
-                case NVertex(in_count=j, ciliation=cil):
-                    state, t = _apply_piece(state, _vertex_tensor(n, j, cil),
-                                            offset)
-                    terms += t
-                case _:
-                    raise TypeError(f"unknown piece: {piece!r}")
+                arity += j_out - j_in
             new_polarities.extend(piece_polarities(piece, n, ins_pol))
             pos_old += j_in
             offset += j_out
         polarities = new_polarities
 
-    return EvalResult(state, terms, time.perf_counter() - start)
-
-
-def _cup_tensor(n: int) -> Tensor:
-    return Tensor.from_function(n, 2, 0,
-                                lambda outs, ins: int(outs[0] == outs[1]))
-
-
-def _cap_tensor(n: int) -> Tensor:
-    return Tensor.from_function(n, 0, 2,
-                                lambda outs, ins: int(ins[0] == ins[1]))
-
-
-def _apply_piece(state: Tensor, piece: Tensor, offset: int):
-    """Contract piece's inputs with state's output axes [offset, offset+j);
-    piece outputs splice in at the same position."""
-    n = state.n
-    j_in, j_out = piece.in_arity, piece.out_arity
-    pairs = [(j_out + i, offset + i) for i in range(j_in)]
-    vals, terms = kernels.pair_contract(
-        n, piece.entries, piece.arity, state.entries, state.arity, pairs)
-    # raw layout: piece outs, state outs before, state outs after, state ins
-    new_out = state.out_arity - j_in + j_out
-    total = new_out + state.in_arity
-    perm = []
-    for r in range(total):
-        if r < offset:
-            perm.append(j_out + r)
-        elif r < offset + j_out:
-            perm.append(r - offset)
-        else:
-            perm.append(r)
-    if perm != list(range(total)):
-        vals = kernels.permute_axes(n, vals, total, perm)
-    return Tensor(n, new_out, state.in_arity, vals), terms
-
-
-def _permute_out_axes(state: Tensor, offset: int, images) -> Tensor:
-    perm = list(range(state.arity))
-    for s, target in enumerate(images):
-        perm[offset + target - 1] = offset + s
-    return state.permuted_axes(perm)
+    if not dense:
+        return EvalResult(None, terms, time.perf_counter() - start, state)
+    tensor = Tensor.from_nonzeros(n, arity - k, k, state)
+    return EvalResult(tensor, terms, time.perf_counter() - start)
 
 
 # -- Contraction evaluator ---------------------------------------------------

@@ -489,7 +489,7 @@ def _check_complemental_formula(ctx: CheckContext):
 
 @_register("asym_compare",
            "antisymmetrizer equals its node-pair form up to the stated "
-           "constant", uses_trials=False, n_range=(2, 4))
+           "constant", uses_trials=False, n_range=(2, 5))
 def _check_asym_compare(ctx: CheckContext):
     n = ctx.n
     for k in range(0, n + 1):
@@ -502,7 +502,7 @@ def _check_asym_compare(ctx: CheckContext):
 
 @_register("asym_zero_beyond_n",
            "antisymmetrizer on n+1 strands kills every basis input",
-           uses_trials=False, n_range=(2, 4))
+           uses_trials=False, n_range=(2, 5))
 def _check_asym_zero(ctx: CheckContext):
     n = ctx.n
     k = n + 1
@@ -520,7 +520,7 @@ def _check_asym_zero(ctx: CheckContext):
 
 @_register("asym_special_cases",
            "closed antisymmetrizer scalars and the determinant circle",
-           n_range=(2, 4))
+           n_range=(2, 5))
 def _check_asym_special(ctx: CheckContext):
     n = ctx.n
     want = reversal_sign(n) * factorial(n)

@@ -1,4 +1,5 @@
-"""Contraction kernels: the three hot loops the evaluators funnel through.
+"""Kernels: dense pair contraction and axis permutation for Tensor, and the
+sparse variable elimination of the contraction evaluator.
 
 Dense tensors are flat lists in row-major order over `naxes` axes, each of
 size n.  Entries are exact numbers (int or Fraction); the kernels only
@@ -10,8 +11,9 @@ table, axis by axis with the last axis fastest.  `permute_axes` then copies
 each run along the result's trailing axes with one list slice.
 `pair_contract` gathers b's entries at each summation offset into a column
 once, and builds each row of the result from a's nonzero summands times
-those columns, adding them in summation order.  These two serve the
-layered evaluator.
+those columns, adding them in summation order.  These two serve
+`Tensor.permuted_axes` and `tensor.tensor_contract`; the layered evaluator
+folds its sparse state itself, in evaluate.py.
 
 `epsilon_network` serves the contraction evaluator and shares no code with
 them.  It sums index variables out of sparse factors, each a dict from the

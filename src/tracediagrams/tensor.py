@@ -51,6 +51,15 @@ class Tensor:
         return t
 
     @classmethod
+    def from_nonzeros(cls, n: int, out_arity: int, in_arity: int,
+                      nonzeros: dict) -> "Tensor":
+        """The tensor whose entries are nonzeros[flat index], else 0."""
+        t = cls.zeros(n, out_arity, in_arity)
+        for i, x in nonzeros.items():
+            t.entries[i] = x
+        return t
+
+    @classmethod
     def from_function(cls, n, out_arity, in_arity, fn) -> "Tensor":
         """fn(outs, ins) with 1-based index tuples."""
         entries = []

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -12,7 +13,7 @@ from tracediagrams.builders import (adjugate_diagram, antisym_nodepair,
 from tracediagrams.diagrams import (COVECTOR, SINK, VECTOR, Cap, Cross,
                                     Cup, Id, LayeredDiagram, Mat, NVertex,
                                     Perm, canonical_ciliation,
-                                    compose_vertical, to_graph)
+                                    compose_vertical, piece_arity, to_graph)
 from tracediagrams.evaluate import (CrossCheckMismatch, eval_checked,
                                     eval_contraction, eval_layered,
                                     tensors_proportional)
@@ -204,26 +205,173 @@ def test_vertex_order_sign_regression():
     assert swapped == -base
 
 
+def _flat(digits, n):
+    idx = 0
+    for d in digits:
+        idx = idx * n + d
+    return idx
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_vertex_tensor_matches_entrywise_definition(n):
-    # built from its n! nonzeros, a vertex piece must equal the Levi-Civita
-    # sign of every entry's digits read in ciliation order
+    # built from its n! nonzeros, a vertex piece's table must hold exactly
+    # the nonzero Levi-Civita signs of every entry's digits read in
+    # ciliation order, keyed by input block
     rng = random.Random(100 + n)
     for j in range(n + 1):
         ciliations = [canonical_ciliation(n, j)]
         ciliations += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]
         for cil in ciliations:
-            def entry(outs, ins):
-                by_slot = ins + outs
-                return levi_civita(tuple(by_slot[s - 1] for s in cil))
+            want = {}
+            for by_slot in product(range(n), repeat=n):
+                sign = levi_civita(tuple(by_slot[s - 1] + 1 for s in cil))
+                if sign:
+                    want.setdefault(_flat(by_slot[:j], n), []).append(
+                        (_flat(by_slot[j:], n), sign))
+            got = evaluate_module._vertex_table(n, j, cil)
+            assert {b: sorted(row) for b, row in got.items()} == want
+            assert all(type(c) is int for row in got.values() for _, c in row)
 
-            want = Tensor.from_function(n, n - j, j, entry)
-            evaluate_module._vertex_tensor_cache.pop((n, j, cil), None)
-            got = evaluate_module._vertex_tensor(n, j, cil)
-            assert (got.out_arity, got.in_arity) == (n - j, j)
-            assert got.entries == want.entries
-            assert [type(x) for x in got.entries] == \
-                [type(x) for x in want.entries]
+
+def _piece_entry(piece, n, polarity, bindings):
+    """Entrywise definition of a piece: a function of its 0-based output
+    and input digit tuples."""
+    match piece:
+        case Cross():
+            return lambda o, i: int(o == (i[1], i[0]))
+        case Perm(images=images):
+            return lambda o, i: int(all(o[t - 1] == i[s]
+                                        for s, t in enumerate(images)))
+        case Cup():
+            return lambda o, i: int(o[0] == o[1])
+        case Cap():
+            return lambda o, i: int(i[0] == i[1])
+        case Mat(name=name, against_orientation=against):
+            rows = bindings[name].rows
+            if (polarity == COVECTOR) != against:
+                return lambda o, i: rows[i[0]][o[0]]
+            return lambda o, i: rows[o[0]][i[0]]
+        case NVertex(ciliation=cil):
+            def entry(o, i):
+                by_slot = i + o
+                return levi_civita(tuple(by_slot[s - 1] + 1 for s in cil))
+            return entry
+
+
+def _apply_by_definition(state, n, arity, offset, j_in, j_out, entry):
+    """new[pre + o + post] = sum over b of entry(o, b) * state[pre + b +
+    post], and the count of (state nonzero, nonzero entry(o, b)) pairs
+    whose state digits at the block are b."""
+    dense = {digits: state.get(_flat(digits, n), 0)
+             for digits in product(range(n), repeat=arity)}
+    result = {}
+    for digits in product(range(n), repeat=arity - j_in + j_out):
+        pre, o = digits[:offset], digits[offset:offset + j_out]
+        post = digits[offset + j_out:]
+        value = sum(entry(o, b) * dense[pre + b + post]
+                    for b in product(range(n), repeat=j_in))
+        if value:
+            result[_flat(digits, n)] = value
+    terms = sum(1 for digits, x in dense.items() if x
+                for o in product(range(n), repeat=j_out)
+                if entry(o, digits[offset:offset + j_in]))
+    return result, terms
+
+
+def _random_state(rng, n, arity):
+    values = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    return {i: x for i in range(n ** arity) if (x := rng.choice(values))}
+
+
+def test_fold_matches_entrywise_definition():
+    # every piece kind at every offset of random sparse states, n <= 3
+    rng = random.Random(17)
+    b = {"A": Matrix([[2, 0, -1], [Fraction(1, 3), 4, 0], [0, -2, 5]]),
+         "B": Matrix([[1, 3], [0, -1]]), "C": Matrix([[-4]])}
+    for n in (1, 2, 3):
+        name = {1: "C", 2: "B", 3: "A"}[n]
+        pieces = [(Cross(), None), (Perm((3, 1, 2)), None),
+                  (Perm((2, 3, 1)), None), (Cup(), None), (Cap(), None)]
+        pieces += [(Mat(name, against), pol) for against in (False, True)
+                   for pol in (VECTOR, COVECTOR)]
+        for j in range(n + 1):
+            pieces += [(NVertex(SINK, j, canonical_ciliation(n, j)), None),
+                       (NVertex(SINK, j, tuple(rng.sample(range(1, n + 1),
+                                                          n))), None)]
+        for piece, pol in pieces:
+            j_in, j_out = piece_arity(piece, n)
+            if isinstance(piece, Mat):
+                table = evaluate_module._mat_table(piece, pol, b)
+            else:
+                table = evaluate_module._piece_table(piece, n)
+            entry = _piece_entry(piece, n, pol, b)
+            for arity in range(j_in, j_in + 3):
+                for offset in range(arity - j_in + 1):
+                    state = _random_state(rng, n, arity)
+                    got = evaluate_module._apply(state, n, arity, offset,
+                                                 j_in, j_out, table)
+                    assert got == _apply_by_definition(
+                        state, n, arity, offset, j_in, j_out, entry), \
+                        (piece, pol, arity, offset)
+                    assert all(got[0].values())
+
+
+def test_fold_drops_cancelled_entries():
+    n = 2
+    # e1 - e2 through the matrix [[1, 1], [0, 0]]: its products cancel
+    table = evaluate_module._mat_table(
+        Mat("A"), VECTOR, {"A": Matrix([[1, 1], [0, 0]])})
+    assert evaluate_module._apply({0: 1, 1: -1}, n, 1, 0, 1, 1, table) == \
+        ({}, 2)
+    # a cap meets a state whose diagonal sums to zero
+    diag = {_flat((0, 0), n): 3, _flat((1, 1), n): -3}
+    assert evaluate_module._apply(
+        diag, n, 2, 0, 2, 0, evaluate_module._piece_table(Cap(), n)) == \
+        ({}, 2)
+
+
+def _dense_matrix(n, seed):
+    """perfbench.workloads.dense_matrix: entries in [-9, 9], none zero."""
+    rng = random.Random(seed)
+    return Matrix([[rng.choice((-1, 1)) * rng.randint(1, 9)
+                    for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("n, terms", [(3, 132), (4, 1488), (5, 18780),
+                                      (6, 273024)])
+def test_layered_det_circle_term_count(n, terms):
+    # one product per (state nonzero, table coefficient): the count the
+    # dense pair_contract fold made before the state went sparse
+    a = _dense_matrix(n, 1)
+    res = eval_layered(vertex_pair(n, [["A"]] * n), {"A": a})
+    assert res.term_count == terms
+    assert res.tensor.as_scalar() == \
+        reversal_sign(n) * factorial(n) * det_oracle(a)
+
+
+def test_layered_nodepair_term_count():
+    assert eval_layered(antisym_nodepair(2, 4), {}).term_count == 72
+    assert eval_layered(antisym_nodepair(2, 5), {}).term_count == 360
+
+
+def test_relabelling_counts_no_terms():
+    assert eval_layered(LayeredDiagram(3, (VECTOR,) * 3,
+                                       [(Perm((3, 1, 2)),)]), {}
+                        ).term_count == 0
+    # the cup and the cap form 3 products each; the crossing none
+    circle = LayeredDiagram(3, (), [(Cup(),), (Cross(),), (Cap(),)])
+    assert eval_layered(circle, {}).term_count == 6
+
+
+def test_eval_layered_sparse_result_matches_dense():
+    d = adjugate_diagram(3, "A")
+    b = {"A": Matrix([[1, 2, 0], [0, 1, 3], [2, 0, 1]])}
+    sparse = eval_layered(d, b, dense=False)
+    dense = eval_layered(d, b)
+    assert sparse.tensor is None and dense.nonzeros is None
+    assert sparse.term_count == dense.term_count
+    assert Tensor.from_nonzeros(3, 1, 1, sparse.nonzeros) == dense.tensor
+    assert all(sparse.nonzeros.values())
 
 
 # -- cross-check ------------------------------------------------------------------
@@ -300,7 +448,30 @@ def test_contraction_path_calls_no_layered_kernel(monkeypatch):
 
     for name in ("pair_contract", "permute_axes", "_offsets"):
         monkeypatch.setattr(kernels, name, forbidden)
+    for name in ("_apply", "_piece_table", "_mat_table", "_vertex_table",
+                 "_perm_table"):
+        monkeypatch.setattr(evaluate_module, name, forbidden)
     assert [graph_eval(d, b) for d, b in cases] == want
+
+
+def test_layered_path_calls_no_contraction_kernel(monkeypatch):
+    from tracediagrams import kernels
+
+    rng = random.Random(6)
+    cases = [(vertex_pair(4, [["A"]] * 4), {"A": M4}),
+             (adjugate_diagram(3, "A"), {"A": Matrix.identity(3)}),
+             (antisym_nodepair(2, 3), {})]
+    for _ in range(20):
+        d = random_layered_diagram(rng.choice((2, 3)), rng)
+        cases.append((d, random_bindings(d, rng)))
+    want = [graph_eval(d, b) for d, b in cases]
+
+    def forbidden(*args):
+        raise AssertionError("layered path called a contraction kernel")
+
+    for name in ("epsilon_network", "_join", "_sign_table", "_picker"):
+        monkeypatch.setattr(kernels, name, forbidden)
+    assert [eval_layered(d, b).tensor for d, b in cases] == want
 
 
 def test_det_circle_n6_on_both_evaluators():
