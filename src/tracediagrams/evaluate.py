@@ -6,10 +6,13 @@ identity on the inputs.  Each piece is a table from its input block to its
 nonzero (output block, coefficient) pairs, applied to the state's nonzeros
 only; the result is made dense once, at the end.  eval_contraction
 works on the graph form: it assigns an index variable to every edge end,
-with a matrix factor per labeled edge and a Levi-Civita factor per vertex,
-and sums the internal variables out of those factors one at a time.  The
-two paths share no semantic code, which is what makes eval_checked a
-meaningful cross-check.
+with a Levi-Civita factor per vertex and an integer matrix factor per
+labeled edge, and sums the internal variables out of those factors one at
+a time.  Each bound matrix is read once per call as integers over the lcm
+of its denominators, and an edge's factor is the integer product of its
+labels over the product of their denominators; the common divisor is
+applied to the result at the end.  The two paths share no semantic code,
+which is what makes eval_checked a meaningful cross-check.
 
 Both evaluators return an EvalResult wrapping the tensor together with the
 number of multiply-accumulate terms and the wall-clock time.
@@ -20,7 +23,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import permutations
 from math import lcm
 from operator import mul
@@ -30,7 +32,7 @@ from .diagrams import (COVECTOR, Cap, Cross, Cup, Diagram, GInput, GNode,
                        GOutput, Id, LayeredDiagram, Mat, NVertex, Perm,
                        piece_arity, piece_polarities, to_graph,
                        validate_graph, validate_layered)
-from .linalg import Matrix, Rat, levi_civita
+from .linalg import Rat, levi_civita
 from .tensor import Tensor
 
 
@@ -218,22 +220,41 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
 
 # -- Contraction evaluator ---------------------------------------------------
 
-def _cumulative_matrix(labels, bindings: Bindings, n: int) -> Matrix:
-    m = Matrix.identity(n)
-    for name, transposed in labels:
-        lab = bindings[name]
-        if transposed:
-            lab = lab.transpose()
-        m = lab @ m
-    return m
+def _int_label(rows, transposed) -> tuple[list, int]:
+    """A bound matrix's rows, transposed if the label says so, as flat
+    row-major integers over the lcm of their denominators."""
+    if transposed:
+        rows = list(zip(*rows))
+    denom = lcm(*(x.denominator for row in rows for x in row))
+    return [x.numerator * (denom // x.denominator)
+            for row in rows for x in row], denom
 
 
-def _scaled_int_matrix(m: Matrix) -> tuple[list, int]:
-    """Clear denominators: flat integer entries plus the common denominator."""
-    denom = reduce(lcm, (x.denominator if isinstance(x, Fraction) else 1
-                         for row in m.rows for x in row), 1)
-    flat = [int(x * denom) for row in m.rows for x in row]
-    return flat, denom
+def _int_matmul(b: list, a: list, n: int) -> list:
+    """The flat row-major product b @ a of two flat n x n integer matrices."""
+    cols = [a[j::n] for j in range(n)]
+    return [sum(map(mul, b[i:i + n], col))
+            for i in range(0, n * n, n) for col in cols]
+
+
+def _edge_factor(labels, bindings: Bindings, n: int,
+                 memo: dict) -> tuple[list, int]:
+    """The integer factor of a labeled edge: the product of its labels,
+    the label nearest the tail applied first, over the product of their
+    denominators.  memo holds the factors already built in this call, by
+    (name, transposed) label and by whole labels tuple."""
+    factor = memo.get(labels)
+    if factor is None:
+        for label in labels:
+            lab = memo.get(label)
+            if lab is None:
+                name, transposed = label
+                lab = memo[label] = _int_label(bindings[name].rows,
+                                               transposed)
+            factor = lab if factor is None else (
+                _int_matmul(lab[0], factor[0], n), lab[1] * factor[1])
+        memo[labels] = factor
+    return factor
 
 
 def eval_contraction(d: Diagram, bindings: Bindings,
@@ -243,9 +264,10 @@ def eval_contraction(d: Diagram, bindings: Bindings,
 
     Every boundary position gets a variable; unlabeled edges share one
     variable across both ends, labeled edges couple two variables through
-    their cumulative matrix, and each vertex contributes the Levi-Civita
-    sign of its ciliation-ordered end variables.  kernels.epsilon_network
-    sums the internal variables out by sparse variable elimination.
+    the integer product of their labels, and each vertex contributes the
+    Levi-Civita sign of its ciliation-ordered end variables.
+    kernels.epsilon_network sums the internal variables out by sparse
+    variable elimination.
 
     probe=(outs, ins) restricts evaluation to a single entry (returned as a
     (0,0)-tensor); both tuples are 1-based.  validated=True skips
@@ -281,6 +303,7 @@ def eval_contraction(d: Diagram, bindings: Bindings,
     eps_factors: list[tuple[int, ...]] = []
     delta_factors: list[tuple[int, int]] = []
     mat_factors: list[tuple[int, int, list]] = []
+    chains: dict = {}       # _edge_factor's memo, for this call only
     divisor = 1
 
     def fresh() -> int:
@@ -293,8 +316,7 @@ def eval_contraction(d: Diagram, bindings: Bindings,
         if is_loop:
             v = fresh()
             if e.labels:
-                flat, denom = _scaled_int_matrix(
-                    _cumulative_matrix(e.labels, bindings, n))
+                flat, denom = _edge_factor(e.labels, bindings, n, chains)
                 mat_factors.append((v, v, flat))
                 divisor *= denom
             # unlabeled loop: a free variable contributes the factor n
@@ -306,8 +328,7 @@ def eval_contraction(d: Diagram, bindings: Bindings,
                 tv = end_var[(eid, "tail")] = fresh()
             if hv is None:
                 hv = end_var[(eid, "head")] = fresh()
-            flat, denom = _scaled_int_matrix(
-                _cumulative_matrix(e.labels, bindings, n))
+            flat, denom = _edge_factor(e.labels, bindings, n, chains)
             mat_factors.append((hv, tv, flat))
             divisor *= denom
         else:
@@ -342,9 +363,9 @@ def eval_contraction(d: Diagram, bindings: Bindings,
     if divisor != 1:
         vals = [_tidy(Fraction(v, divisor)) for v in vals]
     if probe is None:
-        tensor = Tensor(n, out_count, in_count, vals)
+        tensor = Tensor._owning(n, out_count, in_count, vals)
     else:
-        tensor = Tensor(n, 0, 0, vals)
+        tensor = Tensor._owning(n, 0, 0, vals)
     return EvalResult(tensor, terms, time.perf_counter() - start)
 
 

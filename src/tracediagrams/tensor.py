@@ -21,7 +21,9 @@ class Tensor:
     __slots__ = ("n", "out_arity", "in_arity", "entries")
 
     def __init__(self, n: int, out_arity: int, in_arity: int, entries):
-        entries = list(entries)
+        self._hold(n, out_arity, in_arity, list(entries))
+
+    def _hold(self, n: int, out_arity: int, in_arity: int, entries: list):
         if len(entries) != n ** (out_arity + in_arity):
             raise ValueError(
                 f"expected {n ** (out_arity + in_arity)} entries, "
@@ -34,12 +36,22 @@ class Tensor:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _owning(cls, n: int, out_arity: int, in_arity: int,
+                entries: list) -> "Tensor":
+        """A tensor that holds `entries` itself, not a copy: for a list the
+        caller has just built and keeps no other reference to."""
+        t = cls.__new__(cls)
+        t._hold(n, out_arity, in_arity, entries)
+        return t
+
+    @classmethod
     def scalar(cls, n: int, value: Rat) -> "Tensor":
         return cls(n, 0, 0, [rat(value)])
 
     @classmethod
     def zeros(cls, n: int, out_arity: int, in_arity: int) -> "Tensor":
-        return cls(n, out_arity, in_arity, [0] * n ** (out_arity + in_arity))
+        return cls._owning(n, out_arity, in_arity,
+                          [0] * n ** (out_arity + in_arity))
 
     @classmethod
     def identity(cls, n: int, wires: int) -> "Tensor":
@@ -65,7 +77,7 @@ class Tensor:
         entries = []
         for combo in product(range(1, n + 1), repeat=out_arity + in_arity):
             entries.append(fn(combo[:out_arity], combo[out_arity:]))
-        return cls(n, out_arity, in_arity, entries)
+        return cls._owning(n, out_arity, in_arity, entries)
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "Tensor":
@@ -113,18 +125,20 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_shape(other)
-        return Tensor(self.n, self.out_arity, self.in_arity,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+        return Tensor._owning(self.n, self.out_arity, self.in_arity,
+                              [a + b for a, b in zip(self.entries,
+                                                      other.entries)])
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         self._check_shape(other)
-        return Tensor(self.n, self.out_arity, self.in_arity,
-                      [a - b for a, b in zip(self.entries, other.entries)])
+        return Tensor._owning(self.n, self.out_arity, self.in_arity,
+                              [a - b for a, b in zip(self.entries,
+                                                      other.entries)])
 
     def scale(self, c: Rat) -> "Tensor":
         c = rat(c)
-        return Tensor(self.n, self.out_arity, self.in_arity,
-                      [c * x for x in self.entries])
+        return Tensor._owning(self.n, self.out_arity, self.in_arity,
+                              [c * x for x in self.entries])
 
     def __neg__(self) -> "Tensor":
         return self.scale(-1)
@@ -134,7 +148,7 @@ class Tensor:
         out/in split is preserved by count."""
         vals = kernels.permute_axes(self.n, self.entries, self.arity,
                                     list(perm))
-        return Tensor(self.n, self.out_arity, self.in_arity, vals)
+        return Tensor._owning(self.n, self.out_arity, self.in_arity, vals)
 
     def __eq__(self, other):
         return (isinstance(other, Tensor)
@@ -180,5 +194,6 @@ def tensor_contract(a: Tensor, b: Tensor, pairing) -> Tensor:
     pairing = [(int(p), int(q)) for p, q in pairing]
     vals, _ = kernels.pair_contract(a.n, a.entries, a.arity,
                                     b.entries, b.arity, pairing)
-    return Tensor(a.n, a.arity - len(pairing), b.arity - len(pairing), vals)
+    return Tensor._owning(a.n, a.arity - len(pairing),
+                          b.arity - len(pairing), vals)
 

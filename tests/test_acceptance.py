@@ -26,7 +26,8 @@ from tracediagrams.evaluate import (eval_checked, eval_contraction,
                                     eval_layered, tensors_proportional)
 from tracediagrams.fuzz import random_bindings, random_layered_diagram
 from tracediagrams.identities import (random_matrix, random_vector,
-                                      run_check, traced_groups)
+                                      run_check, traced_groups,
+                                      traced_terms)
 from tracediagrams.linalg import (Matrix, Polynomial, adjugate_oracle,
                                   charpoly_oracle, det_oracle, levi_civita,
                                   reversal_sign, solve_oracle)
@@ -59,7 +60,7 @@ def test_criterion_01_fixture_matrix_story():
     assert Polynomial(coeffs) == charpoly_oracle(a)
 
     # Cayley-Hamilton expansion reproduces 2! (A^2 - 7A - 2I) = 0
-    groups = traced_groups(2, 3, a)
+    groups = traced_groups(traced_terms(2, 3), a)
     total = Tensor.zeros(2, 1, 1)
     for tensor in groups.values():
         total = total + tensor
@@ -166,7 +167,7 @@ def test_criterion_08_cycle_decomposition():
     for n in (2, 3, 4):
         a = random_matrix(n, SEED + 600 + n)
         for k in range(0, n + 1):
-            groups = traced_groups(n, k + 1, a)
+            groups = traced_groups(traced_terms(n, k + 1), a)
             for i in range(k + 1):
                 closed = 0
                 for term in antisym_traced(k - i, None, "A", n):

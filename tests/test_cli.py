@@ -264,6 +264,33 @@ def test_cmd_check_jsonl(capsys):
     assert record["id"] == "loop_dim" and record["outcome"] == "pass"
 
 
+def test_cmd_check_closed_pipe_prints_no_traceback():
+    """A reader that is gone before the first write must not cost a
+    traceback: the command exits 1 with nothing on stderr."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tracediagrams
+
+    root = str(Path(tracediagrams.__file__).resolve().parent.parent)
+    path = os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tracediagrams", "check", "trace_loop",
+             "--n", "2", "--trials", "1", "--format", "jsonl", "--timings"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""         # no traceback, no message
+    assert proc.returncode == 1
+
+
 def test_cmd_check_seed_env(monkeypatch, capsys):
     monkeypatch.setenv("TRACEDIAG_SEED", "123")
     assert main(["check", "trace_loop", "--n", "2", "--trials", "1"]) == 0

@@ -471,7 +471,58 @@ def test_layered_path_calls_no_contraction_kernel(monkeypatch):
 
     for name in ("epsilon_network", "_join", "_sign_table", "_picker"):
         monkeypatch.setattr(kernels, name, forbidden)
+    for name in ("_edge_factor", "_int_label", "_int_matmul"):
+        monkeypatch.setattr(evaluate_module, name, forbidden)
     assert [eval_layered(d, b).tensor for d, b in cases] == want
+
+
+def _random_rational_matrix(n, rng):
+    return Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                    for _ in range(n)] for _ in range(n)])
+
+
+def test_edge_factor_matches_matrix_product():
+    """The integer factor over its denominator is the product of the
+    labels, the one nearest the tail applied first."""
+    rng = random.Random(8)
+    for n in (1, 2, 3, 4):
+        bindings = {name: _random_rational_matrix(n, rng) for name in "ABC"}
+        memo = {}
+        for _ in range(40):
+            labels = tuple((rng.choice("ABC"), rng.random() < 0.5)
+                           for _ in range(rng.randint(1, 4)))
+            want = Matrix.identity(n)
+            for name, transposed in labels:
+                lab = bindings[name]
+                want = (lab.transpose() if transposed else lab) @ want
+            for table in (memo, {}):
+                flat, denom = evaluate_module._edge_factor(
+                    labels, bindings, n, table)
+                assert all(isinstance(x, int) for x in flat)
+                got = Matrix([[Fraction(flat[i * n + j], denom)
+                               for j in range(n)] for i in range(n)])
+                assert got == want, (n, labels)
+
+
+def test_contraction_path_builds_no_matrix(monkeypatch):
+    rng = random.Random(9)
+    cases = [(vertex_pair(3, [["A"]] * 3),
+              {"A": _random_rational_matrix(3, rng)}),
+             (adjugate_diagram(3, "A"), {"A": _random_rational_matrix(3, rng)})]
+    for _ in range(30):
+        d = random_layered_diagram(rng.choice((2, 3)), rng)
+        cases.append((d, {name: _random_rational_matrix(d.n, rng)
+                          for name in sorted(d.matrix_names())}))
+    assert sum(bool(d.matrix_names()) for d, _ in cases) > 10
+    graphs = [(to_graph(d), b) for d, b in cases]
+    want = [eval_layered(d, b).tensor for d, b in cases]
+
+    def forbidden(*args):
+        raise AssertionError("contraction path built a Matrix")
+
+    monkeypatch.setattr(Matrix, "__init__", forbidden)
+    monkeypatch.setattr(Matrix, "__matmul__", forbidden)
+    assert [eval_contraction(g, b).tensor for g, b in graphs] == want
 
 
 def test_det_circle_n6_on_both_evaluators():

@@ -19,6 +19,12 @@ def test_shapes_and_indexing():
         t.get((3,), (1, 1))
     with pytest.raises(ValueError):
         Tensor(2, 1, 1, [1, 2, 3])
+    with pytest.raises(ValueError):
+        Tensor._owning(2, 1, 1, [1, 2, 3])
+    entries = [1, 2, 3, 4]
+    t = Tensor(2, 1, 1, entries)
+    entries[0] = 9                   # the public constructor copies
+    assert t.get((1,), (1,)) == 1
 
 
 def test_scalar_boxing():
