@@ -2,9 +2,11 @@
 
 eval_layered folds the slices of a layered diagram bottom to top over a
 sparse state, a dict from flat index to nonzero value that starts as the
-identity on the inputs.  Each piece is a table from its input block to its
-nonzero (output block, coefficient) pairs, applied to the state's nonzeros
-only; the result is made dense once, at the end.  eval_contraction
+identity on the inputs.  A crossing or permutation moves each key to the
+key with its digits relabelled, forming no product.  Every other piece is
+a table from its input block to its nonzero (output block, coefficient)
+pairs, applied to the state's nonzeros only.  The result is made dense
+once, at the end.  eval_contraction
 works on the graph form: it assigns an index variable to every edge end,
 with a Levi-Civita factor per vertex and an integer matrix factor per
 labeled edge, and sums the internal variables out of those factors one at
@@ -74,13 +76,17 @@ def check_bindings(names, n: int, bindings: Bindings):
 # -- Layered evaluator ------------------------------------------------------
 #
 # The state is sparse: a dict from the flat row-major index of an entry
-# (output axes, then input axes) to its nonzero value.  Every piece other
-# than Id is a table from the flat index of its input block to the list of
-# (output block index, nonzero coefficient) it maps that block to.
+# (output axes, then input axes) to its nonzero value.  Cross and Perm are
+# key maps: _relabel moves every key by the sum of two shift-table lookups,
+# one per half of the moved digits, so their tables have n^ceil(m/2)
+# entries for m wires whatever the state's size.  Every other piece but Id
+# is a table from the flat index of its input block to the list of (output
+# block index, nonzero coefficient) it maps that block to, and _apply
+# multiplies it into the state.
 
-# (n, piece) -> table, for every piece but Mat: a Mat table is read off the
-# matrix bound to its name, so it is built on each use
-_piece_table_cache: dict[tuple, dict] = {}
+# (n, piece) -> table or shift tables, for every piece but Mat: a Mat table
+# is read off the matrix bound to its name, so it is built on each use
+_piece_table_cache: dict[tuple, dict | tuple] = {}
 
 
 def _vertex_table(n: int, in_count: int, ciliation) -> dict:
@@ -97,26 +103,35 @@ def _vertex_table(n: int, in_count: int, ciliation) -> dict:
     return table
 
 
-def _perm_table(n: int, images) -> dict:
-    """The digit relabelling of a permutation piece: the wire at position s
-    moves to images[s-1], and so does its digit."""
+def _perm_shifts(n: int, images) -> tuple[list, list]:
+    """The digit relabelling of a permutation piece as two shift tables:
+    the wire at position s moves to images[s-1], and so does its digit,
+    which moves the block index by d * (n^(m-images[s-1]) - n^(m-s)).
+    The shifts of the first ceil(m/2) positions (the high half of the
+    block) and of the rest (the low half) are tabulated apart, each by its
+    half's digits in row-major order, so a block moves by one lookup in
+    each."""
     m = len(images)
-    targets = [0]
-    for t in images:
-        w = n ** (m - t)
-        targets = [o + d * w for o in targets for d in range(n)]
-    return {b: [(o, 1)] for b, o in enumerate(targets)}
+    moves = list(enumerate(images, 1))
+    halves = []
+    for part in (moves[:(m + 1) // 2], moves[(m + 1) // 2:]):
+        shifts = [0]
+        for s, t in part:
+            w = n ** (m - t) - n ** (m - s)
+            shifts = [o + d * w for o in shifts for d in range(n)]
+        halves.append(shifts)
+    return tuple(halves)
 
 
-def _piece_table(piece, n: int) -> dict:
+def _piece_table(piece, n: int) -> dict | tuple:
     key = (n, piece)
     table = _piece_table_cache.get(key)
     if table is None:
         match piece:
             case Cross():
-                table = _perm_table(n, (2, 1))
+                table = _perm_shifts(n, (2, 1))
             case Perm(images=images):
-                table = _perm_table(n, images)
+                table = _perm_shifts(n, images)
             case Cup():
                 table = {0: [(d * (n + 1), 1) for d in range(n)]}
             case Cap():
@@ -166,6 +181,21 @@ def _apply(state: dict, n: int, arity: int, offset: int, j_in: int,
     return {k: v for k, v in out.items() if v}, terms
 
 
+def _relabel(state: dict, n: int, arity: int, offset: int, m: int,
+             shifts: tuple[list, list]) -> dict:
+    """Permute the state's axes [offset, offset + m) by a piece's
+    _perm_shifts.  The map is a bijection on keys, so values are copied:
+    no product is formed and no zero is made."""
+    high, low = shifts
+    low_size = n ** (arity - offset - m)
+    low_count = len(low)
+    high_size = low_size * low_count
+    high_count = len(high)
+    return {key + (high[key // high_size % high_count]
+                   + low[key // low_size % low_count]) * low_size: val
+            for key, val in state.items()}
+
+
 def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
                  validated: bool = False, dense: bool = True) -> EvalResult:
     """Fold the slices of d over a sparse state, starting from the identity
@@ -197,15 +227,17 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
         for piece in layer:
             j_in, j_out = piece_arity(piece, n)
             ins_pol = tuple(polarities[pos_old:pos_old + j_in])
-            if not isinstance(piece, Id):
+            if isinstance(piece, (Cross, Perm)):
+                state = _relabel(state, n, arity, offset, j_in,
+                                 _piece_table(piece, n))
+            elif not isinstance(piece, Id):
                 if isinstance(piece, Mat):
                     table = _mat_table(piece, ins_pol[0], bindings)
                 else:
                     table = _piece_table(piece, n)
                 state, t = _apply(state, n, arity, offset, j_in, j_out,
                                   table)
-                if not isinstance(piece, (Cross, Perm)):
-                    terms += t
+                terms += t
                 arity += j_out - j_in
             new_polarities.extend(piece_polarities(piece, n, ins_pol))
             pos_old += j_in

@@ -223,8 +223,12 @@ def test_criterion_09_cross_evaluator_equivalence():
     for _ in range(200):
         d = random_layered_diagram(rng.choice((2, 3)), rng)
         eval_checked(d, random_bindings(d, rng))
+    for _ in range(200):
+        d = random_layered_diagram(rng.choice((4, 5)), rng, max_width=3)
+        eval_checked(d, random_bindings(d, rng))
     report(9, f"layered = contraction on {count} builder diagrams at "
-              "n <= 4 and 200 fuzzed diagrams at n <= 3")
+              "n <= 4, 200 fuzzed diagrams at n <= 3 and 200 at n in "
+              "{4, 5} of width <= 3")
 
 
 def test_criterion_10_isotopy_regressions():

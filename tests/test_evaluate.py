@@ -291,7 +291,8 @@ def test_fold_matches_entrywise_definition():
     for n in (1, 2, 3):
         name = {1: "C", 2: "B", 3: "A"}[n]
         pieces = [(Cross(), None), (Perm((3, 1, 2)), None),
-                  (Perm((2, 3, 1)), None), (Cup(), None), (Cap(), None)]
+                  (Perm((2, 3, 1)), None), (Perm((2, 4, 1, 3)), None),
+                  (Cup(), None), (Cap(), None)]
         pieces += [(Mat(name, against), pol) for against in (False, True)
                    for pol in (VECTOR, COVECTOR)]
         for j in range(n + 1):
@@ -308,12 +309,19 @@ def test_fold_matches_entrywise_definition():
             for arity in range(j_in, j_in + 3):
                 for offset in range(arity - j_in + 1):
                     state = _random_state(rng, n, arity)
-                    got = evaluate_module._apply(state, n, arity, offset,
-                                                 j_in, j_out, table)
-                    assert got == _apply_by_definition(
-                        state, n, arity, offset, j_in, j_out, entry), \
-                        (piece, pol, arity, offset)
-                    assert all(got[0].values())
+                    want, want_terms = _apply_by_definition(
+                        state, n, arity, offset, j_in, j_out, entry)
+                    if isinstance(piece, (Cross, Perm)):
+                        # a relabelling forms no products: compare states
+                        got = evaluate_module._relabel(
+                            state, n, arity, offset, j_in, table)
+                    else:
+                        got, terms = evaluate_module._apply(
+                            state, n, arity, offset, j_in, j_out, table)
+                        assert terms == want_terms, (piece, pol, arity,
+                                                     offset)
+                    assert got == want, (piece, pol, arity, offset)
+                    assert all(got.values())
 
 
 def test_fold_drops_cancelled_entries():
@@ -352,6 +360,37 @@ def test_layered_det_circle_term_count(n, terms):
 def test_layered_nodepair_term_count():
     assert eval_layered(antisym_nodepair(2, 4), {}).term_count == 72
     assert eval_layered(antisym_nodepair(2, 5), {}).term_count == 360
+
+
+def test_wide_permutation_of_cups_in_bounded_memory():
+    """Five cups, a 10-wire reversal and five caps close into five loops
+    at n=5: a 3,125-entry state, whose permutation must not cost n^10 of
+    anything.  Run under a 512 MB address-space limit, in a subprocess so
+    that the limit binds nothing else."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tracediagrams
+
+    root = str(Path(tracediagrams.__file__).resolve().parent.parent)
+    path = os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from tracediagrams.diagrams import Cap, Cup, LayeredDiagram, Perm\n"
+        "from tracediagrams.evaluate import eval_layered\n"
+        "d = LayeredDiagram(5, (), [(Cup(),) * 5,\n"
+        "                           (Perm(tuple(range(10, 0, -1))),),\n"
+        "                           (Cap(),) * 5])\n"
+        "print(eval_layered(d, {}).tensor.as_scalar())\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3125\n"
 
 
 def test_relabelling_counts_no_terms():
@@ -448,8 +487,8 @@ def test_contraction_path_calls_no_layered_kernel(monkeypatch):
 
     for name in ("pair_contract", "permute_axes", "_offsets"):
         monkeypatch.setattr(kernels, name, forbidden)
-    for name in ("_apply", "_piece_table", "_mat_table", "_vertex_table",
-                 "_perm_table"):
+    for name in ("_apply", "_relabel", "_piece_table", "_mat_table",
+                 "_vertex_table", "_perm_shifts"):
         monkeypatch.setattr(evaluate_module, name, forbidden)
     assert [graph_eval(d, b) for d, b in cases] == want
 
