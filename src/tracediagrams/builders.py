@@ -128,13 +128,12 @@ def antisym_permsum(k: int, n: int) -> list[tuple[int, LayeredDiagram]]:
 
 
 def antisym_tensor(k: int, n: int) -> Tensor:
-    """The signed sum of antisym_permsum: the nonzeros of each term's
-    eval_layered state are summed, and the sum is made dense once."""
-    total: dict[int, int] = {}
+    """The signed sum of antisym_permsum's evaluated terms."""
+    total = Tensor.zeros(n, k, k)
     for sign, d in antisym_permsum(k, n):
-        for i, x in eval_layered(d, {}, dense=False).nonzeros.items():
-            total[i] = total.get(i, 0) + sign * x
-    return Tensor.from_nonzeros(n, k, k, total)
+        term = eval_layered(d, {}).tensor
+        total = total + term if sign > 0 else total - term
+    return total
 
 
 def antisym_nodepair(k: int, n: int) -> LayeredDiagram:
@@ -384,7 +383,7 @@ def jacobi_diagrams(k: int, n: int, name: str):
     at the upper block (top slots right to left, then bottom slots left to
     right); the right side is the straight asymnkk form with canonical
     ciliations.  Under W0 both sides evaluate equal on the nose for all
-    tested n <= 4, k <= n.
+    tested n <= 6, k <= n.
     """
     if not 0 <= k <= n:
         raise ValueError(f"k must be in 0..{n}, got {k}")

@@ -187,21 +187,16 @@ def dumps_diagram(d: LayeredDiagram, bindings: dict | None = None) -> str:
 
 def format_tensor(t: Tensor) -> str:
     if t.arity == 0:
-        return format_rat(t.entries[0])
+        return format_rat(t.as_scalar())
     if (t.out_arity, t.in_arity) == (1, 1):
         return format_matrix(t.to_matrix())
     lines = [f"tensor n={t.n} outputs={t.out_arity} inputs={t.in_arity}"]
-    from itertools import product
-    shown = 0
-    for combo in product(range(1, t.n + 1), repeat=t.arity):
-        outs, ins = combo[:t.out_arity], combo[t.out_arity:]
-        value = t.get(outs, ins)
-        if value:
-            o = ",".join(map(str, outs))
-            i = ",".join(map(str, ins))
-            lines.append(f"  [{o}|{i}] = {format_rat(value)}")
-            shown += 1
-    if shown == 0:
+    for flat, value in sorted(t.nonzeros.items()):
+        outs, ins = t.index(flat)
+        o = ",".join(map(str, outs))
+        i = ",".join(map(str, ins))
+        lines.append(f"  [{o}|{i}] = {format_rat(value)}")
+    if t.is_zero():
         lines.append("  (zero tensor)")
     return "\n".join(lines)
 

@@ -1,20 +1,20 @@
-"""Two independent evaluators from diagrams to exact tensors.
+"""Two independent evaluators from diagrams to exact sparse tensors.
 
 eval_layered folds the slices of a layered diagram bottom to top over a
 sparse state, a dict from flat index to nonzero value that starts as the
 identity on the inputs.  A crossing or permutation moves each key to the
 key with its digits relabelled, forming no product.  Every other piece is
 a table from its input block to its nonzero (output block, coefficient)
-pairs, applied to the state's nonzeros only.  The result is made dense
-once, at the end.  eval_contraction
-works on the graph form: it assigns an index variable to every edge end,
-with a Levi-Civita factor per vertex and an integer matrix factor per
-labeled edge, and sums the internal variables out of those factors one at
-a time.  Each bound matrix is read once per call as integers over the lcm
-of its denominators, and an edge's factor is the integer product of its
-labels over the product of their denominators; the common divisor is
-applied to the result at the end.  The two paths share no semantic code,
-which is what makes eval_checked a meaningful cross-check.
+pairs, applied to the state's nonzeros only.  The final state is the
+result's nonzeros.  eval_contraction works on the graph form: it assigns
+an index variable to every edge end, with a Levi-Civita factor per vertex
+and an integer matrix factor per labeled edge, and sums the internal
+variables out of those factors one at a time.  Each bound matrix is read
+once per call as integers over the lcm of its denominators, and an edge's
+factor is the integer product of its labels over the product of their
+denominators; the common divisor is applied to the result's nonzeros at
+the end.  The two paths share no semantic code, which is what makes
+eval_checked a meaningful cross-check.
 
 Both evaluators return an EvalResult wrapping the tensor together with the
 number of multiply-accumulate terms and the wall-clock time.
@@ -40,10 +40,9 @@ from .tensor import Tensor
 
 @dataclass
 class EvalResult:
-    tensor: Tensor | None
+    tensor: Tensor
     term_count: int
     elapsed: float
-    nonzeros: dict | None = None      # eval_layered(..., dense=False) only
 
 
 class CrossCheckMismatch(Exception):
@@ -197,14 +196,12 @@ def _relabel(state: dict, n: int, arity: int, offset: int, m: int,
 
 
 def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
-                 validated: bool = False, dense: bool = True) -> EvalResult:
+                 validated: bool = False) -> EvalResult:
     """Fold the slices of d over a sparse state, starting from the identity
     on its inputs.  terms counts one product per (state nonzero, table
     coefficient) pair; relabelling by Cross and Perm counts none.
 
-    validated=True skips validating d, which the caller has done.
-    dense=False leaves the result's tensor None and returns the state's
-    nonzeros, {flat row-major index: value}, as its nonzeros."""
+    validated=True skips validating d, which the caller has done."""
     start = time.perf_counter()
     if not validated:
         errors = validate_layered(d)
@@ -244,10 +241,8 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
             offset += j_out
         polarities = new_polarities
 
-    if not dense:
-        return EvalResult(None, terms, time.perf_counter() - start, state)
-    tensor = Tensor.from_nonzeros(n, arity - k, k, state)
-    return EvalResult(tensor, terms, time.perf_counter() - start)
+    return EvalResult(Tensor._owning(n, arity - k, k, state), terms,
+                      time.perf_counter() - start)
 
 
 # -- Contraction evaluator ---------------------------------------------------
@@ -389,15 +384,16 @@ def eval_contraction(d: Diagram, bindings: Bindings,
         fixed = [(pos, idx - 1) for pos, idx in enumerate(tuple(outs)
                                                           + tuple(ins))]
 
-    vals, terms = kernels.epsilon_network(
+    nonzeros, terms = kernels.epsilon_network(
         n, nvars, out_vars, fixed, eps_factors, delta_factors, mat_factors)
 
     if divisor != 1:
-        vals = [_tidy(Fraction(v, divisor)) for v in vals]
+        nonzeros = {i: _tidy(Fraction(v, divisor))
+                    for i, v in nonzeros.items()}
     if probe is None:
-        tensor = Tensor._owning(n, out_count, in_count, vals)
+        tensor = Tensor._owning(n, out_count, in_count, nonzeros)
     else:
-        tensor = Tensor._owning(n, 0, 0, vals)
+        tensor = Tensor._owning(n, 0, 0, nonzeros)
     return EvalResult(tensor, terms, time.perf_counter() - start)
 
 
@@ -443,12 +439,11 @@ def tensors_proportional(a: Tensor, b: Tensor) -> Proportionality:
         return Proportionality("left_zero")
     if b_zero:
         return Proportionality("right_zero")
-    ratio = None
-    for x, y in zip(a.entries, b.entries):
-        if y != 0:
-            ratio = Fraction(x, 1) / Fraction(y, 1)
-            break
-    for x, y in zip(a.entries, b.entries):
-        if Fraction(x, 1) != ratio * y:
-            return Proportionality("not_proportional")
+    xs, ys = a.nonzeros, b.nonzeros
+    if xs.keys() != ys.keys():
+        return Proportionality("not_proportional")
+    first = next(iter(ys))
+    ratio = Fraction(xs[first], 1) / Fraction(ys[first], 1)
+    if any(x != ratio * ys[i] for i, x in xs.items()):
+        return Proportionality("not_proportional")
     return Proportionality("proportional", ratio)

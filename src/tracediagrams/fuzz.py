@@ -16,16 +16,20 @@ from .identities import random_matrix
 from .linalg import Matrix
 
 
-def random_layered_diagram(n: int, rng: random.Random, max_width: int = 5,
-                           max_layers: int = 6, max_vertices: int = 2,
-                           names=("A", "B")) -> LayeredDiagram:
+MAX_LAYERS = 6
+MAX_VERTICES = 2
+NAMES = ("A", "B")
+
+
+def random_layered_diagram(n: int, rng: random.Random,
+                           max_width: int = 5) -> LayeredDiagram:
     inputs = tuple(rng.choice((VECTOR, COVECTOR))
                    for _ in range(rng.randint(0, min(3, max_width))))
     profile = list(inputs)
     layers = []
     vertices = 0
 
-    for _ in range(rng.randint(1, max_layers)):
+    for _ in range(rng.randint(1, MAX_LAYERS)):
         pieces = []
         new_profile = []
         pos = 0
@@ -41,7 +45,7 @@ def random_layered_diagram(n: int, rng: random.Random, max_width: int = 5,
             tail = len(profile) - pos
             if tail >= 2:
                 options.append(("perm", 1))
-            if vertices < max_vertices:
+            if vertices < MAX_VERTICES:
                 for direction, want in ((SINK, VECTOR), (SOURCE, COVECTOR)):
                     j = 0
                     while j < min(n, tail) and profile[pos + j] == want:
@@ -59,7 +63,7 @@ def random_layered_diagram(n: int, rng: random.Random, max_width: int = 5,
                 new_profile.append(profile[pos])
                 pos += 1
             elif choice == "mat":
-                pieces.append(Mat(rng.choice(names),
+                pieces.append(Mat(rng.choice(NAMES),
                                   against_orientation=rng.random() < 0.25))
                 new_profile.append(profile[pos])
                 pos += 1
@@ -101,7 +105,7 @@ def random_layered_diagram(n: int, rng: random.Random, max_width: int = 5,
             starters = []
             if width + 2 <= max_width:
                 starters.append("cup")
-            if vertices < max_vertices and width + n <= max_width:
+            if vertices < MAX_VERTICES and width + n <= max_width:
                 starters.append("vertex")
             if not starters or rng.random() < 0.4:
                 break
@@ -127,7 +131,7 @@ def random_layered_diagram(n: int, rng: random.Random, max_width: int = 5,
     return LayeredDiagram(n, inputs, layers)
 
 
-def random_bindings(diagram: LayeredDiagram, rng: random.Random,
-                    bound: int = 9) -> dict[str, Matrix]:
-    return {name: random_matrix(diagram.n, rng.getrandbits(48), bound)
+def random_bindings(diagram: LayeredDiagram,
+                    rng: random.Random) -> dict[str, Matrix]:
+    return {name: random_matrix(diagram.n, rng.getrandbits(48))
             for name in sorted(diagram.matrix_names())}

@@ -1,9 +1,10 @@
-"""Kernels: dense pair contraction and axis permutation for Tensor, and the
-sparse variable elimination of the contraction evaluator.
+"""Kernels: dense pair contraction and axis permutation, and the sparse
+variable elimination of the contraction evaluator.
 
-Dense tensors are flat lists in row-major order over `naxes` axes, each of
-size n.  Entries are exact numbers (int or Fraction); the kernels only
-multiply and add, so exactness is preserved.
+The dense kernels take flat lists in row-major order over `naxes` axes,
+each of size n, as Tensor.entries builds them.  Entries are exact numbers
+(int or Fraction); the kernels only multiply and add, so exactness is
+preserved.
 
 Index arithmetic is done once per call, not once per entry: `_offsets`
 builds the flat offset of every digit combination over a set of axes as a
@@ -12,14 +13,15 @@ each run along the result's trailing axes with one list slice.
 `pair_contract` gathers b's entries at each summation offset into a column
 once, and builds each row of the result from a's nonzero summands times
 those columns, adding them in summation order.  These two serve
-`Tensor.permuted_axes` and `tensor.tensor_contract`; the layered evaluator
-folds its sparse state itself, in evaluate.py.
+`Tensor.permuted_axes` and `tensor.tensor_contract` only; the layered
+evaluator folds its sparse state itself, in evaluate.py.
 
 `epsilon_network` serves the contraction evaluator and shares no code with
 them.  It sums index variables out of sparse factors, each a dict from the
 digit tuple of its variables to a nonzero value, one variable at a time
 (bucket elimination).  ε factors read their nonzeros from a table per
-(n, arity) of the n!/(n-m)! tuples of distinct digits.
+(n, arity) of the n!/(n-m)! tuples of distinct digits, and the result is
+the dict of its nonzeros by flat index.
 
 term counts returned by the kernels are the number of multiply-accumulate
 operations actually performed (zero factors prune eagerly).
@@ -183,7 +185,7 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
       delta_factors: (v1, v2)          -> 1 if equal else 0
       mat_factors:   (head, tail, flat n*n vals) -> vals[digit(head)*n+digit(tail)]
     out_vars selects the digits forming the result's mixed-radix index (most
-    significant first); returns (out_vals of length n**len(out_vars), terms).
+    significant first); returns ({flat index: nonzero value}, terms).
 
     Sparse variable elimination.  Each factor is a dict from the digit
     tuple of its variables to a nonzero value: an ε factor is the table of
@@ -197,22 +199,21 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
     smallest first, and each variable that only they mention is summed out
     at the last join where it appears; zero entries are dropped.  A summed
     variable that no factor mentions contributes a factor n.  The factors
-    left, all over output variables, are multiplied together and scattered
-    into the dense result; an output variable they do not mention is
-    broadcast over its n digits.
+    left, all over output variables, are multiplied together and each
+    nonzero is written at its flat index; an output variable they do not
+    mention is broadcast over its n digits.
 
     terms counts the multiply-adds performed: one per product formed in a
     join (a variable summed out of a lone factor is a join with the unit
     factor) and one per entry written to the result.
     """
-    zero = [0] * n ** len(out_vars)
     pinned = dict(fixed)
     factors = []
     for f in eps_factors:
         if len(f) < 2:          # ε of at most one index is 1
             continue
         if len(set(f)) < len(f) or len(f) > n:
-            return zero, 0
+            return {}, 0
         factors.append((tuple(f), _sign_table(n, len(f))))
     for a, b in delta_factors:
         if a != b:
@@ -240,7 +241,7 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
                          if held(k) == want}
                 scope = tuple(scope[i] for i in keep)
             if not table:
-                return zero, 0
+                return {}, 0
             if scope:
                 restricted.append((scope, table))
             else:
@@ -284,7 +285,7 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
                 else _join(acc, f, drop)
             terms += t
             if not acc[1]:
-                return zero, terms
+                return {}, terms
         if acc[0]:
             factors.append(acc)
         else:
@@ -311,7 +312,7 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
         if v not in scope:
             spread = [s + d * w for s in spread for d in range(n)]
     weights = [weight[v] for v in scope]
-    out = zero
+    out = {}
     for key, val in table.items():
         if scale != 1:
             val = val * scale

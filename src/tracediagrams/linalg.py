@@ -73,10 +73,6 @@ class Permutation:
         for images in _itertools_permutations(range(1, m + 1)):
             yield cls(images)
 
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
@@ -268,11 +264,6 @@ class Polynomial:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
 
     def coefficient(self, i: int) -> Rat:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0

@@ -1,12 +1,14 @@
-"""Dense exact tensors: maps V^(tensor k) -> V^(tensor l) over the rationals.
+"""Sparse exact tensors: maps V^(tensor k) -> V^(tensor l) over the rationals.
 
-A Tensor with in_arity k and out_arity l stores n^(k+l) exact entries in a
-flat row-major list; axis 0..l-1 are the output slots, axis l..l+k-1 the
-input slots, and index tuples are 1-based.  A (0,0)-tensor is a boxed scalar,
-which keeps closed diagram evaluations in the same type.
+A Tensor with in_arity k and out_arity l holds its nonzero entries only, as a
+dict from flat row-major index to value over n^(k+l) entries; axis 0..l-1
+are the output slots, axis l..l+k-1 the input slots, and index tuples are
+1-based.  A (0,0)-tensor is a boxed scalar, which keeps closed diagram
+evaluations in the same type.
 
-Entries are ints or Fractions; contraction goes through tracediagrams.kernels
-and stays exact.
+Entries are ints or Fractions.  `entries` builds the dense list on demand,
+for the dense kernels of tracediagrams.kernels (permuted_axes and
+tensor_contract) and for callers that want every entry.
 """
 
 from __future__ import annotations
@@ -18,30 +20,29 @@ from .linalg import Matrix, Rat, rat
 
 
 class Tensor:
-    __slots__ = ("n", "out_arity", "in_arity", "entries")
+    __slots__ = ("n", "out_arity", "in_arity", "nonzeros")
 
     def __init__(self, n: int, out_arity: int, in_arity: int, entries):
-        self._hold(n, out_arity, in_arity, list(entries))
-
-    def _hold(self, n: int, out_arity: int, in_arity: int, entries: list):
+        """The tensor of the dense row-major `entries`; zeros are dropped."""
+        entries = list(entries)
         if len(entries) != n ** (out_arity + in_arity):
             raise ValueError(
                 f"expected {n ** (out_arity + in_arity)} entries, "
                 f"got {len(entries)}")
-        self.n = n
-        self.out_arity = out_arity
-        self.in_arity = in_arity
-        self.entries = entries
+        self.n, self.out_arity, self.in_arity = n, out_arity, in_arity
+        self.nonzeros = {i: x for i, x in enumerate(entries) if x}
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def _owning(cls, n: int, out_arity: int, in_arity: int,
-                entries: list) -> "Tensor":
-        """A tensor that holds `entries` itself, not a copy: for a list the
-        caller has just built and keeps no other reference to."""
+                nonzeros: dict) -> "Tensor":
+        """A tensor that holds `nonzeros`, {flat index: nonzero value},
+        itself, not a copy: for a zero-free dict the caller has just built
+        and keeps no other reference to."""
         t = cls.__new__(cls)
-        t._hold(n, out_arity, in_arity, entries)
+        t.n, t.out_arity, t.in_arity = n, out_arity, in_arity
+        t.nonzeros = nonzeros
         return t
 
     @classmethod
@@ -50,34 +51,25 @@ class Tensor:
 
     @classmethod
     def zeros(cls, n: int, out_arity: int, in_arity: int) -> "Tensor":
-        return cls._owning(n, out_arity, in_arity,
-                          [0] * n ** (out_arity + in_arity))
+        return cls._owning(n, out_arity, in_arity, {})
 
     @classmethod
     def identity(cls, n: int, wires: int) -> "Tensor":
         """The identity map on V^(tensor wires)."""
-        t = cls.zeros(n, wires, wires)
         size = n ** wires
-        for i in range(size):
-            t.entries[i * size + i] = 1
-        return t
-
-    @classmethod
-    def from_nonzeros(cls, n: int, out_arity: int, in_arity: int,
-                      nonzeros: dict) -> "Tensor":
-        """The tensor whose entries are nonzeros[flat index], else 0."""
-        t = cls.zeros(n, out_arity, in_arity)
-        for i, x in nonzeros.items():
-            t.entries[i] = x
-        return t
+        return cls._owning(n, wires, wires,
+                           {i * (size + 1): 1 for i in range(size)})
 
     @classmethod
     def from_function(cls, n, out_arity, in_arity, fn) -> "Tensor":
         """fn(outs, ins) with 1-based index tuples."""
-        entries = []
-        for combo in product(range(1, n + 1), repeat=out_arity + in_arity):
-            entries.append(fn(combo[:out_arity], combo[out_arity:]))
-        return cls._owning(n, out_arity, in_arity, entries)
+        nonzeros = {}
+        combos = product(range(1, n + 1), repeat=out_arity + in_arity)
+        for i, combo in enumerate(combos):
+            x = fn(combo[:out_arity], combo[out_arity:])
+            if x:
+                nonzeros[i] = x
+        return cls._owning(n, out_arity, in_arity, nonzeros)
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "Tensor":
@@ -90,6 +82,14 @@ class Tensor:
     def arity(self) -> int:
         return self.out_arity + self.in_arity
 
+    @property
+    def entries(self) -> list:
+        """All n^arity entries as a new dense row-major list."""
+        vals = [0] * self.n ** self.arity
+        for i, x in self.nonzeros.items():
+            vals[i] = x
+        return vals
+
     def get(self, outs=(), ins=()) -> Rat:
         """Entry at 1-based output and input index tuples."""
         outs, ins = tuple(outs), tuple(ins)
@@ -100,21 +100,30 @@ class Tensor:
             if not 1 <= i <= self.n:
                 raise ValueError(f"index {i} out of range 1..{self.n}")
             idx = idx * self.n + (i - 1)
-        return self.entries[idx]
+        return self.nonzeros.get(idx, 0)
+
+    def index(self, flat: int) -> tuple[tuple, tuple]:
+        """The 1-based (outs, ins) index tuples of a flat index."""
+        digits = []
+        for _ in range(self.arity):
+            flat, d = divmod(flat, self.n)
+            digits.append(d + 1)
+        digits.reverse()
+        return tuple(digits[:self.out_arity]), tuple(digits[self.out_arity:])
 
     def as_scalar(self) -> Rat:
         if self.arity != 0:
             raise ValueError("not a (0,0)-tensor")
-        return self.entries[0]
+        return self.nonzeros.get(0, 0)
 
     def to_matrix(self) -> Matrix:
         if (self.out_arity, self.in_arity) != (1, 1):
             raise ValueError("not a (1,1)-tensor")
-        n = self.n
-        return Matrix([self.entries[i * n:(i + 1) * n] for i in range(n)])
+        n, entries = self.n, self.entries
+        return Matrix([entries[i * n:(i + 1) * n] for i in range(n)])
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not self.nonzeros
 
     # -- algebra ------------------------------------------------------------
 
@@ -125,20 +134,29 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_shape(other)
-        return Tensor._owning(self.n, self.out_arity, self.in_arity,
-                              [a + b for a, b in zip(self.entries,
-                                                      other.entries)])
+        return self._combined(other, 1)
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         self._check_shape(other)
-        return Tensor._owning(self.n, self.out_arity, self.in_arity,
-                              [a - b for a, b in zip(self.entries,
-                                                      other.entries)])
+        return self._combined(other, -1)
+
+    def _combined(self, other: "Tensor", sign: int) -> "Tensor":
+        """self + sign * other: a copy of self's nonzeros, updated by
+        other's, and any entry that cancels to zero removed."""
+        out = dict(self.nonzeros)
+        get = out.get
+        for i, x in other.nonzeros.items():
+            v = get(i, 0) + sign * x
+            if v:
+                out[i] = v
+            else:
+                del out[i]
+        return Tensor._owning(self.n, self.out_arity, self.in_arity, out)
 
     def scale(self, c: Rat) -> "Tensor":
         c = rat(c)
-        return Tensor._owning(self.n, self.out_arity, self.in_arity,
-                              [c * x for x in self.entries])
+        nonzeros = {i: c * x for i, x in self.nonzeros.items()} if c else {}
+        return Tensor._owning(self.n, self.out_arity, self.in_arity, nonzeros)
 
     def __neg__(self) -> "Tensor":
         return self.scale(-1)
@@ -148,38 +166,33 @@ class Tensor:
         out/in split is preserved by count."""
         vals = kernels.permute_axes(self.n, self.entries, self.arity,
                                     list(perm))
-        return Tensor._owning(self.n, self.out_arity, self.in_arity, vals)
+        return Tensor(self.n, self.out_arity, self.in_arity, vals)
 
     def __eq__(self, other):
         return (isinstance(other, Tensor)
                 and self.n == other.n
                 and self.out_arity == other.out_arity
                 and self.in_arity == other.in_arity
-                and all(a == b for a, b in zip(self.entries, other.entries)))
+                and self.nonzeros == other.nonzeros)
 
     def __hash__(self):
         return hash((self.n, self.out_arity, self.in_arity,
-                     tuple(rat(x) for x in self.entries)))
+                     frozenset(self.nonzeros.items())))
 
     def __repr__(self):
         return (f"Tensor(n={self.n}, out={self.out_arity}, "
                 f"in={self.in_arity})")
 
     def first_difference(self, other: "Tensor"):
-        """First (outs, ins, self value, other value) where entries differ,
-        or None if equal; shapes must already match."""
+        """First (outs, ins, self value, other value), in row-major order,
+        where entries differ, or None if equal; shapes must already match."""
         self._check_shape(other)
-        for flat, (a, b) in enumerate(zip(self.entries, other.entries)):
-            if a != b:
-                combo = []
-                rem = flat
-                for _ in range(self.arity):
-                    combo.append(rem % self.n)
-                    rem //= self.n
-                combo.reverse()
-                idx = tuple(d + 1 for d in combo)
-                return idx[:self.out_arity], idx[self.out_arity:], a, b
-        return None
+        a, b = self.nonzeros, other.nonzeros
+        if a == b:
+            return None
+        flat = min(i for i in a.keys() | b.keys()
+                   if a.get(i, 0) != b.get(i, 0))
+        return (*self.index(flat), a.get(flat, 0), b.get(flat, 0))
 
 
 def tensor_contract(a: Tensor, b: Tensor, pairing) -> Tensor:
@@ -194,6 +207,4 @@ def tensor_contract(a: Tensor, b: Tensor, pairing) -> Tensor:
     pairing = [(int(p), int(q)) for p, q in pairing]
     vals, _ = kernels.pair_contract(a.n, a.entries, a.arity,
                                     b.entries, b.arity, pairing)
-    return Tensor._owning(a.n, a.arity - len(pairing),
-                          b.arity - len(pairing), vals)
-
+    return Tensor(a.n, a.arity - len(pairing), b.arity - len(pairing), vals)

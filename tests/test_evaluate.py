@@ -9,6 +9,7 @@ import pytest
 
 import tracediagrams.evaluate as evaluate_module
 from tracediagrams.builders import (adjugate_diagram, antisym_nodepair,
+                                    antisym_tensor, jacobi_diagrams,
                                     loop_diagram, trace_loop, vertex_pair)
 from tracediagrams.diagrams import (COVECTOR, SINK, VECTOR, Cap, Cross,
                                     Cup, Id, LayeredDiagram, Mat, NVertex,
@@ -402,15 +403,12 @@ def test_relabelling_counts_no_terms():
     assert eval_layered(circle, {}).term_count == 6
 
 
-def test_eval_layered_sparse_result_matches_dense():
+def test_eval_layered_result_holds_no_zero():
     d = adjugate_diagram(3, "A")
     b = {"A": Matrix([[1, 2, 0], [0, 1, 3], [2, 0, 1]])}
-    sparse = eval_layered(d, b, dense=False)
-    dense = eval_layered(d, b)
-    assert sparse.tensor is None and dense.nonzeros is None
-    assert sparse.term_count == dense.term_count
-    assert Tensor.from_nonzeros(3, 1, 1, sparse.nonzeros) == dense.tensor
-    assert all(sparse.nonzeros.values())
+    layered = eval_layered(d, b).tensor
+    assert layered.nonzeros and all(layered.nonzeros.values())
+    assert layered == eval_contraction(to_graph(d), b).tensor
 
 
 # -- cross-check ------------------------------------------------------------------
@@ -429,6 +427,20 @@ def test_eval_checked_fuzz_campaign():
     for _ in range(60):
         d = random_layered_diagram(rng.choice((2, 3)), rng)
         eval_checked(d, random_bindings(d, rng))
+
+
+def test_no_evaluation_path_builds_a_dense_list(monkeypatch):
+    def dense(self):
+        raise AssertionError("a dense entry list was built")
+    monkeypatch.setattr(Tensor, "entries", property(dense))
+    rng = random.Random(7)
+    for _ in range(200):
+        d = random_layered_diagram(rng.choice((2, 3)), rng)
+        eval_checked(d, random_bindings(d, rng))
+    for side in jacobi_diagrams(0, 5, "A"):
+        assert eval_checked(side, {}).nonzeros
+    t = antisym_tensor(4, 4)
+    assert t.get((1, 2, 3, 4), (2, 1, 3, 4)) == -1
 
 
 def test_eval_checked_small_families_at_n4():
@@ -602,6 +614,9 @@ def test_proportionality_ratio():
     t = Tensor.from_matrix(A)
     res = tensors_proportional(t.scale(3), t)
     assert res.kind == "proportional" and res.ratio == 3
+    # the same nonzero positions, but no common ratio
+    assert tensors_proportional(t, Tensor.from_matrix(
+        Matrix([[2, 3], [4, 6]]))).kind == "not_proportional"
 
 
 def test_proportionality_zero_flags():

@@ -3,8 +3,10 @@
 Each oracle enumerates every digit combination with itertools.product and
 applies the definition directly, sharing no index arithmetic or pruning with
 the kernels.  Values must match exactly, and so must the term counts of the
-dense kernels.  epsilon_network counts the multiply-adds of its variable
-elimination, not the oracle's leaves, so its counts are pinned separately.
+dense kernels.  epsilon_network returns its nonzeros by flat index, matched
+against the oracle's nonzero entries; it counts the multiply-adds of its
+variable elimination, not the oracle's leaves, so its counts are pinned
+separately.
 """
 
 import random
@@ -41,6 +43,10 @@ def sign(digits):
                      for j in range(i + 1, len(digits))
                      if digits[i] > digits[j])
     return -1 if inversions % 2 else 1
+
+
+def nonzeros(vals):
+    return {i: x for i, x in enumerate(vals) if x}
 
 
 def pair_contract_oracle(n, a, a_naxes, b, b_naxes, pairs):
@@ -154,7 +160,7 @@ def test_epsilon_network_matches_definition():
                              [rand_val(rng) for _ in range(n * n)]))
         args = (n, nvars, out_vars, fixed, eps, delta, mats)
         assert kernels.epsilon_network(*args)[0] == \
-            epsilon_network_oracle(*args)[0]
+            nonzeros(epsilon_network_oracle(*args)[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -162,21 +168,20 @@ def test_epsilon_network_levi_civita(n):
     # one ε factor on n free output variables is the Levi-Civita tensor
     vals, terms = kernels.epsilon_network(n, n, list(range(n)), [],
                                        [tuple(range(n))], [], [])
-    assert vals == [sign(d) for d in product(range(n), repeat=n)]
-    assert terms == sum(1 for v in vals if v)
+    assert vals == nonzeros([sign(d) for d in product(range(n), repeat=n)])
+    assert terms == len(vals)
 
 
 def test_epsilon_network_fixed_clash_and_repeat():
     # two fixed variables sharing a digit zero the network
     assert kernels.epsilon_network(3, 3, [2], [(0, 1), (1, 1)],
-                                [(0, 1, 2)], [], []) == ([0, 0, 0], 0)
+                                [(0, 1, 2)], [], []) == ({}, 0)
     # a variable repeated inside one ε factor zeroes it too
     assert kernels.epsilon_network(3, 2, [0, 1], [], [(0, 1, 0)], [], []) == \
-        ([0] * 9, 0)
+        ({}, 0)
     # a fixed variable removes its digit from the free ones
     assert kernels.epsilon_network(3, 3, [0, 2], [(1, 0)],
-                                [(0, 1, 2)], [], []) == \
-        ([0, 0, 0, 0, 0, -1, 0, 1, 0], 2)
+                                [(0, 1, 2)], [], []) == ({5: -1, 7: 1}, 2)
 
 
 M3 = [2, 0, Fraction(1, 3), -1, 4, 0, 5, Fraction(-2, 7), 3]
@@ -221,15 +226,17 @@ EPSILON_NETWORK_CASES = {
 @pytest.mark.parametrize("case", sorted(EPSILON_NETWORK_CASES))
 def test_epsilon_network_edge_cases(case):
     args = EPSILON_NETWORK_CASES[case]
-    got, want = kernels.epsilon_network(*args), epsilon_network_oracle(*args)
-    assert got[0] == want[0]
-    assert [type(x) for x in got[0]] == [type(x) for x in want[0]]
+    got = kernels.epsilon_network(*args)[0]
+    want = nonzeros(epsilon_network_oracle(*args)[0])
+    assert got == want
+    assert {i: type(x) for i, x in got.items()} == \
+        {i: type(x) for i, x in want.items()}
 
 
 def test_epsilon_network_cancellation_drops_intermediate_entry():
     args = EPSILON_NETWORK_CASES["intermediate sum cancels"]
     vals, terms = kernels.epsilon_network(*args)
-    assert all(vals)
+    assert len(vals) == 3 and all(vals.values())
     # ε·S: 6 products, leaving 2 nonzeros over variable 2 (digit 2
     # cancelled, else 3); times the output's matrix: 2 · 3 products; 3
     # entries scattered
@@ -254,7 +261,7 @@ def test_epsilon_network_det_circle_terms(n):
     vals, terms = kernels.epsilon_network(
         n, 2 * n, [], [], [tuple(range(n)), tuple(range(n, 2 * n))], [],
         [(n + i, i, flat_a) for i in range(n)])
-    assert vals == [factorial(n) * det_oracle(Matrix(rows))]
+    assert vals == {0: factorial(n) * det_oracle(Matrix(rows))}
     assert terms == want_terms
 
 

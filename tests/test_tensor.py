@@ -1,4 +1,6 @@
-"""Dense tensor type and the contraction primitive."""
+"""Sparse tensor type and the contraction primitive."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -19,8 +21,6 @@ def test_shapes_and_indexing():
         t.get((3,), (1, 1))
     with pytest.raises(ValueError):
         Tensor(2, 1, 1, [1, 2, 3])
-    with pytest.raises(ValueError):
-        Tensor._owning(2, 1, 1, [1, 2, 3])
     entries = [1, 2, 3, 4]
     t = Tensor(2, 1, 1, entries)
     entries[0] = 9                   # the public constructor copies
@@ -81,3 +81,15 @@ def test_identity_tensor():
     ident = Tensor.identity(3, 2)
     assert ident.get((2, 3), (2, 3)) == 1
     assert ident.get((2, 3), (3, 2)) == 0
+
+
+def test_holds_nonzeros_only():
+    t = Tensor(2, 1, 1, [0, Fraction(3, 2), 0, -1])
+    assert t.nonzeros == {1: Fraction(3, 2), 3: -1}
+    assert t.entries == [0, Fraction(3, 2), 0, -1]
+    assert (t - t).nonzeros == {} and t.scale(0).nonzeros == {}
+    assert (t + Tensor(2, 1, 1, [0, 0, 5, 1])).nonzeros == \
+        {1: Fraction(3, 2), 2: 5}
+    assert t.first_difference(Tensor(2, 1, 1, [7, Fraction(3, 2), 0, 1])) \
+        == ((1,), (1,), 0, 7)
+    assert Tensor.identity(2, 2).nonzeros == {0: 1, 5: 1, 10: 1, 15: 1}
