@@ -128,12 +128,18 @@ def antisym_permsum(k: int, n: int) -> list[tuple[int, LayeredDiagram]]:
 
 
 def antisym_tensor(k: int, n: int) -> Tensor:
-    """The signed sum of antisym_permsum's evaluated terms."""
-    total = Tensor.zeros(n, k, k)
+    """The signed sum of antisym_permsum's evaluated terms, added into one
+    dict of nonzeros in place; an entry that cancels is removed."""
+    total: dict = {}
+    get = total.get
     for sign, d in antisym_permsum(k, n):
-        term = eval_layered(d, {}).tensor
-        total = total + term if sign > 0 else total - term
-    return total
+        for i, x in eval_layered(d, {}).tensor.nonzeros.items():
+            v = get(i, 0) + sign * x
+            if v:
+                total[i] = v
+            else:
+                del total[i]
+    return Tensor._owning(n, k, k, total)
 
 
 def antisym_nodepair(k: int, n: int) -> LayeredDiagram:

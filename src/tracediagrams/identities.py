@@ -799,7 +799,7 @@ def _check_cross_product(ctx: CheckContext):
 
 
 @_register("jacobi", "both routings of the labeled vertex pair agree",
-           n_range=(2, 5), stretch=True)
+           n_range=(2, 6), stretch=True)
 def _check_jacobi(ctx: CheckContext):
     n = ctx.n
     for trial in range(ctx.trials):

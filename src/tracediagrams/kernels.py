@@ -17,18 +17,24 @@ those columns, adding them in summation order.  These two serve
 evaluator folds its sparse state itself, in evaluate.py.
 
 `epsilon_network` serves the contraction evaluator and shares no code with
-them.  It sums index variables out of sparse factors, each a dict from the
-digit tuple of its variables to a nonzero value, one variable at a time
-(bucket elimination).  ε factors read their nonzeros from a table per
-(n, arity) of the n!/(n-m)! tuples of distinct digits, and the result is
-the dict of its nonzeros by flat index.
+them.  It sums index variables out of sparse factors, one variable at a
+time (bucket elimination).  A factor is a dict from the mixed-radix
+integer of its variables' digits, first variable most significant, to a
+nonzero value; ε factors read theirs from a table per (n, arity) of the
+n!/(n-m)! keys of distinct digits.  A join reads the shared-variable
+digits and the kept digits of each key as sums of table lookups, one per
+run of digits (`_digit_tables`); runs are cut so that no table exceeds
+max(the factor's nonzero count, n^3) entries.  The factors left after
+elimination are multiplied in keyed by the result's flat index, so one
+that shares no variable with the running product adds its flat offsets
+to the product's, and the result is the dict of its nonzeros by flat
+index.
 
 term counts returned by the kernels are the number of multiply-accumulate
 operations actually performed (zero factors prune eagerly).
 """
 
-from itertools import permutations
-from operator import itemgetter, mul
+from itertools import permutations, repeat
 
 
 def _strides(n, naxes):
@@ -111,12 +117,13 @@ def permute_axes(n, vals, naxes, perm):
     return out
 
 
-# (n, arity) -> {tuple of distinct digits in range(n): its Levi-Civita sign}
-_eps_sign_cache: dict[tuple[int, int], dict[tuple, int]] = {}
+# (n, arity) -> {mixed-radix key of m distinct digits: its Levi-Civita sign}
+_eps_sign_cache: dict[tuple[int, int], dict[int, int]] = {}
 
 
 def _sign_table(n, m):
     """Every tuple of m distinct digits in range(n), n!/(n-m)! of them,
+    keyed by its mixed-radix integer (first digit most significant) and
     mapped to the parity sign of its order.  Any other tuple (a repeated
     digit, or m > n) is absent: its ε is 0."""
     table = _eps_sign_cache.get((n, m))
@@ -124,55 +131,139 @@ def _sign_table(n, m):
         table = {}
         for p in permutations(range(n), m):
             inv = sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
-            table[p] = -1 if inv & 1 else 1
+            key = 0
+            for d in p:
+                key = key * n + d
+            table[key] = -1 if inv & 1 else 1
         _eps_sign_cache[(n, m)] = table
     return table
 
 
-def _picker(positions):
-    """Function from a digit tuple to the tuple of its digits at positions."""
-    if len(positions) == 1:
-        i = positions[0]
-        return lambda key: (key[i],)
-    if not positions:
-        return lambda key: ()
-    return itemgetter(*positions)
+# (n, weights, run length) -> _digit_tables' runs, or None
+_digit_table_cache: dict[tuple[int, tuple, int], list[tuple] | None] = {}
 
 
-def _join(a, b, drop):
+def _digit_tables(n, weights, size):
+    """Lookup tables for the map from a key of p = len(weights) base-n
+    digits, digit 0 most significant, to the sum of digit i times
+    weights[i].  The digits are split into as few runs as keep every
+    run's table within max(size, n^3) entries, the runs as even as
+    possible, so a factor of `size` nonzeros never builds a table much
+    larger than itself.  Returns (div, mod, table) per run that has a
+    nonzero weight, where the key's sum is that of table[key // div %
+    mod] (mod is None for the most significant run), or None when the
+    weights are the key's own place values."""
+    p = len(weights)
+    bound = max(size, n ** 3)
+    g = p
+    while n ** g > bound:
+        g -= 1
+    key = (n, tuple(weights), g)
+    if key in _digit_table_cache:
+        return _digit_table_cache[key]
+    tables = None
+    if weights != [n ** (p - 1 - i) for i in range(p)]:
+        tables = []
+        runs = -(-p // g)
+        stop = p
+        for r in range(runs):               # least significant run first
+            start = stop - p // runs - (r < p % runs)
+            if any(weights[start:stop]):
+                table = [0]
+                for w in weights[start:stop]:
+                    table = [t + d * w for t in table for d in range(n)]
+                tables.append((n ** (p - stop),
+                               n ** (stop - start) if start else None, table))
+            stop = start
+    _digit_table_cache[key] = tables
+    return tables
+
+
+def _digit_sums(keys, n, weights):
+    """[sum of digit i times weights[i] over the digits of key] for each
+    key in keys, by the lookups of _digit_tables."""
+    if not any(weights):
+        return [0] * len(keys)
+    tables = _digit_tables(n, weights, len(keys))
+    if tables is None:
+        return list(keys)
+    sums = None
+    for div, mod, table in tables:
+        if mod is None:
+            sums = [table[k // div] for k in keys] if sums is None else \
+                [s + table[k // div] for s, k in zip(sums, keys)]
+        else:
+            sums = [table[k // div % mod] for k in keys] if sums is None \
+                else [s + table[k // div % mod] for s, k in zip(sums, keys)]
+    return sums
+
+
+def _place(n, scope, chosen, scale=1):
+    """Weights, one per variable of scope, that read the digits of the
+    chosen variables as a mixed-radix integer in chosen's order (first
+    most significant) times scale; the other variables weigh 0."""
+    top = len(chosen) - 1
+    return [scale * n ** (top - chosen.index(v)) if v in chosen else 0
+            for v in scope]
+
+
+def _pairs(n, a, a_match, a_out, b, b_match, b_out, summing):
+    """The products of a's and b's nonzeros whose keys agree under the
+    weights a_match and b_match, each keyed by the sum of its a_out and
+    b_out sums.  Unless summing, every pair lands on its own key, so no
+    entry can cancel; else the products on one key are added and zeros
+    dropped.  Returns the table and the number of products formed."""
+    b_codes = _digit_sums(b, n, b_out)
+    if any(b_match):
+        rows = {}
+        for m, code, bv in zip(_digit_sums(b, n, b_match), b_codes,
+                               b.values()):
+            row = rows.get(m)
+            if row is None:
+                rows[m] = [(code, bv)]
+            else:
+                row.append((code, bv))
+        matches = _digit_sums(a, n, a_match)
+    else:
+        rows = {0: list(zip(b_codes, b.values()))}
+        matches = repeat(0)
+    out = {}
+    get = out.get
+    terms = 0
+    for m, head, av in zip(matches, _digit_sums(a, n, a_out), a.values()):
+        row = rows.get(m)
+        if row:
+            terms += len(row)
+            if summing:
+                for code, bv in row:
+                    k = head + code
+                    out[k] = get(k, 0) + av * bv
+            else:
+                for code, bv in row:
+                    out[head + code] = av * bv
+    if summing:
+        out = {k: v for k, v in out.items() if v}
+    return out, terms
+
+
+def _join(n, a, b, drop):
     """Product of factors a and b with the variables in drop summed out.
     b is the one indexed by the shared variables, so pass the smaller as b.
     Returns the factor, zeros dropped, and the number of products formed."""
     a_scope, a_table = a
     b_scope, b_table = b
     shared = [v for v in a_scope if v in b_scope]
-    a_keep = [i for i, v in enumerate(a_scope) if v not in drop]
-    b_keep = [i for i, v in enumerate(b_scope)
-              if v not in drop and v not in a_scope]
-    b_key = _picker([b_scope.index(v) for v in shared])
-    b_out = _picker(b_keep)
-    rows = {}
-    for key, val in b_table.items():
-        rows.setdefault(b_key(key), []).append((b_out(key), val))
-    a_key = _picker([a_scope.index(v) for v in shared])
-    a_out = _picker(a_keep)
-    out = {}
-    get = out.get
-    terms = 0
-    for key, av in a_table.items():
-        matches = rows.get(a_key(key))
-        if matches:
-            head = a_out(key)
-            terms += len(matches)
-            for tail, bv in matches:
-                k = head + tail
-                out[k] = get(k, 0) + av * bv
-    scope = tuple(a_scope[i] for i in a_keep) + \
-        tuple(b_scope[i] for i in b_keep)
-    return (scope, {k: v for k, v in out.items() if v}), terms
+    a_keep = [v for v in a_scope if v not in drop]
+    b_keep = [v for v in b_scope if v not in drop and v not in a_scope]
+    table, terms = _pairs(
+        n, a_table, _place(n, a_scope, shared),
+        _place(n, a_scope, a_keep, n ** len(b_keep)),
+        b_table, _place(n, b_scope, shared), _place(n, b_scope, b_keep),
+        bool(drop))
+    return (tuple(a_keep + b_keep), table), terms
 
 
-_UNIT = ((), {(): 1})
+_UNIT = ((), {0: 1})
 
 
 def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
@@ -187,21 +278,27 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
     out_vars selects the digits forming the result's mixed-radix index (most
     significant first); returns ({flat index: nonzero value}, terms).
 
-    Sparse variable elimination.  Each factor is a dict from the digit
-    tuple of its variables to a nonzero value: an ε factor is the table of
+    Sparse variable elimination.  Each factor is a dict from the
+    mixed-radix integer of its variables' digits (first variable most
+    significant) to a nonzero value: an ε factor is the table of
     `_sign_table` (a repeated variable, or more variables than n, makes the
-    network zero), a matrix factor its nonzeros (the diagonal, over one
-    variable, when head == tail), a δ factor its n diagonal pairs.  Fixed
-    variables restrict their factors first.  Then the variables that are
-    neither fixed nor outputs are summed out, one at a time in greedy
-    min-degree order: fewest other variables sharing a factor with it, ties
-    to the lower id.  The factors mentioning the variable are joined,
-    smallest first, and each variable that only they mention is summed out
-    at the last join where it appears; zero entries are dropped.  A summed
-    variable that no factor mentions contributes a factor n.  The factors
-    left, all over output variables, are multiplied together and each
-    nonzero is written at its flat index; an output variable they do not
-    mention is broadcast over its n digits.
+    network zero), a matrix factor the nonzeros of its flat vals keyed by
+    their own index (the diagonal, over one variable, when head == tail),
+    a δ factor its n diagonal keys d*(n+1).  Fixed variables restrict
+    their factors first.  Then the variables that are neither fixed nor
+    outputs are summed out, one at a time in greedy min-degree order:
+    fewest other variables sharing a factor with it, ties to the lower
+    id.  The factors mentioning the variable are joined, smallest first,
+    and each variable that only they mention is summed out at the last
+    join where it appears; a join that sums nothing out forms each key
+    once, so only the others add and drop zeros.  A join reads each key's
+    shared-variable digits and its kept digits with a lookup per run of
+    digits (`_digit_tables`).  A summed variable that no factor mentions
+    contributes a factor n.  The factors left, all over output variables,
+    are multiplied in, smallest first, keyed by the result's flat index
+    from the start: a factor sharing no variable with the running product
+    adds its flat offsets to the product's.  An output variable they do
+    not mention is broadcast over its n digits.
 
     terms counts the multiply-adds performed: one per product formed in a
     join (a variable summed out of a lone factor is a join with the unit
@@ -217,35 +314,35 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
         factors.append((tuple(f), _sign_table(n, len(f))))
     for a, b in delta_factors:
         if a != b:
-            factors.append(((a, b), {(d, d): 1 for d in range(n)}))
+            factors.append(((a, b), {d * (n + 1): 1 for d in range(n)}))
     for h, t, vals in mat_factors:
         if h == t:
-            factors.append(((h,), {(d,): e for d in range(n)
-                                   if (e := vals[d * n + d])}))
+            factors.append(((h,), {d: e for d in range(n)
+                                   if (e := vals[d * (n + 1)])}))
         else:
-            factors.append(((h, t), {(i, j): e for i in range(n)
-                                     for j in range(n)
-                                     if (e := vals[i * n + j])}))
+            factors.append(((h, t), {i: e for i, e in enumerate(vals) if e}))
 
     scale = 1
     if pinned:
         restricted = []
         for scope, table in factors:
-            at = [i for i, v in enumerate(scope) if v in pinned]
-            if at:
-                want = tuple(pinned[scope[i]] for i in at)
-                held = _picker(at)
-                keep = [i for i, v in enumerate(scope) if v not in pinned]
-                pick = _picker(keep)
-                table = {pick(k): e for k, e in table.items()
-                         if held(k) == want}
-                scope = tuple(scope[i] for i in keep)
+            held = [v for v in scope if v in pinned]
+            if held:
+                keep = [v for v in scope if v not in pinned]
+                want = 0
+                for v in held:
+                    want = want * n + pinned[v]
+                table = {k: e for h, k, e in zip(
+                    _digit_sums(table, n, _place(n, scope, held)),
+                    _digit_sums(table, n, _place(n, scope, keep)),
+                    table.values()) if h == want}
+                scope = tuple(keep)
             if not table:
                 return {}, 0
             if scope:
                 restricted.append((scope, table))
             else:
-                scale *= table[()]
+                scale *= table[0]
         factors = restricted
 
     outs = {v for v in out_vars if v not in pinned}
@@ -281,42 +378,53 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
         for i in range(1, len(bucket)):
             drop = {u for u, at in last.items() if at == i}
             f = bucket[i]
-            acc, t = _join(f, acc, drop) if len(f[1]) > len(acc[1]) \
-                else _join(acc, f, drop)
+            acc, t = _join(n, f, acc, drop) if len(f[1]) > len(acc[1]) \
+                else _join(n, acc, f, drop)
             terms += t
             if not acc[1]:
                 return {}, terms
         if acc[0]:
             factors.append(acc)
         else:
-            scale *= acc[1][()]
+            scale *= acc[1][0]
 
-    factors.sort(key=lambda f: len(f[1]))
-    result = factors[0] if factors else _UNIT
-    for f in factors[1:]:
-        result, t = _join(f, result, ())
-        terms += t
-    scope, table = result
-
+    # the result's flat index is base + the sum of digit(v) * weight[v];
+    # out_vars may repeat a variable, so its weight sums its place values
+    width = len(out_vars)
+    strides = [n ** (width - 1 - i) for i in range(width)]
     weight = dict.fromkeys(outs, 0)
+    place = {}
     base = 0
-    stride = 1
-    for v in reversed(out_vars):
+    for i, v in enumerate(out_vars):
         if v in pinned:
-            base += pinned[v] * stride
+            base += pinned[v] * strides[i]
         else:
-            weight[v] += stride
-        stride *= n
+            weight[v] += strides[i]
+            place[v] = i
+    factors.sort(key=lambda f: len(f[1]))
+    scope, f = factors[0] if factors else _UNIT
+    table = dict(zip(_digit_sums(f, n, [weight[v] for v in scope]),
+                     f.values()))
+    held = list(scope)
+    for scope, f in factors[1:]:
+        # the running product's keys are flat indices less base, so a
+        # variable's digit is read at one place it holds in out_vars
+        shared = [v for v in scope if v in held]
+        at = {place[v]: n ** (len(shared) - 1 - i)
+              for i, v in enumerate(shared)}
+        table, t = _pairs(
+            n, f, _place(n, scope, shared),
+            [0 if v in held else weight[v] for v in scope],
+            table, [at.get(i, 0) for i in range(width)], strides, False)
+        terms += t
+        held += [v for v in scope if v not in held]
+
     spread = [base]
     for v, w in weight.items():
-        if v not in scope:
+        if v not in held:
             spread = [s + d * w for s in spread for d in range(n)]
-    weights = [weight[v] for v in scope]
-    out = {}
-    for key, val in table.items():
-        if scale != 1:
-            val = val * scale
-        idx = sum(map(mul, key, weights))
-        for s in spread:
-            out[idx + s] = val
-    return out, terms + len(table) * len(spread)
+    terms += len(table) * len(spread)
+    if spread != [0] or scale != 1:
+        table = {k + s: v * scale if scale != 1 else v
+                 for k, v in table.items() for s in spread}
+    return table, terms

@@ -19,6 +19,7 @@ from tracediagrams.evaluate import (CrossCheckMismatch, eval_checked,
                                     eval_contraction, eval_layered,
                                     tensors_proportional)
 from tracediagrams.fuzz import random_bindings, random_layered_diagram
+from tracediagrams.identities import random_matrix
 from tracediagrams.linalg import (Matrix, det_oracle, levi_civita,
                                   reversal_sign)
 from tracediagrams.tensor import Tensor
@@ -520,7 +521,8 @@ def test_layered_path_calls_no_contraction_kernel(monkeypatch):
     def forbidden(*args):
         raise AssertionError("layered path called a contraction kernel")
 
-    for name in ("epsilon_network", "_join", "_sign_table", "_picker"):
+    for name in ("epsilon_network", "_join", "_pairs", "_place",
+                 "_digit_sums", "_digit_tables", "_sign_table"):
         monkeypatch.setattr(kernels, name, forbidden)
     for name in ("_edge_factor", "_int_label", "_int_matmul"):
         monkeypatch.setattr(evaluate_module, name, forbidden)
@@ -585,6 +587,18 @@ def test_det_circle_n6_on_both_evaluators():
     d = vertex_pair(n, [["A"]] * n)
     assert eval_layered(d, {"A": a}).tensor.as_scalar() == want
     assert graph_eval(d, {"A": a}).as_scalar() == want
+
+
+def test_jacobi_k0_sides_contraction_counts():
+    # each k = 0 side is two ε factors sharing no variable, multiplied in
+    # by flat offsets: 120 * 120 products, then as many entries written
+    bindings = {"A": random_matrix(5, 1)}
+    lhs, rhs = (eval_contraction(to_graph(d), bindings)
+                for d in jacobi_diagrams(0, 5, "A"))
+    for side in (lhs, rhs):
+        assert side.term_count == 28800
+        assert len(side.tensor.nonzeros) == 14400
+    assert lhs.tensor == rhs.tensor
 
 
 def test_corrupted_ciliation_raises_mismatch(monkeypatch):

@@ -215,6 +215,19 @@ EPSILON_NETWORK_CASES = {
     "two disconnected components": (3, 6, [0, 3], [],
                                     [(0, 1, 2), (3, 4, 5)], [(2, 5)],
                                     [(1, 0, M3), (4, 3, M3)]),
+    # after elimination three factors are left that share no variable:
+    # ε(0, 1), M3(2, 3) and an integer matrix on (5, 4); output 6 is
+    # pinned, output 7 is in no factor (broadcast) and the summed 8 is in
+    # no factor (a factor 3)
+    "three disjoint leftover factors": (
+        3, 9, [4, 0, 7, 2, 6, 1, 5, 3], [(6, 2)], [(0, 1)], [],
+        [(2, 3, M3), (5, 4, [1, -2, 0, 3, 0, 4, -5, 6, 7])]),
+    # ε(3, 4) and M3(0, 1) are multiplied in by flat offsets, then the
+    # running product is joined with a matrix on (1, 2) through the digit
+    # of the repeated output 1
+    "leftover factors sharing a variable": (
+        3, 5, [2, 1, 0, 3, 4, 1], [], [(3, 4)], [],
+        [(0, 1, M3), (1, 2, [3, 1, -4, 1, 5, -9, 2, 6, 5])]),
     # summing 0 and 1 out of ε(0, 1, 2)·S(0, 1) with S01 = S10 cancels at
     # digit 2 of variable 2 before variable 2 meets the output's matrix
     "intermediate sum cancels": (3, 4, [3], [], [(0, 1, 2)], [],
@@ -251,6 +264,9 @@ DET_CIRCLE_TERMS = {
         1465),
     5: ([[6, -8, -1, -2, 8], [-7, -4, -4, 5, -7], [-2, -8, -3, -1, -4],
          [-3, 6, -9, -3, -7], [1, 7, -3, 2, 5]], 18661),
+    6: ([[9, -7, 6, -1, -8, -9], [-5, 9, 6, 2, 1, -9], [-1, 6, -3, 4, 8, 8],
+         [-6, -3, 9, 8, -1, -7], [4, 1, -7, 2, 4, -1], [5, -6, -3, 0, -6, -8]],
+        263485),
 }
 
 
@@ -263,6 +279,27 @@ def test_epsilon_network_det_circle_terms(n):
         [(n + i, i, flat_a) for i in range(n)])
     assert vals == {0: factorial(n) * det_oracle(Matrix(rows))}
     assert terms == want_terms
+
+
+def test_digit_sums_read_every_digit_from_bounded_tables():
+    rng = random.Random(14)
+    for n in (1, 2, 3, 5):
+        for p in range(7):
+            weights = [rng.choice((0, 0, 1, rng.randint(1, 40)))
+                       for _ in range(p)]
+            keys = [rng.randrange(n ** p) for _ in range(rng.randint(0, 30))]
+            want = [sum(w * (k // n ** (p - 1 - i) % n)
+                        for i, w in enumerate(weights)) for k in keys]
+            assert kernels._digit_sums(keys, n, weights) == want
+    # a 16-digit key at n = 8 over a factor of 100 nonzeros builds no table
+    # above max(100, 8^3) = 512 entries
+    weights = [rng.randint(1, 50) for _ in range(16)]
+    tables = kernels._digit_tables(8, weights, 100)
+    assert max(len(table) for _, _, table in tables) <= 512
+    keys = [rng.randrange(8 ** 16) for _ in range(100)]
+    assert kernels._digit_sums(keys, 8, weights) == \
+        [sum(w * (k // 8 ** (15 - i) % 8) for i, w in enumerate(weights))
+         for k in keys]
 
 
 def test_kernel_argument_errors():
