@@ -47,11 +47,14 @@ def parse_diagram_file(text: str) -> tuple[LayeredDiagram, dict]:
         raise DiagramFileError("top level must be an object")
 
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DiagramFileError('"n" must be a positive integer')
 
     matrices = {}
-    for name, rows in doc.get("matrices", {}).items():
+    literals = doc.get("matrices", {})
+    if not isinstance(literals, dict):
+        raise DiagramFileError('"matrices" must be an object of named rows')
+    for name, rows in literals.items():
         try:
             matrices[name] = parse_matrix_literal(rows)
         except (ValueError, TypeError) as err:
@@ -67,10 +70,15 @@ def parse_diagram_file(text: str) -> tuple[LayeredDiagram, dict]:
         raise DiagramFileError(
             '"inputs" must list polarities "vector"/"covector"')
 
+    records = doc.get("layers", [])
+    if not isinstance(records, list):
+        raise DiagramFileError('"layers" must be a list')
     layers = []
-    for li, layer in enumerate(doc.get("layers", [])):
+    for li, layer in enumerate(records):
         if not isinstance(layer, dict) or "pieces" not in layer:
             raise DiagramFileError(f'layers[{li}] must carry "pieces"')
+        if not isinstance(layer["pieces"], list):
+            raise DiagramFileError(f'layers[{li}]: "pieces" must be a list')
         pieces = []
         for pi, rec in enumerate(layer["pieces"]):
             where = f"layers[{li}].pieces[{pi}]"
@@ -83,6 +91,8 @@ def parse_diagram_file(text: str) -> tuple[LayeredDiagram, dict]:
         raise DiagramFileError("; ".join(problems))
 
     declared = doc.get("outputs")
+    if declared is not None and not isinstance(declared, list):
+        raise DiagramFileError('"outputs" must list polarities')
     if declared is not None and tuple(declared) != diagram.outputs():
         raise DiagramFileError(
             f"declared outputs {declared} but the layers produce "
@@ -118,24 +128,34 @@ def _parse_piece(rec, n: int, where: str):
                 raise DiagramFileError(
                     f'{where}: vertex "dir" must be "sink" or "source"')
             j = rec.get("in")
-            if not isinstance(j, int) or not 0 <= j <= n:
+            if not _is_int(j) or not 0 <= j <= n:
                 raise DiagramFileError(
                     f'{where}: vertex "in" must be an integer in 0..{n}')
             cil = rec.get("ciliation")
             if cil is None:
                 cil = canonical_ciliation(n, j)
-            if sorted(cil) != list(range(1, n + 1)):
+            if not _int_list(cil) or sorted(cil) != list(range(1, n + 1)):
                 raise DiagramFileError(
                     f"{where}: ciliation must order slots 1..{n}")
             return NVertex(direction, j, tuple(cil))
         case "perm":
             images = rec.get("images")
-            if not isinstance(images, list) or \
+            if not _int_list(images) or \
                     sorted(images) != list(range(1, len(images) + 1)):
                 raise DiagramFileError(
                     f'{where}: perm "images" must be a bijection on 1..m')
             return Perm(tuple(images))
     raise DiagramFileError(f"{where}: unknown piece kind {kind!r}")
+
+
+def _is_int(x) -> bool:
+    """An integer in the file: JSON's true and false are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(x) -> bool:
+    """A list of integers in the file, or a tuple the parser made."""
+    return isinstance(x, (list, tuple)) and all(_is_int(i) for i in x)
 
 
 def parse_matrix_literal(rows) -> Matrix:

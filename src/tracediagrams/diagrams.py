@@ -28,8 +28,8 @@ authoring format and graphs are only produced from it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 
 VECTOR = "vector"
 COVECTOR = "covector"
@@ -135,52 +135,74 @@ class LayeredDiagram:
         return profile
 
 
-def piece_polarities(piece: Piece, n: int, ins: tuple[str, ...]):
-    """Output polarities for a piece given its input polarities, or an
-    error string."""
-    match piece:
-        case Id() | Mat():
-            return ins
-        case Cross():
-            return (ins[1], ins[0])
-        case Cup():
-            return (COVECTOR, VECTOR)
-        case Cap():
-            if ins not in ((VECTOR, COVECTOR), (COVECTOR, VECTOR)):
-                return f"cap requires one vector and one covector, got {ins}"
-            return ()
-        case NVertex(direction=d, in_count=j):
-            want = VECTOR if d == SINK else COVECTOR
-            if any(p != want for p in ins):
-                return f"{d} vertex requires {want} inputs, got {ins}"
-            produced = COVECTOR if d == SINK else VECTOR
-            return (produced,) * (n - j)
-        case Perm(images=images):
-            out = [None] * len(images)
-            for s, target in enumerate(images):
-                out[target - 1] = ins[s]
-            return tuple(out)
-    raise TypeError(f"unknown piece: {piece!r}")
-
-
-def _check_piece(piece: Piece, n: int) -> list[str]:
+def _vertex_problems(n: int, d: str, j: int, cil) -> list[str]:
+    """What is wrong with a vertex piece's fields, if anything."""
     problems = []
-    match piece:
-        case Mat(name=name):
-            if not name:
-                problems.append("matrix piece with empty name")
-        case NVertex(direction=d, in_count=j, ciliation=cil):
-            if d not in (SINK, SOURCE):
-                problems.append(f"vertex direction must be sink/source: {d}")
-            if not 0 <= j <= n:
-                problems.append(f"vertex in_count {j} out of range 0..{n}")
-            if sorted(cil) != list(range(1, n + 1)):
-                problems.append(
-                    f"ciliation must order slots 1..{n} exactly once: {cil}")
-        case Perm(images=images):
-            if sorted(images) != list(range(1, len(images) + 1)):
-                problems.append(f"perm images not a bijection: {images}")
+    if d not in (SINK, SOURCE):
+        problems.append(f"vertex direction must be sink/source: {d}")
+    if not 0 <= j <= n:
+        problems.append(f"vertex in_count {j} out of range 0..{n}")
+    if sorted(cil) != list(range(1, n + 1)):
+        problems.append(
+            f"ciliation must order slots 1..{n} exactly once: {cil}")
     return problems
+
+
+def piece_step(piece: Piece, n: int, profile, pos: int, check=True):
+    """A piece in a walk over one slice, by one dispatch: (wires consumed,
+    wires produced, output polarities, construction problems), where its
+    inputs are profile[pos:pos + wires consumed].  The polarities are an
+    error string when the inputs do not suit the piece, and None when
+    they are unknowable: fewer wires remain, or a Perm is no bijection.
+    check=False skips the construction checks, for a diagram already
+    validated, and reports no problems."""
+    match piece:
+        case Id():
+            ins = profile[pos:pos + 1]
+            return 1, 1, ins or None, ()
+        case Mat(name=name):
+            ins = profile[pos:pos + 1]
+            if name or not check:
+                return 1, 1, ins or None, ()
+            return 1, 1, ins or None, ("matrix piece with empty name",)
+        case Cross():
+            ins = profile[pos:pos + 2]
+            return 2, 2, (ins[1], ins[0]) if len(ins) == 2 else None, ()
+        case Cup():
+            return 0, 2, (COVECTOR, VECTOR), ()
+        case Cap():
+            ins = tuple(profile[pos:pos + 2])
+            if len(ins) < 2:
+                outs = None
+            elif ins in ((VECTOR, COVECTOR), (COVECTOR, VECTOR)):
+                outs = ()
+            else:
+                outs = f"cap requires one vector and one covector, got {ins}"
+            return 2, 0, outs, ()
+        case NVertex(direction=d, in_count=j, ciliation=cil):
+            problems = _vertex_problems(n, d, j, cil) if check else ()
+            ins = tuple(profile[pos:pos + j])
+            want = VECTOR if d == SINK else COVECTOR
+            if len(ins) < j:
+                outs = None
+            elif ins.count(want) != len(ins):
+                outs = f"{d} vertex requires {want} inputs, got {ins}"
+            else:
+                outs = (COVECTOR if d == SINK else VECTOR,) * (n - j)
+            return j, n - j, outs, problems
+        case Perm(images=images):
+            m = len(images)
+            ins = profile[pos:pos + m]
+            if check and sorted(images) != list(range(1, m + 1)):
+                return m, m, None, (
+                    f"perm images not a bijection: {images}",)
+            if len(ins) < m:
+                return m, m, None, ()
+            outs = [None] * m
+            for s, target in enumerate(images):
+                outs[target - 1] = ins[s]
+            return m, m, outs, ()
+    raise TypeError(f"unknown piece: {piece!r}")
 
 
 def _chain_profile(d: LayeredDiagram):
@@ -194,27 +216,32 @@ def _chain_profile(d: LayeredDiagram):
     if problems:
         return problems
 
+    n = d.n
     profile = list(d.inputs)
     for li, layer in enumerate(d.layers):
-        for piece in layer:
-            for msg in _check_piece(piece, d.n):
-                problems.append(f"layer {li}: {msg}")
-        consumed = sum(piece_arity(p, d.n)[0] for p in layer)
-        if consumed != len(profile):
-            problems.append(
-                f"layer {li}: wire count {len(profile)} vs {consumed}")
-            return problems  # later profiles are unknowable
         new_profile = []
         pos = 0
+        error = None
+        known = True
         for piece in layer:
-            j_in, _ = piece_arity(piece, d.n)
-            ins = tuple(profile[pos:pos + j_in])
+            j_in, _, outs, checks = piece_step(piece, n, profile, pos)
+            for msg in checks:
+                problems.append(f"layer {li}: {msg}")
             pos += j_in
-            outs = piece_polarities(piece, d.n, ins)
-            if isinstance(outs, str):
-                problems.append(f"layer {li}: {outs}")
-                return problems
-            new_profile.extend(outs)
+            if outs is None:
+                known = False
+            elif isinstance(outs, str):
+                error = error or outs
+            else:
+                new_profile.extend(outs)
+        if pos != len(profile):
+            problems.append(f"layer {li}: wire count {len(profile)} vs {pos}")
+            return problems  # later profiles are unknowable
+        if error is not None:
+            problems.append(f"layer {li}: {error}")
+            return problems
+        if not known:
+            return problems
         profile = new_profile
     if problems:
         return problems
@@ -307,22 +334,23 @@ class Diagram:
 def validate_graph(d: Diagram) -> list[str]:
     """Empty list when valid; otherwise every violation found."""
     problems = []
-    incident: dict[int, list[tuple[int, str]]] = {i: [] for i in
-                                                  range(len(d.vertices))}
+    size = len(d.vertices)
+    incident: list[list[tuple[int, str]]] = [[] for _ in range(size)]
     for eid, e in d.edges.items():
-        for end_name, attach in (("tail", e.tail), ("head", e.head)):
+        tail, head = e.tail, e.head
+        for end_name, attach in (("tail", tail), ("head", head)):
             if attach is None:
                 problems.append(f"edge {eid}: dangling {end_name}")
             elif attach[0] == "vertex":
                 vid = attach[1]
-                if not 0 <= vid < len(d.vertices):
+                if not 0 <= vid < size:
                     problems.append(f"edge {eid}: bad vertex id {vid}")
                 else:
                     incident[vid].append((eid, end_name))
             elif attach[0] != "loop":
                 problems.append(f"edge {eid}: bad attachment {attach}")
-        if (e.tail is not None and e.tail[0] == "loop") != \
-                (e.head is not None and e.head[0] == "loop"):
+        if (tail is not None and tail[0] == "loop") != \
+                (head is not None and head[0] == "loop"):
             problems.append(f"edge {eid}: half-closed loop")
 
     in_positions, out_positions = [], []
@@ -363,14 +391,18 @@ def validate_graph(d: Diagram) -> list[str]:
 
 # -- Layered -> graph conversion -----------------------------------------
 
-class _EdgeBuild:
-    __slots__ = ("tail", "head", "labels", "closed")
-
-    def __init__(self):
-        self.tail = None
-        self.head = None
-        self.labels = deque()
-        self.closed = False
+def _remap_edge(old: int, new: int, wires: list, cil_refs: dict,
+                builds: dict):
+    """Point every wire and ciliation reference at edge old to edge new,
+    and drop old, which a cap has merged into new."""
+    for i, (eid, end) in enumerate(wires):
+        if eid == old:
+            wires[i] = (new, end)
+    for _, refs in cil_refs.values():
+        for i, (eid, end) in enumerate(refs):
+            if eid == old:
+                refs[i] = (new, end)
+    del builds[old]
 
 
 def to_graph(d: LayeredDiagram) -> Diagram:
@@ -386,83 +418,74 @@ def to_graph(d: LayeredDiagram) -> Diagram:
 
     n = d.n
     vertices: list = []
-    builds: dict[int, _EdgeBuild] = {}
-    next_eid = 0
-
-    def new_edge() -> int:
-        nonlocal next_eid
-        builds[next_eid] = _EdgeBuild()
-        next_eid += 1
-        return next_eid - 1
+    # the edges as they are built, by id; labels stay a list until the end
+    builds: dict[int, GEdge] = {}
+    ids = count()
 
     # wires: list of (edge id, open end "head"/"tail")
     wires: list[tuple[int, str]] = []
     for pos, polarity in enumerate(d.inputs, start=1):
         vid = len(vertices)
         vertices.append(GInput(pos))
-        eid = new_edge()
+        eid = next(ids)
         if polarity == VECTOR:
-            builds[eid].tail = ("vertex", vid)
+            builds[eid] = GEdge(("vertex", vid), None, [])
             wires.append((eid, "head"))
         else:
-            builds[eid].head = ("vertex", vid)
+            builds[eid] = GEdge(None, ("vertex", vid), [])
             wires.append((eid, "tail"))
 
-    cil_refs: dict[int, list[tuple[int, str]]] = {}   # vid -> ordered refs
-
-    def remap_edge(old: int, new: int):
-        for i, (eid, end) in enumerate(wires):
-            if eid == old:
-                wires[i] = (new, end)
-        for refs in cil_refs.values():
-            for i, (eid, end) in enumerate(refs):
-                if eid == old:
-                    refs[i] = (new, end)
-        del builds[old]
+    # vid -> (direction, ordered refs)
+    cil_refs: dict[int, tuple[str, list[tuple[int, str]]]] = {}
 
     for layer in d.layers:
         pos = 0
         for piece in layer:
-            j_in, _ = piece_arity(piece, n)
-            segment = wires[pos:pos + j_in]
             match piece:
                 case Id():
-                    replacement = segment
+                    pos += 1
+                    continue
                 case Mat(name=name, against_orientation=against):
-                    eid, end = segment[0]
+                    eid, end = wires[pos]
                     if end == "head":
                         builds[eid].labels.append((name, against))
                     else:
-                        builds[eid].labels.appendleft((name, against))
-                    replacement = segment
+                        builds[eid].labels.insert(0, (name, against))
+                    pos += 1
+                    continue
                 case Cross():
-                    replacement = [segment[1], segment[0]]
+                    j_in = 2
+                    replacement = [wires[pos + 1], wires[pos]]
                 case Perm(images=images):
-                    replacement = [None] * len(images)
+                    j_in = len(images)
+                    replacement = [None] * j_in
                     for s, target in enumerate(images):
-                        replacement[target - 1] = segment[s]
+                        replacement[target - 1] = wires[pos + s]
                 case Cup():
-                    eid = new_edge()
+                    j_in = 0
+                    eid = next(ids)
+                    builds[eid] = GEdge(None, None, [])
                     replacement = [(eid, "tail"), (eid, "head")]
                 case Cap():
-                    (le, lend), (re, rend) = segment
+                    j_in = 2
+                    (le, lend), (re, rend) = wires[pos:pos + 2]
                     if lend == "tail":      # (covector, vector) orientation
                         (le, lend), (re, rend) = (re, rend), (le, lend)
                     assert lend == "head" and rend == "tail"
                     if le == re:
                         b = builds[le]
-                        b.closed = True
                         b.tail = b.head = ("loop",)
                     else:
                         bl, br = builds[le], builds[re]
                         bl.labels.extend(br.labels)
                         bl.head = br.head
-                        remap_edge(re, le)
+                        _remap_edge(re, le, wires, cil_refs, builds)
                     replacement = []
                 case NVertex(direction=direction, in_count=j, ciliation=cil):
+                    j_in = j
                     vid = len(vertices)
                     refs = []
-                    for eid, end in segment:
+                    for eid, end in wires[pos:pos + j]:
                         b = builds[eid]
                         if direction == SINK:
                             b.head = ("vertex", vid)
@@ -472,18 +495,18 @@ def to_graph(d: LayeredDiagram) -> Diagram:
                             refs.append((eid, "tail"))
                     replacement = []
                     for _ in range(n - j):
-                        eid = new_edge()
-                        b = builds[eid]
+                        eid = next(ids)
                         if direction == SINK:
-                            b.head = ("vertex", vid)
+                            builds[eid] = GEdge(None, ("vertex", vid), [])
                             replacement.append((eid, "tail"))
                             refs.append((eid, "head"))
                         else:
-                            b.tail = ("vertex", vid)
+                            builds[eid] = GEdge(("vertex", vid), None, [])
                             replacement.append((eid, "head"))
                             refs.append((eid, "tail"))
-                    cil_refs[vid] = [refs[slot - 1] for slot in cil]
-                    vertices.append(GNode(direction, ()))  # filled below
+                    cil_refs[vid] = direction, [refs[slot - 1]
+                                                for slot in cil]
+                    vertices.append(None)   # the GNode, once refs are final
                 case _:
                     raise TypeError(f"unknown piece: {piece!r}")
             wires[pos:pos + j_in] = replacement
@@ -499,12 +522,12 @@ def to_graph(d: LayeredDiagram) -> Diagram:
             b.tail = ("vertex", vid)
 
     # ciliations are final now that all cap merges have remapped edge ids
-    for vid, refs in cil_refs.items():
-        vertices[vid] = GNode(vertices[vid].direction, tuple(refs))
+    for vid, (direction, refs) in cil_refs.items():
+        vertices[vid] = GNode(direction, tuple(refs))
 
-    edges = {eid: GEdge(b.tail, b.head, tuple(b.labels))
-             for eid, b in builds.items()}
-    graph = Diagram(n, vertices, edges)
+    for b in builds.values():
+        b.labels = tuple(b.labels)
+    graph = Diagram(n, vertices, builds)
     problems = validate_graph(graph)
     if problems:
         raise AssertionError(

@@ -32,8 +32,7 @@ from operator import mul
 from . import kernels
 from .diagrams import (COVECTOR, Cap, Cross, Cup, Diagram, GInput, GNode,
                        GOutput, Id, LayeredDiagram, Mat, NVertex, Perm,
-                       piece_arity, piece_polarities, to_graph,
-                       validate_graph, validate_layered)
+                       piece_step, to_graph, validate_graph, validate_layered)
 from .linalg import Rat, levi_civita
 from .tensor import Tensor
 
@@ -83,8 +82,9 @@ def check_bindings(names, n: int, bindings: Bindings):
 # block index, nonzero coefficient) it maps that block to, and _apply
 # multiplies it into the state.
 
-# (n, piece) -> table or shift tables, for every piece but Mat: a Mat table
-# is read off the matrix bound to its name, so it is built on each use
+# (n, the piece's table fields) -> table or shift tables, for every piece
+# but Id and Mat: a Mat table is read off the matrix bound to its name, so
+# it is built on each use
 _piece_table_cache: dict[tuple, dict | tuple] = {}
 
 
@@ -123,7 +123,17 @@ def _perm_shifts(n: int, images) -> tuple[list, list]:
 
 
 def _piece_table(piece, n: int) -> dict | tuple:
-    key = (n, piece)
+    """The table, or for Cross and Perm the shift tables, of a piece other
+    than Id and Mat, cached by n and the fields the table depends on."""
+    kind = type(piece)
+    if kind is NVertex:
+        key = (n, piece.in_count, piece.ciliation)
+    elif kind is Perm:
+        key = (n, piece.images)
+    elif kind is Cross:
+        key = (n, (2, 1))
+    else:
+        key = (n, kind)
     table = _piece_table_cache.get(key)
     if table is None:
         match piece:
@@ -177,6 +187,8 @@ def _apply(state: dict, n: int, arity: int, offset: int, j_in: int,
             for ob, c in row:
                 k = base + ob * low_size
                 out[k] = get(k, 0) + val * c
+    if len(out) == terms:       # each product has a key of its own
+        return out, terms
     return {k: v for k, v in out.items() if v}, terms
 
 
@@ -222,21 +234,27 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
         offset = 0           # position in the partially rebuilt profile
         new_polarities = []
         for piece in layer:
-            j_in, j_out = piece_arity(piece, n)
-            ins_pol = tuple(polarities[pos_old:pos_old + j_in])
-            if isinstance(piece, (Cross, Perm)):
+            kind = type(piece)
+            if kind is Id:
+                new_polarities.append(polarities[pos_old])
+                pos_old += 1
+                offset += 1
+                continue
+            j_in, j_out, outs, _ = piece_step(piece, n, polarities, pos_old,
+                                              check=False)
+            if kind is Cross or kind is Perm:
                 state = _relabel(state, n, arity, offset, j_in,
                                  _piece_table(piece, n))
-            elif not isinstance(piece, Id):
-                if isinstance(piece, Mat):
-                    table = _mat_table(piece, ins_pol[0], bindings)
+            else:
+                if kind is Mat:
+                    table = _mat_table(piece, polarities[pos_old], bindings)
                 else:
                     table = _piece_table(piece, n)
                 state, t = _apply(state, n, arity, offset, j_in, j_out,
                                   table)
                 terms += t
                 arity += j_out - j_in
-            new_polarities.extend(piece_polarities(piece, n, ins_pol))
+            new_polarities.extend(outs)
             pos_old += j_in
             offset += j_out
         polarities = new_polarities
@@ -251,10 +269,12 @@ def _int_label(rows, transposed) -> tuple[list, int]:
     """A bound matrix's rows, transposed if the label says so, as flat
     row-major integers over the lcm of their denominators."""
     if transposed:
-        rows = list(zip(*rows))
-    denom = lcm(*(x.denominator for row in rows for x in row))
-    return [x.numerator * (denom // x.denominator)
-            for row in rows for x in row], denom
+        rows = zip(*rows)
+    flat = [x for row in rows for x in row]
+    denom = lcm(*[x.denominator for x in flat])
+    if denom == 1:
+        return [x.numerator for x in flat], 1
+    return [x.numerator * (denom // x.denominator) for x in flat], denom
 
 
 def _int_matmul(b: list, a: list, n: int) -> list:
@@ -308,70 +328,72 @@ def eval_contraction(d: Diagram, bindings: Bindings,
     check_bindings(d.matrix_names(), d.n, bindings)
 
     n = d.n
-    out_count = d.output_count()
-    in_count = d.input_count()
-
     # boundary variables: outputs by position, then inputs by position
-    boundary_var: dict[int, int] = {}
+    outputs: dict[int, int] = {}
+    inputs: dict[int, int] = {}
+    nodes = []
     for vid, v in enumerate(d.vertices):
-        if isinstance(v, GOutput):
-            boundary_var[vid] = v.position - 1
-        elif isinstance(v, GInput):
-            boundary_var[vid] = out_count + v.position - 1
+        kind = type(v)
+        if kind is GOutput:
+            outputs[vid] = v.position - 1
+        elif kind is GInput:
+            inputs[vid] = v.position - 1
+        elif kind is GNode:
+            nodes.append(v)
+    out_count = len(outputs)
+    in_count = len(inputs)
+    boundary_var = outputs
+    for vid, pos in inputs.items():
+        boundary_var[vid] = out_count + pos
     nvars = out_count + in_count
 
-    end_var: dict[tuple[int, str], int] = {}
-    for eid, e in d.edges.items():
-        for end_name, attach in (("tail", e.tail), ("head", e.head)):
-            if attach is not None and attach[0] == "vertex" and \
-                    attach[1] in boundary_var:
-                end_var[(eid, end_name)] = boundary_var[attach[1]]
-
+    # the variable at each end of each edge, by edge id
+    end_var: dict[str, dict[int, int]] = {"tail": {}, "head": {}}
+    tail_var, head_var = end_var["tail"], end_var["head"]
     eps_factors: list[tuple[int, ...]] = []
     delta_factors: list[tuple[int, int]] = []
     mat_factors: list[tuple[int, int, list]] = []
     chains: dict = {}       # _edge_factor's memo, for this call only
     divisor = 1
 
-    def fresh() -> int:
-        nonlocal nvars
-        nvars += 1
-        return nvars - 1
-
     for eid, e in d.edges.items():
-        is_loop = e.tail is not None and e.tail[0] == "loop"
-        if is_loop:
-            v = fresh()
+        tail, head = e.tail, e.head
+        if tail[0] == "loop":
+            v = nvars
+            nvars += 1
             if e.labels:
                 flat, denom = _edge_factor(e.labels, bindings, n, chains)
                 mat_factors.append((v, v, flat))
                 divisor *= denom
             # unlabeled loop: a free variable contributes the factor n
             continue
-        tv = end_var.get((eid, "tail"))
-        hv = end_var.get((eid, "head"))
+        tv = boundary_var.get(tail[1])
+        hv = boundary_var.get(head[1])
         if e.labels:
             if tv is None:
-                tv = end_var[(eid, "tail")] = fresh()
+                tv = nvars
+                nvars += 1
             if hv is None:
-                hv = end_var[(eid, "head")] = fresh()
+                hv = nvars
+                nvars += 1
             flat, denom = _edge_factor(e.labels, bindings, n, chains)
             mat_factors.append((hv, tv, flat))
             divisor *= denom
-        else:
-            if tv is None and hv is None:
-                tv = hv = fresh()
-                end_var[(eid, "tail")] = end_var[(eid, "head")] = tv
-            elif tv is None:
-                end_var[(eid, "tail")] = tv = hv
-            elif hv is None:
-                end_var[(eid, "head")] = hv = tv
-            elif tv != hv:
-                delta_factors.append((tv, hv))
+        elif tv is None:
+            if hv is None:
+                hv = nvars
+                nvars += 1
+            tv = hv
+        elif hv is None:
+            hv = tv
+        elif tv != hv:
+            delta_factors.append((tv, hv))
+        tail_var[eid] = tv
+        head_var[eid] = hv
 
-    for v in d.vertices:
-        if isinstance(v, GNode):
-            eps_factors.append(tuple(end_var[ref] for ref in v.ciliation))
+    for v in nodes:
+        eps_factors.append(tuple([end_var[end][eid]
+                                  for eid, end in v.ciliation]))
 
     if probe is None:
         out_vars = list(range(out_count + in_count))
@@ -388,8 +410,7 @@ def eval_contraction(d: Diagram, bindings: Bindings,
         n, nvars, out_vars, fixed, eps_factors, delta_factors, mat_factors)
 
     if divisor != 1:
-        nonzeros = {i: _tidy(Fraction(v, divisor))
-                    for i, v in nonzeros.items()}
+        nonzeros = {i: _divided(v, divisor) for i, v in nonzeros.items()}
     if probe is None:
         tensor = Tensor._owning(n, out_count, in_count, nonzeros)
     else:
@@ -397,8 +418,10 @@ def eval_contraction(d: Diagram, bindings: Bindings,
     return EvalResult(tensor, terms, time.perf_counter() - start)
 
 
-def _tidy(x: Fraction) -> Rat:
-    return int(x) if x.denominator == 1 else x
+def _divided(v: int, divisor: int) -> Rat:
+    """v / divisor, as an int when it divides exactly."""
+    q, r = divmod(v, divisor)
+    return Fraction(v, divisor) if r else q
 
 
 # -- Cross-check and comparison utilities ----------------------------------

@@ -23,12 +23,18 @@ integer of its variables' digits, first variable most significant, to a
 nonzero value; ε factors read theirs from a table per (n, arity) of the
 n!/(n-m)! keys of distinct digits.  A join reads the shared-variable
 digits and the kept digits of each key as sums of table lookups, one per
-run of digits (`_digit_tables`); runs are cut so that no table exceeds
-max(the factor's nonzero count, n^3) entries.  The factors left after
-elimination are multiplied in keyed by the result's flat index, so one
-that shares no variable with the running product adds its flat offsets
-to the product's, and the result is the dict of its nonzeros by flat
-index.
+run of digits (`_runs`); runs are cut so that no table exceeds max(the
+factor's nonzero count, n^3) entries.  The factors left after elimination
+are multiplied in keyed by the result's flat index, so one that shares no
+variable with the running product adds its flat offsets to the product's,
+and the result is the dict of its nonzeros by flat index.
+
+The tables are planned once per shape, not once per call: `_plan_cache`
+maps a join's shape (n, the positions of its variables relabelled by
+first occurrence, the dropped positions and the two run lengths) to its
+readers, a step of the final product's shape to its readers, and the
+weights of a lone reading to its runs.  A join or a step makes one
+lookup, and a network renumbered or rebound reuses every plan.
 
 term counts returned by the kernels are the number of multiply-accumulate
 operations actually performed (zero factors prune eagerly).
@@ -139,54 +145,67 @@ def _sign_table(n, m):
     return table
 
 
-# (n, weights, run length) -> _digit_tables' runs, or None
-_digit_table_cache: dict[tuple[int, tuple, int], list[tuple] | None] = {}
+# Shape -> plan, so that each shape is planned once per process:
+#   (n, weights, run length)             -> _digit_sums' runs (_runs);
+#   a join's shape (see _join)           -> its readers and kept positions;
+#   a final product step (see _step)     -> its readers.
+# No key holds a variable id or a value, so a network with its variables
+# renumbered, or bound to other matrices, reuses every plan.
+_plan_cache: dict[tuple, tuple | list | None] = {}
 
 
-def _digit_tables(n, weights, size):
-    """Lookup tables for the map from a key of p = len(weights) base-n
-    digits, digit 0 most significant, to the sum of digit i times
-    weights[i].  The digits are split into as few runs as keep every
-    run's table within max(size, n^3) entries, the runs as even as
-    possible, so a factor of `size` nonzeros never builds a table much
-    larger than itself.  Returns (div, mod, table) per run that has a
-    nonzero weight, where the key's sum is that of table[key // div %
-    mod] (mod is None for the most significant run), or None when the
-    weights are the key's own place values."""
-    p = len(weights)
+def _run_length(n, p, size):
+    """Digits per run of the tables for a p-digit key of a factor of size
+    nonzeros: the most that keep every run's table within max(size, n^3)
+    entries."""
+    if p <= 3:
+        return p
     bound = max(size, n ** 3)
     g = p
     while n ** g > bound:
         g -= 1
-    key = (n, tuple(weights), g)
-    if key in _digit_table_cache:
-        return _digit_table_cache[key]
-    tables = None
-    if weights != [n ** (p - 1 - i) for i in range(p)]:
-        tables = []
-        runs = -(-p // g)
-        stop = p
-        for r in range(runs):               # least significant run first
-            start = stop - p // runs - (r < p % runs)
-            if any(weights[start:stop]):
-                table = [0]
-                for w in weights[start:stop]:
-                    table = [t + d * w for t in table for d in range(n)]
-                tables.append((n ** (p - stop),
-                               n ** (stop - start) if start else None, table))
-            stop = start
-    _digit_table_cache[key] = tables
+    return g
+
+
+def _runs(n, weights, g):
+    """Lookup tables for the map from a key of p = len(weights) base-n
+    digits, digit 0 most significant, to the sum of digit i times
+    weights[i], in runs of at most g digits, as even as possible.  Returns
+    (div, mod, table) per run that has a nonzero weight, where the key's
+    sum is that of table[key // div % mod] (mod is None for the most
+    significant run), or None when the weights are the key's own place
+    values."""
+    p = len(weights)
+    if list(weights) == [n ** (p - 1 - i) for i in range(p)]:
+        return None
+    tables = []
+    runs = -(-p // g)
+    stop = p
+    for r in range(runs):                   # least significant run first
+        start = stop - p // runs - (r < p % runs)
+        if any(weights[start:stop]):
+            table = [0]
+            for w in weights[start:stop]:
+                table = [t + d * w for t in table for d in range(n)]
+            tables.append((n ** (p - stop),
+                           n ** (stop - start) if start else None, table))
+        stop = start
     return tables
 
 
-def _digit_sums(keys, n, weights):
-    """[sum of digit i times weights[i] over the digits of key] for each
-    key in keys, by the lookups of _digit_tables."""
-    if not any(weights):
-        return [0] * len(keys)
-    tables = _digit_tables(n, weights, len(keys))
+def _digit_tables(n, weights, size):
+    """_runs for a factor of `size` nonzeros, so that it never builds a
+    table much larger than itself."""
+    return _runs(n, weights, _run_length(n, len(weights), size))
+
+
+def _read(keys, tables):
+    """[the digit sum of each key in keys] by the runs of _runs: the keys
+    themselves for None, and zeros when no run is left."""
     if tables is None:
         return list(keys)
+    if len(tables) == 1 and tables[0][0] == 1 and tables[0][1] is None:
+        return list(map(tables[0][2].__getitem__, keys))   # one whole run
     sums = None
     for div, mod, table in tables:
         if mod is None:
@@ -195,7 +214,17 @@ def _digit_sums(keys, n, weights):
         else:
             sums = [table[k // div % mod] for k in keys] if sums is None \
                 else [s + table[k // div % mod] for s, k in zip(sums, keys)]
-    return sums
+    return [0] * len(keys) if sums is None else sums
+
+
+def _digit_sums(keys, n, weights):
+    """[sum of digit i times weights[i] over the digits of key] for each
+    key in keys, by the runs the plan cache holds for the weights."""
+    key = (n, tuple(weights), _run_length(n, len(weights), len(keys)))
+    tables = _plan_cache.get(key, False)
+    if tables is False:
+        tables = _plan_cache[key] = _runs(n, weights, key[2])
+    return _read(keys, tables)
 
 
 def _place(n, scope, chosen, scale=1):
@@ -207,60 +236,124 @@ def _place(n, scope, chosen, scale=1):
             for v in scope]
 
 
-def _pairs(n, a, a_match, a_out, b, b_match, b_out, summing):
-    """The products of a's and b's nonzeros whose keys agree under the
-    weights a_match and b_match, each keyed by the sum of its a_out and
-    b_out sums.  Unless summing, every pair lands on its own key, so no
-    entry can cancel; else the products on one key are added and zeros
-    dropped.  Returns the table and the number of products formed."""
-    b_codes = _digit_sums(b, n, b_out)
-    if any(b_match):
+def _pairs(a, a_out, b, b_out, match, summing):
+    """The products of a's and b's nonzeros, each keyed by the sum of its
+    a_out and b_out readings.  match is None to pair every entry of a with
+    every entry of b, or the (a, b) readers whose readings must agree.
+    Unless summing, every pair lands on its own key, so no entry can
+    cancel and the products formed are the result's entries; else the
+    products on one key are added and zeros dropped.  Returns the table
+    and the number of products formed."""
+    b_codes = _read(b, b_out)
+    if match is None:
+        rows = {0: list(zip(b_codes, b.values()))}
+        matches = repeat(0)
+    else:
+        a_match, b_match = match
         rows = {}
-        for m, code, bv in zip(_digit_sums(b, n, b_match), b_codes,
-                               b.values()):
+        for m, code, bv in zip(_read(b, b_match), b_codes, b.values()):
             row = rows.get(m)
             if row is None:
                 rows[m] = [(code, bv)]
             else:
                 row.append((code, bv))
-        matches = _digit_sums(a, n, a_match)
-    else:
-        rows = {0: list(zip(b_codes, b.values()))}
-        matches = repeat(0)
+        matches = _read(a, a_match)
+    if not summing:
+        out = {head + code: av * bv
+               for m, head, av in zip(matches, _read(a, a_out), a.values())
+               for code, bv in rows.get(m, ())}
+        return out, len(out)
     out = {}
     get = out.get
     terms = 0
-    for m, head, av in zip(matches, _digit_sums(a, n, a_out), a.values()):
+    for m, head, av in zip(matches, _read(a, a_out), a.values()):
         row = rows.get(m)
         if row:
             terms += len(row)
-            if summing:
-                for code, bv in row:
-                    k = head + code
-                    out[k] = get(k, 0) + av * bv
-            else:
-                for code, bv in row:
-                    out[head + code] = av * bv
-    if summing:
-        out = {k: v for k, v in out.items() if v}
-    return out, terms
+            for code, bv in row:
+                k = head + code
+                out[k] = get(k, 0) + av * bv
+    if len(out) == terms:       # each product has a key of its own
+        return out, terms
+    return {k: v for k, v in out.items() if v}, terms
+
+
+def _join_plan(n, p, b_at, dropped, a_run, b_run):
+    """The plan of a join of the shape _join keys it by: the match readers
+    (None when no variable is shared), a's and b's out readers, and the
+    positions in a's scope + b's scope of the variables kept, a's first."""
+    b_vars = []
+    fresh = p
+    for i in b_at:
+        b_vars.append(fresh if i < 0 else i)
+        fresh += i < 0
+    a_vars = list(range(p))
+    shared = [v for v in a_vars if v in b_vars]
+    keep = [i for i in a_vars if not dropped[i]]
+    b_keep = [p + j for j, v in enumerate(b_vars)
+              if v >= p and not dropped[p + j]]
+    match = None
+    if shared:
+        match = (_runs(n, _place(n, a_vars, shared), a_run),
+                 _runs(n, _place(n, b_vars, shared), b_run))
+    a_out = _runs(n, _place(n, a_vars, keep, n ** len(b_keep)), a_run)
+    b_out = _runs(n, _place(n, b_vars, [b_vars[i - p] for i in b_keep]),
+                  b_run)
+    return match, a_out, b_out, keep + b_keep, any(dropped)
 
 
 def _join(n, a, b, drop):
     """Product of factors a and b with the variables in drop summed out.
     b is the one indexed by the shared variables, so pass the smaller as b.
-    Returns the factor, zeros dropped, and the number of products formed."""
+    Returns the factor, zeros dropped, and the number of products formed.
+
+    The plan is looked up once by the join's shape: n, a's variable count,
+    the position in a of each of b's variables (-1 if none), which of a's
+    then b's variables are dropped, and the run length of each side."""
     a_scope, a_table = a
     b_scope, b_table = b
-    shared = [v for v in a_scope if v in b_scope]
-    a_keep = [v for v in a_scope if v not in drop]
-    b_keep = [v for v in b_scope if v not in drop and v not in a_scope]
-    table, terms = _pairs(
-        n, a_table, _place(n, a_scope, shared),
-        _place(n, a_scope, a_keep, n ** len(b_keep)),
-        b_table, _place(n, b_scope, shared), _place(n, b_scope, b_keep),
-        bool(drop))
-    return (tuple(a_keep + b_keep), table), terms
+    both = a_scope + b_scope
+    shape = (n, len(a_scope),
+             tuple([a_scope.index(v) if v in a_scope else -1
+                    for v in b_scope]),
+             tuple([v in drop for v in both]),
+             _run_length(n, len(a_scope), len(a_table)),
+             _run_length(n, len(b_scope), len(b_table)))
+    plan = _plan_cache.get(shape)
+    if plan is None:
+        plan = _plan_cache[shape] = _join_plan(*shape)
+    match, a_out, b_out, keep, summing = plan
+    table, terms = _pairs(a_table, a_out, b_table, b_out, match, summing)
+    return (tuple([both[i] for i in keep]), table), terms
+
+
+def _step_plan(n, width, code, f_run, t_run):
+    """The plan of a final product step of the shape _step keys it by:
+    the match readers (None when no variable is held) and the factor's
+    out reader.  The product's own keys are its out readings."""
+    held = [i for i, c in enumerate(code) if c < 0]
+    match = None
+    if held:
+        top = len(held) - 1
+        at = {-1 - code[i]: n ** (top - k) for k, i in enumerate(held)}
+        match = (_runs(n, _place(n, range(len(code)), held), f_run),
+                 _runs(n, [at.get(i, 0) for i in range(width)], t_run))
+    return match, _runs(n, [max(c, 0) for c in code], f_run)
+
+
+def _step(n, width, f, table, code):
+    """Multiply the factor f into the running product `table`, keyed by
+    the result's flat index less its base over width digits.  code gives
+    each of f's variables as -1 - the place the product reads its digit
+    at, when the product holds it, else as its weight in the flat index.
+    Returns the new product and the number of products formed."""
+    shape = (n, width, code, _run_length(n, len(code), len(f)),
+             _run_length(n, width, len(table)))
+    plan = _plan_cache.get(shape)
+    if plan is None:
+        plan = _plan_cache[shape] = _step_plan(*shape)
+    match, f_out = plan
+    return _pairs(f, f_out, table, None, match, False)
 
 
 _UNIT = ((), {0: 1})
@@ -293,12 +386,13 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
     join where it appears; a join that sums nothing out forms each key
     once, so only the others add and drop zeros.  A join reads each key's
     shared-variable digits and its kept digits with a lookup per run of
-    digits (`_digit_tables`).  A summed variable that no factor mentions
-    contributes a factor n.  The factors left, all over output variables,
-    are multiplied in, smallest first, keyed by the result's flat index
-    from the start: a factor sharing no variable with the running product
-    adds its flat offsets to the product's.  An output variable they do
-    not mention is broadcast over its n digits.
+    digits, from the plan `_plan_cache` holds for the join's shape.  A
+    summed variable that no factor mentions contributes a factor n.  The
+    factors left, all over output variables, are multiplied in, smallest
+    first, keyed by the result's flat index from the start (`_step`,
+    planned by shape as a join is): a factor sharing no variable with the
+    running product adds its flat offsets to the product's.  An output
+    variable they do not mention is broadcast over its n digits.
 
     terms counts the multiply-adds performed: one per product formed in a
     join (a variable summed out of a lone factor is a join with the unit
@@ -351,15 +445,18 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
     elim = mentioned - outs
     terms = 0
     while elim:
-        best = None
-        for v in elim:
-            near = set()
+        if len(elim) == 1:
+            v, = elim
+        else:
+            near = {}
             for scope, _ in factors:
-                if v in scope:
-                    near.update(scope)
-            if best is None or (len(near), v) < best:
-                best = len(near), v
-        v = best[1]
+                for u in scope:
+                    if u in elim:
+                        if u in near:
+                            near[u].update(scope)
+                        else:
+                            near[u] = set(scope)
+            v = min(elim, key=lambda u: (len(near[u]), u))
         bucket = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
         if len(bucket) == 1:
@@ -391,33 +488,30 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
     # the result's flat index is base + the sum of digit(v) * weight[v];
     # out_vars may repeat a variable, so its weight sums its place values
     width = len(out_vars)
-    strides = [n ** (width - 1 - i) for i in range(width)]
     weight = dict.fromkeys(outs, 0)
     place = {}
     base = 0
-    for i, v in enumerate(out_vars):
+    stride = 1
+    for i in range(width - 1, -1, -1):
+        v = out_vars[i]
         if v in pinned:
-            base += pinned[v] * strides[i]
+            base += pinned[v] * stride
         else:
-            weight[v] += strides[i]
-            place[v] = i
+            weight[v] += stride
+            place.setdefault(v, i)
+        stride *= n
     factors.sort(key=lambda f: len(f[1]))
     scope, f = factors[0] if factors else _UNIT
     table = dict(zip(_digit_sums(f, n, [weight[v] for v in scope]),
                      f.values()))
-    held = list(scope)
+    held = set(scope)
     for scope, f in factors[1:]:
         # the running product's keys are flat indices less base, so a
         # variable's digit is read at one place it holds in out_vars
-        shared = [v for v in scope if v in held]
-        at = {place[v]: n ** (len(shared) - 1 - i)
-              for i, v in enumerate(shared)}
-        table, t = _pairs(
-            n, f, _place(n, scope, shared),
-            [0 if v in held else weight[v] for v in scope],
-            table, [at.get(i, 0) for i in range(width)], strides, False)
+        table, t = _step(n, width, f, table, tuple(
+            [-1 - place[v] if v in held else weight[v] for v in scope]))
         terms += t
-        held += [v for v in scope if v not in held]
+        held.update(scope)
 
     spread = [base]
     for v, w in weight.items():

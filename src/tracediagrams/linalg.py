@@ -59,12 +59,6 @@ class Permutation:
         return cls(range(1, m + 1))
 
     @classmethod
-    def transposition(cls, m: int, i: int, j: int) -> "Permutation":
-        images = list(range(1, m + 1))
-        images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
-        return cls(images)
-
-    @classmethod
     def reversal(cls, m: int) -> "Permutation":
         return cls(range(m, 0, -1))
 

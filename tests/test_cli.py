@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,42 @@ def test_parse_declared_outputs_checked():
     doc = dict(TRACE_DOC, outputs=["vector"])
     with pytest.raises(DiagramFileError, match="declared outputs"):
         parse_diagram_file(json.dumps(doc))
+
+
+def _vertex_doc(**vertex):
+    """A sink vertex on two vector inputs at n = 2, with fields replaced."""
+    rec = dict({"kind": "vertex", "dir": "sink", "in": 2}, **vertex)
+    return {"n": 2, "inputs": ["vector", "vector"],
+            "layers": [{"pieces": [rec]}]}
+
+
+def _perm_doc(images):
+    return {"n": 2, "inputs": ["vector", "vector"],
+            "layers": [{"pieces": [{"kind": "perm", "images": images}]}]}
+
+
+@pytest.mark.parametrize("doc, where", [
+    (dict(TRACE_DOC, matrices=[]), '"matrices"'),
+    (dict(TRACE_DOC, layers=5), '"layers"'),
+    (dict(TRACE_DOC, layers=[{"pieces": 5}]), "layers[0]"),
+    (_vertex_doc(ciliation=5), "layers[0].pieces[0]"),
+    (_vertex_doc(ciliation=[1, "2"]), "layers[0].pieces[0]"),
+    (_vertex_doc(ciliation=[True, 2]), "layers[0].pieces[0]"),
+    (_vertex_doc(**{"in": True}), "layers[0].pieces[0]"),
+    (_perm_doc([2, "1"]), "layers[0].pieces[0]"),
+    (_perm_doc([2, True]), "layers[0].pieces[0]"),
+    (dict(TRACE_DOC, outputs=5), '"outputs"'),
+    (dict(TRACE_DOC, n=True), '"n"'),
+])
+def test_hostile_diagram_file_gets_located_error(tmp_path, capsys, doc, where):
+    """Malformed fields are refused with a message naming them: exit 2 (a
+    diagram file error), one error line, no traceback."""
+    with pytest.raises(DiagramFileError, match=re.escape(where)):
+        parse_diagram_file(json.dumps(doc))
+    assert main(["eval", write(tmp_path, "bad.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_matrix_literal_rationals():

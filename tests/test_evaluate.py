@@ -521,12 +521,34 @@ def test_layered_path_calls_no_contraction_kernel(monkeypatch):
     def forbidden(*args):
         raise AssertionError("layered path called a contraction kernel")
 
-    for name in ("epsilon_network", "_join", "_pairs", "_place",
-                 "_digit_sums", "_digit_tables", "_sign_table"):
+    for name in ("epsilon_network", "_join", "_join_plan", "_step",
+                 "_step_plan", "_pairs", "_place", "_read", "_runs",
+                 "_run_length", "_digit_sums", "_digit_tables",
+                 "_sign_table"):
         monkeypatch.setattr(kernels, name, forbidden)
-    for name in ("_edge_factor", "_int_label", "_int_matmul"):
+    for name in ("_edge_factor", "_int_label", "_int_matmul", "_divided"):
         monkeypatch.setattr(evaluate_module, name, forbidden)
     assert [eval_layered(d, b).tensor for d, b in cases] == want
+
+
+def test_fuzz_corpus_work_is_pinned():
+    """A fixed fuzz corpus costs each evaluator a fixed number of terms and
+    yields a fixed number of nonzeros, so a faster path cannot quietly do
+    different work.  The constants are those of the parent commit of the
+    per-call overhead cuts (019a4aa)."""
+    rng = random.Random(12)
+    layered_terms = contraction_terms = nonzeros = 0
+    for _ in range(300):
+        d = random_layered_diagram(rng.choice((2, 3)), rng, max_width=3)
+        bindings = random_bindings(d, rng)
+        layered = eval_layered(d, bindings)
+        contraction = eval_contraction(to_graph(d), bindings)
+        assert layered.tensor == contraction.tensor
+        layered_terms += layered.term_count
+        contraction_terms += contraction.term_count
+        nonzeros += len(layered.tensor.nonzeros)
+    assert (layered_terms, contraction_terms, nonzeros) == \
+        (27144, 15521, 6468)
 
 
 def _random_rational_matrix(n, rng):

@@ -281,6 +281,36 @@ def test_epsilon_network_det_circle_terms(n):
     assert terms == want_terms
 
 
+def _open_circle(n, ids, rows):
+    """The det circle at n with variables 0 and n left as outputs, every
+    variable v renamed ids[v]; variable 2n is a free extra one."""
+    flat_a = [x for row in rows for x in row]
+    return kernels.epsilon_network(
+        n, 2 * n + 1, [ids[0], ids[n]], [],
+        [tuple(ids[v] for v in range(n)),
+         tuple(ids[v] for v in range(n, 2 * n))],
+        [], [(ids[n + i], ids[i], flat_a) for i in range(1, n)])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_renumbered_or_rebound_network_adds_no_plan(n):
+    """Plans are keyed by shape alone: the same network with its variables
+    renumbered (in the same relative order, so the elimination is the
+    same) or bound to other nonzero entries reuses every plan."""
+    rng = random.Random(n)
+    rows = [[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n)]
+            for _ in range(n)]
+    shifted = [v + 1 for v in range(2 * n)] + [0]
+    kernels._plan_cache.clear()
+    want = _open_circle(n, list(range(2 * n + 1)), rows)
+    plans = dict(kernels._plan_cache)
+    assert any(len(key) == 6 for key in plans)      # a join's plan
+    assert _open_circle(n, shifted, rows) == want
+    other = [[-x for x in row] for row in rows]
+    assert _open_circle(n, shifted, other)[1] == want[1]
+    assert kernels._plan_cache.keys() == plans.keys()
+
+
 def test_digit_sums_read_every_digit_from_bounded_tables():
     rng = random.Random(14)
     for n in (1, 2, 3, 5):

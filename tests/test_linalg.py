@@ -40,7 +40,7 @@ def test_rat_format_round_trip():
 
 def test_perm_sign_examples():
     assert Permutation.identity(3).sign == 1
-    assert Permutation.transposition(2, 1, 2).sign == -1
+    assert Permutation((2, 1)).sign == -1
     # full reversal on 4 elements: brute-force count gives 6 inversions
     reversal = Permutation.reversal(4)
     assert brute_inversions(reversal.images) == 6
