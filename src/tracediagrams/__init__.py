@@ -12,13 +12,12 @@ from .diagrams import (COVECTOR, SINK, SOURCE, VECTOR, Cap, Cross, Cup,
                        juxtapose_horizontal, to_graph, validate_graph,
                        validate_layered)
 from .evaluate import (Bindings, CrossCheckMismatch, EvalResult,
-                       Proportionality, eval_checked, eval_contraction,
-                       eval_layered, tensors_proportional)
+                       eval_checked, eval_contraction, eval_layered)
 from .linalg import (Matrix, Permutation, Polynomial, Rat, adjugate_oracle,
                      charpoly_oracle, det_oracle, format_rat,
                      lagrange_interpolate, levi_civita, rat, reversal_sign,
                      solve_oracle)
-from .tensor import Tensor, tensor_contract
+from .tensor import Tensor
 
 __version__ = "0.1.0"
 
@@ -28,12 +27,11 @@ KERNEL_BACKEND = "pure"
 __all__ = [
     "Bindings", "COVECTOR", "Cap", "Cross", "CrossCheckMismatch", "Cup",
     "Diagram", "EvalResult", "Id", "KERNEL_BACKEND", "LayeredDiagram", "Mat",
-    "Matrix", "NVertex", "Perm", "Permutation", "Polynomial",
-    "Proportionality", "Rat", "SINK", "SOURCE", "Tensor", "VECTOR",
+    "Matrix", "NVertex", "Perm", "Permutation", "Polynomial", "Rat",
+    "SINK", "SOURCE", "Tensor", "VECTOR",
     "adjugate_oracle", "canonical_ciliation", "charpoly_oracle",
     "compose_vertical", "det_oracle", "eval_checked", "eval_contraction",
     "eval_layered", "format_rat", "juxtapose_horizontal",
     "lagrange_interpolate", "levi_civita", "rat", "reversal_sign",
-    "solve_oracle", "tensor_contract", "tensors_proportional", "to_graph",
-    "validate_graph", "validate_layered",
+    "solve_oracle", "to_graph", "validate_graph", "validate_layered",
 ]

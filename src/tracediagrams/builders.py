@@ -215,48 +215,28 @@ def adjugate_value(n: int, matrix: Matrix) -> Matrix:
 
 
 @dataclass(frozen=True)
-class CramerCheck:
-    """The column-substituted determinant diagram for Cramer's rule.
-
-    Bind `name` to A_j (A with column j replaced by b); the diagram entry at
-    probe (out j, in j) equals (-1)^floor(n/2) * (n-1)! * det(A_j)."""
-    diagram: LayeredDiagram
-    name: str
-    j: int
-    scale: Fraction
-
-    @property
-    def probe(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (self.j,), (self.j,)
-
-
-def cramer_diagram(n: int, name: str, j: int) -> CramerCheck:
-    if not 1 <= j <= n:
-        raise ValueError(f"j must be in 1..{n}, got {j}")
-    below = LayeredDiagram(n, (VECTOR,), [(Mat(name),)])
-    diagram = compose_vertical(adjugate_diagram(n, name), below)
-    return CramerCheck(diagram, name, j,
-                       Fraction(reversal_sign(n), factorial(n - 1)))
-
-
-@dataclass(frozen=True)
 class CramerSolution:
     xs: tuple[Rat, ...] | None
     singular: bool
 
 
 def cramer_solve(a: Matrix, b) -> CramerSolution:
-    """x_j = det(A_j)/det(A) with both determinants read off diagrams."""
+    """x_j = det(A_j)/det(A) with both determinants read off diagrams.
+
+    A_j is A with column j replaced by b.  The adjugate diagram composed
+    with A_j's strand is (-1)^floor(n/2) * (n-1)! * det(A_j) * Id, so its
+    entry (j, j) gives det(A_j); the diagram is built once for every j."""
     n = a.n
     b = tuple(rat(x) for x in b)
     det_a = det_diagram_value(n, a)
     if det_a == 0:
         return CramerSolution(None, True)
+    diagram = compose_vertical(adjugate_diagram(n, "Aj"),
+                               power_strand(n, "Aj", 1))
     xs = []
     for j in range(1, n + 1):
-        check = cramer_diagram(n, "Aj", j)
         a_j = a.with_column(j, b)
-        value = eval_layered(check.diagram, {"Aj": a_j}).tensor.get(*check.probe)
+        value = eval_layered(diagram, {"Aj": a_j}).tensor.get((j,), (j,))
         det_aj = _exact_div(value, reversal_sign(n) * factorial(n - 1))
         xs.append(_exact_div(det_aj, det_a))
     return CramerSolution(tuple(xs), False)
@@ -347,12 +327,11 @@ def _traced_diagram(m: int, p: Permutation, name: str, n: int,
 
 # -- Fixed small families -------------------------------------------------------
 
-def binet_cauchy_pair(n: int = 3):
+def binet_cauchy_pair():
     """(u x v).(w x x) at n=3: the joined-vertices diagram and the signed
     pair of cap diagrams it equals.  All four diagrams take inputs
     (u, v: vector, w, x: covector slots) and close to scalars."""
-    if n != 3:
-        raise ValueError("the paired cross-product identity lives at n=3")
+    n = 3
     lhs = LayeredDiagram(n, (VECTOR, VECTOR, COVECTOR, COVECTOR), [
         (Id(), Id(), _vertex(SOURCE, n, 2)),
         (_vertex(SINK, n, 3),),

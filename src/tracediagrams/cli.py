@@ -118,10 +118,14 @@ def _parse_piece(rec, n: int, where: str):
         case "cap":
             return Cap()
         case "mat":
-            if "name" not in rec:
-                raise DiagramFileError(f'{where}: mat piece needs "name"')
-            return Mat(str(rec["name"]),
-                       bool(rec.get("against_orientation", False)))
+            if not isinstance(rec.get("name"), str):
+                raise DiagramFileError(
+                    f'{where}: mat piece needs a string "name"')
+            against = rec.get("against_orientation", False)
+            if not isinstance(against, bool):
+                raise DiagramFileError(
+                    f'{where}: "against_orientation" must be true or false')
+            return Mat(rec["name"], against)
         case "vertex":
             direction = rec.get("dir")
             if direction not in (SINK, SOURCE):
@@ -159,10 +163,26 @@ def _int_list(x) -> bool:
 
 
 def parse_matrix_literal(rows) -> Matrix:
-    """Row-major array of arrays of 'p/q' or 'p' strings (ints allowed)."""
-    if not isinstance(rows, list):
+    """Row-major array of arrays of 'p/q' or 'p' strings (ints allowed).
+    Raises ValueError, naming the cell at fault."""
+    if not isinstance(rows, list) or \
+            not all(isinstance(row, list) for row in rows):
         raise ValueError("matrix literal must be an array of arrays")
-    return Matrix([[rat(x) for x in row] for row in rows])
+    return Matrix([[_scalar_literal(x, f"row {r} column {c}")
+                    for c, x in enumerate(row, 1)]
+                   for r, row in enumerate(rows, 1)])
+
+
+def _scalar_literal(x, where: str):
+    """A 'p/q' or 'p' string or an integer, from a file: JSON's true and
+    false, floats and anything else are refused with a ValueError."""
+    if not (isinstance(x, str) or _is_int(x)):
+        raise ValueError(f"{where}: expected a 'p/q' or 'p' string, "
+                         f"got {json.dumps(x)}")
+    try:
+        return rat(x)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from err
 
 
 def diagram_to_dict(d: LayeredDiagram, bindings: dict | None = None) -> dict:
@@ -427,7 +447,11 @@ def _run_builtin(name: str, n: int, k, matrix, args) -> str:
         case "cramer":
             if not args.vector:
                 raise ValueError("this builtin needs --vector")
-            b = [rat(x) for x in json.loads(_read_file(args.vector))]
+            literal = json.loads(_read_file(args.vector))
+            if not isinstance(literal, list):
+                raise ValueError("vector literal must be an array")
+            b = [_scalar_literal(x, f"vector entry {i}")
+                 for i, x in enumerate(literal, 1)]
             solution = builders.cramer_solve(need_matrix(), b)
             if solution.singular:
                 return "singular matrix: no unique solution"

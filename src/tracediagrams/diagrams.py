@@ -91,24 +91,6 @@ def canonical_ciliation(n: int, in_count: int) -> tuple[int, ...]:
     return tuple(range(1, in_count + 1)) + tuple(range(n, in_count, -1))
 
 
-def piece_arity(piece: Piece, n: int) -> tuple[int, int]:
-    """(wires consumed, wires produced)."""
-    match piece:
-        case Id() | Mat():
-            return 1, 1
-        case Cross():
-            return 2, 2
-        case Cup():
-            return 0, 2
-        case Cap():
-            return 2, 0
-        case NVertex(in_count=j):
-            return j, n - j
-        case Perm(images=images):
-            return len(images), len(images)
-    raise TypeError(f"unknown piece: {piece!r}")
-
-
 # -- Layered form -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -323,12 +305,6 @@ class Diagram:
 
     def matrix_names(self) -> set[str]:
         return {name for e in self.edges.values() for name, _ in e.labels}
-
-    def input_count(self) -> int:
-        return sum(1 for v in self.vertices if isinstance(v, GInput))
-
-    def output_count(self) -> int:
-        return sum(1 for v in self.vertices if isinstance(v, GOutput))
 
 
 def validate_graph(d: Diagram) -> list[str]:

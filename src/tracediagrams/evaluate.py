@@ -424,7 +424,7 @@ def _divided(v: int, divisor: int) -> Rat:
     return Fraction(v, divisor) if r else q
 
 
-# -- Cross-check and comparison utilities ----------------------------------
+# -- Cross-check ------------------------------------------------------------
 
 def eval_checked(d: LayeredDiagram, bindings: Bindings) -> Tensor:
     """Run both evaluators and insist on exact entrywise equality.
@@ -439,34 +439,3 @@ def eval_checked(d: LayeredDiagram, bindings: Bindings) -> Tensor:
         raise CrossCheckMismatch(*diff)
     return layered
 
-
-@dataclass
-class Proportionality:
-    """Outcome of a proportionality test between two same-shape tensors."""
-    kind: str                  # proportional | both_zero | left_zero |
-    #                            right_zero | not_proportional
-    ratio: Fraction | None = None
-
-    def __bool__(self):
-        return self.kind in ("proportional", "both_zero")
-
-
-def tensors_proportional(a: Tensor, b: Tensor) -> Proportionality:
-    """Exact ratio lambda with a = lambda * b, if one exists."""
-    if (a.n, a.out_arity, a.in_arity) != (b.n, b.out_arity, b.in_arity):
-        raise ValueError("tensor shape mismatch")
-    a_zero, b_zero = a.is_zero(), b.is_zero()
-    if a_zero and b_zero:
-        return Proportionality("both_zero")
-    if a_zero:
-        return Proportionality("left_zero")
-    if b_zero:
-        return Proportionality("right_zero")
-    xs, ys = a.nonzeros, b.nonzeros
-    if xs.keys() != ys.keys():
-        return Proportionality("not_proportional")
-    first = next(iter(ys))
-    ratio = Fraction(xs[first], 1) / Fraction(ys[first], 1)
-    if any(x != ratio * ys[i] for i, x in xs.items()):
-        return Proportionality("not_proportional")
-    return Proportionality("proportional", ratio)

@@ -1,27 +1,12 @@
-"""Kernels: dense pair contraction and axis permutation, and the sparse
-variable elimination of the contraction evaluator.
+"""Kernels: the sparse variable elimination of the contraction evaluator,
+and two dense kernels, pair contraction and axis permutation.
 
-The dense kernels take flat lists in row-major order over `naxes` axes,
-each of size n, as Tensor.entries builds them.  Entries are exact numbers
-(int or Fraction); the kernels only multiply and add, so exactness is
-preserved.
-
-Index arithmetic is done once per call, not once per entry: `_offsets`
-builds the flat offset of every digit combination over a set of axes as a
-table, axis by axis with the last axis fastest.  `permute_axes` then copies
-each run along the result's trailing axes with one list slice.
-`pair_contract` gathers b's entries at each summation offset into a column
-once, and builds each row of the result from a's nonzero summands times
-those columns, adding them in summation order.  These two serve
-`Tensor.permuted_axes` and `tensor.tensor_contract` only; the layered
-evaluator folds its sparse state itself, in evaluate.py.
-
-`epsilon_network` serves the contraction evaluator and shares no code with
-them.  It sums index variables out of sparse factors, one variable at a
-time (bucket elimination).  A factor is a dict from the mixed-radix
-integer of its variables' digits, first variable most significant, to a
-nonzero value; ε factors read theirs from a table per (n, arity) of the
-n!/(n-m)! keys of distinct digits.  A join reads the shared-variable
+`epsilon_network` serves the contraction evaluator.  It sums index
+variables out of sparse factors, one variable at a time (bucket
+elimination).  A factor is a dict from the mixed-radix integer of its
+variables' digits, first variable most significant, to a nonzero value; ε
+factors read theirs from a table per (n, arity) of the n!/(n-m)! keys of
+distinct digits.  A join reads the shared-variable
 digits and the kept digits of each key as sums of table lookups, one per
 run of digits (`_runs`); runs are cut so that no table exceeds max(the
 factor's nonzero count, n^3) entries.  The factors left after elimination
@@ -36,8 +21,21 @@ readers, a step of the final product's shape to its readers, and the
 weights of a lone reading to its runs.  A join or a step makes one
 lookup, and a network renumbered or rebound reuses every plan.
 
-term counts returned by the kernels are the number of multiply-accumulate
-operations actually performed (zero factors prune eagerly).
+The dense kernels, `pair_contract` and `permute_axes`, have no caller in
+the package: tensors are combined by composing diagrams, and the layered
+evaluator folds its sparse state itself, in evaluate.py.  They take flat
+row-major lists over `naxes` axes, each of size n, and do their index
+arithmetic once per call: `_offsets` builds the flat offset of every digit
+combination over a set of axes as a table, last axis fastest.
+`permute_axes` copies each run along the result's trailing axes with one
+list slice; `pair_contract` gathers b's entries at each summation offset
+into a column once, and builds each row of the result from a's nonzero
+summands times those columns.  Both share no code with the eliminator.
+
+Entries are exact numbers (int or Fraction); the kernels only multiply and
+add, so exactness is preserved.  term counts returned by the kernels are
+the number of multiply-accumulate operations actually performed (zero
+factors prune eagerly).
 """
 
 from itertools import permutations, repeat
@@ -192,11 +190,6 @@ def _runs(n, weights, g):
         stop = start
     return tables
 
-
-def _digit_tables(n, weights, size):
-    """_runs for a factor of `size` nonzeros, so that it never builds a
-    table much larger than itself."""
-    return _runs(n, weights, _run_length(n, len(weights), size))
 
 
 def _read(keys, tables):

@@ -28,8 +28,10 @@ def rat(value) -> Rat:
     if isinstance(value, str):
         text = value.strip()
         if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
+            num, den = (int(part) for part in text.split("/", 1))
+            if not den:
+                raise ValueError(f"zero denominator in {value!r}")
+            return Fraction(num, den)
         return int(text)
     raise TypeError(f"not an exact scalar: {value!r}")
 

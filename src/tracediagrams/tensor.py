@@ -7,15 +7,14 @@ are the output slots, axis l..l+k-1 the input slots, and index tuples are
 evaluations in the same type.
 
 Entries are ints or Fractions.  `entries` builds the dense list on demand,
-for the dense kernels of tracediagrams.kernels (permuted_axes and
-tensor_contract) and for callers that want every entry.
+for callers that want every entry.  Tensors are combined by composing
+diagrams, not here: this type only adds, scales and compares.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from . import kernels
 from .linalg import Matrix, Rat, rat
 
 
@@ -161,13 +160,6 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         return self.scale(-1)
 
-    def permuted_axes(self, perm) -> "Tensor":
-        """Reorder raw axes (0-based positions over outs-then-ins); the
-        out/in split is preserved by count."""
-        vals = kernels.permute_axes(self.n, self.entries, self.arity,
-                                    list(perm))
-        return Tensor(self.n, self.out_arity, self.in_arity, vals)
-
     def __eq__(self, other):
         return (isinstance(other, Tensor)
                 and self.n == other.n
@@ -194,17 +186,3 @@ class Tensor:
                    if a.get(i, 0) != b.get(i, 0))
         return (*self.index(flat), a.get(flat, 0), b.get(flat, 0))
 
-
-def tensor_contract(a: Tensor, b: Tensor, pairing) -> Tensor:
-    """Contract paired axes of two tensors.
-
-    pairing: list of (axis_of_a, axis_of_b) raw 0-based axis positions
-    (outputs first, then inputs).  Paired axes are summed; the result keeps
-    a's free axes (in order) as outputs and b's free axes as inputs.
-    """
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    pairing = [(int(p), int(q)) for p, q in pairing]
-    vals, _ = kernels.pair_contract(a.n, a.entries, a.arity,
-                                    b.entries, b.arity, pairing)
-    return Tensor(a.n, a.arity - len(pairing), b.arity - len(pairing), vals)

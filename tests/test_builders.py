@@ -10,19 +10,20 @@ from tracediagrams.builders import (CramerSolution, adjugate_diagram,
                                     antisym_permsum, antisym_tensor,
                                     antisym_traced, binet_cauchy_pair,
                                     codeterminant, complemental_node,
-                                    cramer_diagram, cramer_solve,
-                                    cross_product_node, crossout_nullifier,
-                                    det_diagram_value, det_permsum,
-                                    det_permsum_value, jacobi_diagrams,
-                                    loop_diagram, power_strand, scalar_probe,
-                                    trace_loop, vertex_pair)
-from tracediagrams.diagrams import to_graph, validate_layered
+                                    cramer_solve, cross_product_node,
+                                    crossout_nullifier, det_diagram_value,
+                                    det_permsum, det_permsum_value,
+                                    jacobi_diagrams, loop_diagram,
+                                    power_strand, scalar_probe, trace_loop,
+                                    vertex_pair)
+from tracediagrams.diagrams import (compose_vertical, to_graph,
+                                    validate_layered)
 from tracediagrams.evaluate import eval_checked, eval_contraction
 from tracediagrams.identities import random_matrix, random_vector
 from tracediagrams.linalg import (Matrix, Permutation, adjugate_oracle,
                                   det_oracle, levi_civita, reversal_sign,
                                   solve_oracle)
-from tracediagrams.tensor import Tensor, tensor_contract
+from tracediagrams.tensor import Tensor
 
 A = Matrix([[2, 3], [4, 5]])
 
@@ -105,7 +106,8 @@ def test_antisym_permsum_binor_form():
     terms = antisym_permsum(2, 2)
     assert sorted(sign for sign, _ in terms) == [-1, 1]
     ident = Tensor.identity(2, 2)
-    swap = ident.permuted_axes([1, 0, 2, 3])
+    swap = Tensor.from_function(2, 2, 2,
+                                lambda outs, ins: int(outs == ins[::-1]))
     assert antisym_tensor(2, 2) == ident - swap
 
 
@@ -145,10 +147,16 @@ def test_antisym_tensor_matches_rearrangement_sign(k, n):
 
 
 def test_antisym_idempotent_up_to_factorial():
-    for k, n in ((2, 3), (3, 3), (4, 3), (4, 4)):
-        t = antisym_tensor(k, n)
-        pairing = [(k + i, i) for i in range(k)]
-        assert tensor_contract(t, t, pairing) == t.scale(factorial(k))
+    """ASym(k)^2 = k! ASym(k).  The node pair P evaluates to
+    s (n-k)! ASym(k) with s = (-1)^floor(n/2), so P over P is
+    s (n-k)! k! P, through both evaluators."""
+    for k, n in ((2, 3), (3, 3), (4, 4), (1, 3), (0, 2)):
+        pair = antisym_nodepair(k, n)
+        once = evaluated(pair)
+        assert not once.is_zero()
+        twice = evaluated(compose_vertical(pair, pair))
+        assert twice == once.scale(reversal_sign(n) * factorial(n - k)
+                                   * factorial(k))
 
 
 def test_antisym_nodepair_range():
@@ -247,12 +255,18 @@ def test_cramer_singular_reported():
 
 
 def test_cramer_diagram_probe():
-    check = cramer_diagram(2, "Aj", 1)
-    a_j = A.with_column(1, (1, 0))
-    value = evaluated(check.diagram, {"Aj": a_j}).get(*check.probe)
-    assert check.scale * value == det_oracle(a_j)
-    with pytest.raises(ValueError):
-        cramer_diagram(2, "A", 3)
+    """The diagram cramer_solve reads: the adjugate over A_j's strand, whose
+    entry (j, j) is (-1)^floor(n/2) (n-1)! det(A_j) for every j."""
+    for n in (2, 3):
+        diagram = compose_vertical(adjugate_diagram(n, "Aj"),
+                                   power_strand(n, "Aj", 1))
+        a = random_matrix(n, 51 + n)
+        b = random_vector(n, 61 + n)
+        for j in range(1, n + 1):
+            a_j = a.with_column(j, b)
+            value = evaluated(diagram, {"Aj": a_j}).get((j,), (j,))
+            assert value == reversal_sign(n) * factorial(n - 1) \
+                * det_oracle(a_j)
 
 
 def test_crossout_nullifier():
@@ -342,7 +356,8 @@ def test_every_builder_diagram_validates_and_cross_checks():
         (complemental_node(1, 3), {}),
         (codeterminant(3), {}),
         (adjugate_diagram(3, "A"), {"A": random_matrix(3, 2)}),
-        (cramer_diagram(3, "A", 2).diagram, {"A": random_matrix(3, 3)}),
+        (compose_vertical(adjugate_diagram(3, "A"), power_strand(3, "A", 1)),
+         {"A": random_matrix(3, 3)}),
         (power_strand(3, "A", 2), {"A": random_matrix(3, 4)}),
         (jacobi_diagrams(1, 3, "A")[0], {"A": random_matrix(3, 5)}),
         (jacobi_diagrams(1, 3, "A")[1], {"A": random_matrix(3, 6)}),

@@ -100,6 +100,16 @@ def _perm_doc(images):
             "layers": [{"pieces": [{"kind": "perm", "images": images}]}]}
 
 
+def _mat_doc(**mat):
+    """TRACE_DOC with the fields of its mat piece replaced."""
+    rec = dict({"kind": "mat", "name": "A"}, **mat)
+    return dict(TRACE_DOC, layers=[
+        {"pieces": [{"kind": "cup"}]},
+        {"pieces": [{"kind": "id"}, rec]},
+        {"pieces": [{"kind": "cap"}]},
+    ])
+
+
 @pytest.mark.parametrize("doc, where", [
     (dict(TRACE_DOC, matrices=[]), '"matrices"'),
     (dict(TRACE_DOC, layers=5), '"layers"'),
@@ -112,6 +122,13 @@ def _perm_doc(images):
     (_perm_doc([2, True]), "layers[0].pieces[0]"),
     (dict(TRACE_DOC, outputs=5), '"outputs"'),
     (dict(TRACE_DOC, n=True), '"n"'),
+    (dict(TRACE_DOC, matrices={"A": [["1/0", "3"], ["4", "5"]]}),
+     'matrix "A": row 1 column 1'),
+    (dict(TRACE_DOC, matrices={"A": [[True, "3"], ["4", "5"]]}),
+     'matrix "A": row 1 column 1'),
+    (dict(TRACE_DOC, matrices={"A": ["23", "45"]}), 'matrix "A"'),
+    (_mat_doc(name=["A"]), "layers[1].pieces[1]"),
+    (_mat_doc(against_orientation="false"), "layers[1].pieces[1]"),
 ])
 def test_hostile_diagram_file_gets_located_error(tmp_path, capsys, doc, where):
     """Malformed fields are refused with a message naming them: exit 2 (a
@@ -346,6 +363,25 @@ def test_cmd_builtin_cramer(tmp_path, capsys):
     vec = write(tmp_path, "b.vec", ["1", "0"])
     assert main(["builtin", "cramer", "--matrix", mat, "--vector", vec]) == 0
     assert capsys.readouterr().out.strip() == "(-5/2, 2)"
+
+
+@pytest.mark.parametrize("matrix, vector", [
+    ([["1/0", "3"], ["4", "5"]], ["1", "0"]),
+    ([[True, "3"], ["4", "5"]], ["1", "0"]),
+    (["23", "45"], ["1", "0"]),
+    ([["2", "3"], ["4", "5"]], ["1/0", "0"]),
+    ([["2", "3"], ["4", "5"]], [True, "0"]),
+    ([["2", "3"], ["4", "5"]], '"10"'),
+])
+def test_cmd_builtin_hostile_literal(tmp_path, capsys, matrix, vector):
+    """A bad --matrix or --vector cell is refused with one located error
+    line and exit 2, not a traceback or a misread."""
+    mat = write(tmp_path, "A.mat", matrix)
+    vec = write(tmp_path, "b.vec", vector)
+    assert main(["builtin", "cramer", "--matrix", mat, "--vector", vec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_cmd_builtin_unknown(capsys):

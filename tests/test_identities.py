@@ -141,8 +141,8 @@ def test_report_line_format():
 
 
 def test_random_matrix_determinism_and_ranges():
-    m1 = random_matrix(3, seed=5, bound=9)
-    m2 = random_matrix(3, seed=5, bound=9)
+    m1 = random_matrix(3, seed=5)
+    m2 = random_matrix(3, seed=5)
     assert m1 == m2
     assert all(-9 <= x <= 9 for row in m1.rows for x in row)
     inv = random_matrix(3, seed=6, invertible=True)
@@ -150,8 +150,6 @@ def test_random_matrix_determinism_and_ranges():
     v1 = random_vector(4, seed=8)
     assert v1 == random_vector(4, seed=8)
     assert len(v1) == 4
-    with pytest.raises(ValueError):
-        random_matrix(2, seed=0, bound=0)
 
 
 def test_derive_seed_stability():
@@ -185,3 +183,27 @@ def test_deliberate_convention_break_is_caught():
         identities.trace_loop = original
     assert report.outcome == "fail"
     assert report.counterexample and "A" in report.counterexample
+
+
+def test_every_registry_diagram_cross_checks(monkeypatch):
+    """Each layered diagram the registry evaluates at n <= 4, directly or
+    through a builder, goes through both evaluators, which must agree
+    entry for entry: a mismatch raises inside its check and turns that
+    report into an error."""
+    from tracediagrams import builders
+    from tracediagrams import identities
+    from tracediagrams.evaluate import EvalResult, eval_checked
+
+    checked = []
+
+    def through_both(d, bindings):
+        checked.append(d)
+        return eval_checked(d, bindings)
+
+    monkeypatch.setattr(identities, "eval_graph", through_both)
+    for module in (identities, builders):
+        monkeypatch.setattr(module, "eval_layered", lambda d, b: EvalResult(
+            through_both(d, b), 0, 0.0))
+    reports = run_all(max_n=4, trials=1, seed=7)
+    assert [r.line() for r in reports if r.outcome != "pass"] == []
+    assert len(reports) == 69 and len(checked) == 356

@@ -324,7 +324,7 @@ def test_digit_sums_read_every_digit_from_bounded_tables():
     # a 16-digit key at n = 8 over a factor of 100 nonzeros builds no table
     # above max(100, 8^3) = 512 entries
     weights = [rng.randint(1, 50) for _ in range(16)]
-    tables = kernels._digit_tables(8, weights, 100)
+    tables = kernels._runs(8, weights, kernels._run_length(8, 16, 100))
     assert max(len(table) for _, _, table in tables) <= 512
     keys = [rng.randrange(8 ** 16) for _ in range(100)]
     assert kernels._digit_sums(keys, 8, weights) == \

@@ -1,14 +1,13 @@
-"""Sparse tensor type and the contraction primitive."""
+"""The sparse tensor type: construction, access, sums and comparison."""
 
 from fractions import Fraction
 
 import pytest
 
 from tracediagrams.linalg import Matrix
-from tracediagrams.tensor import Tensor, tensor_contract
+from tracediagrams.tensor import Tensor
 
 A = Matrix([[2, 3], [4, 5]])
-B = Matrix([[1, -1], [0, 2]])
 
 
 def test_shapes_and_indexing():
@@ -32,39 +31,6 @@ def test_scalar_boxing():
     assert s.arity == 0 and s.as_scalar() == 7
     with pytest.raises(ValueError):
         Tensor.identity(2, 1).as_scalar()
-
-
-def test_compose_is_matrix_product():
-    ta, tb = Tensor.from_matrix(A), Tensor.from_matrix(B)
-    assert tensor_contract(ta, tb, [(1, 0)]).to_matrix() == A @ B
-
-
-def test_cup_cap_pairing_gives_dimension():
-    for n in (2, 3, 4):
-        cup = Tensor.from_function(n, 2, 0,
-                                   lambda outs, ins: int(outs[0] == outs[1]))
-        cap = Tensor.from_function(n, 0, 2,
-                                   lambda outs, ins: int(ins[0] == ins[1]))
-        paired = tensor_contract(cap, cup, [(0, 0), (1, 1)])
-        assert paired.as_scalar() == n
-
-
-def test_contract_errors():
-    ta, tb = Tensor.from_matrix(A), Tensor.from_matrix(B)
-    with pytest.raises(ValueError):
-        tensor_contract(ta, tb, [(5, 0)])
-    with pytest.raises(ValueError):
-        tensor_contract(ta, Tensor.from_matrix(Matrix.identity(3)), [(1, 0)])
-    with pytest.raises(ValueError):
-        tensor_contract(ta, Tensor.scalar(2, 1), [(1, 0)])
-
-
-def test_permuted_axes():
-    t = Tensor.from_function(2, 2, 0, lambda outs, ins: 10 * outs[0] + outs[1])
-    swapped = t.permuted_axes([1, 0])
-    assert swapped.get((1, 2), ()) == 21
-    with pytest.raises(ValueError):
-        t.permuted_axes([0, 0])
 
 
 def test_algebra_and_zero():
