@@ -452,7 +452,11 @@ def _run_builtin(name: str, n: int, k, matrix, args) -> str:
                 raise ValueError("vector literal must be an array")
             b = [_scalar_literal(x, f"vector entry {i}")
                  for i, x in enumerate(literal, 1)]
-            solution = builders.cramer_solve(need_matrix(), b)
+            a = need_matrix()
+            if len(b) != a.n:
+                raise ValueError(f"--vector has {len(b)} entries, "
+                                 f"the matrix is {a.n}x{a.n}")
+            solution = builders.cramer_solve(a, b)
             if solution.singular:
                 return "singular matrix: no unique solution"
             return "(" + ", ".join(format_rat(x) for x in solution.xs) + ")"

@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, factorial
 from operator import itemgetter
 
@@ -344,17 +345,27 @@ def _check_triple_isotopy(ctx: CheckContext):
     # bent_right consumes (v1, v2) then caps with v3; bent_left consumes
     # (v2, v3) and caps against v1, which reads the cyclic rotation, so a
     # permutation slice under it undoes the rotation
-    bent_left = LayeredDiagram(n, (VECTOR,) * 3, [
-        (Perm((3, 1, 2)),),
-        (Id(), NVertex(SINK, 2, canonical_ciliation(n, 2))),
-        (Cap(),),
-    ])
+    def bent_left(perm):
+        return LayeredDiagram(n, (VECTOR,) * 3, [
+            (Perm(perm),),
+            (Id(), NVertex(SINK, 2, canonical_ciliation(n, 2))),
+            (Cap(),),
+        ])
+
     ts = eval_layered(straight, {}).tensor
     tr_ = eval_layered(bent_right, {}).tensor
-    tl = eval_layered(bent_left, {}).tensor
+    tl = eval_layered(bent_left((3, 1, 2)), {}).tensor
     if not (ts == tr_ == tl):
         ctx.fail("the three presentations differ",
                  straight=ts, bent_right=tr_, bent_left=tl)
+    # epsilon on three slots cannot see a cyclic rotation's direction, nor
+    # whether the Perm slice acts at all (test_evaluate's
+    # test_perm_piece_matches_cross_expansion pins the direction); a
+    # transposition under bent_left must flip the sign
+    swapped = eval_layered(bent_left((2, 1, 3)), {}).tensor
+    if swapped != ts.scale(-1):
+        ctx.fail("a transposition under bent_left must negate the vertex",
+                 straight=ts, swapped=swapped)
     if ts != eval_graph(straight, {}):
         ctx.fail("straight form disagrees across evaluators")
 
@@ -504,14 +515,18 @@ def _check_asym_compare(ctx: CheckContext):
 
 @_register("asym_zero_beyond_n",
            "antisymmetrizer on n+1 strands kills every basis input",
-           uses_trials=False, n_range=(2, 5))
+           uses_trials=False, n_range=(2, 6))
 def _check_asym_zero(ctx: CheckContext):
     n = ctx.n
     k = n + 1
     # output slot s reads input slot p(s); k >= 3, so each getter gives a tuple
     terms = [(p.sign, itemgetter(*(i - 1 for i in p.images)))
              for p in Permutation.all_permutations(k)]
-    for ins in _basis_tuples(n, k):
+    # One input per multiset of digits: C(2n, n+1) nondecreasing tuples in
+    # place of n^(n+1).  Permuting an input by pi only re-indexes its image
+    # and multiplies it by sgn(pi), since ASym(pi.x) = sgn(pi) ASym(x), so
+    # an input's image is zero exactly when its sorted form's image is.
+    for ins in combinations_with_replacement(range(1, n + 1), k):
         image: dict[tuple, int] = {}
         for sign, get in terms:
             outs = get(ins)

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion.  Every comparison is exact; the only tolerances anywhere are
-the two wall-clock budgets stated in criteria 1 and 12.
+the wall-clock budgets stated in criterion 1 and in the two runs of
+criterion 12.
 """
 
 import random
@@ -265,6 +266,23 @@ def test_criterion_12_full_check_run(capsys):
     assert elapsed < 60.0, f"check --all took {elapsed:.1f}s"
     with capsys.disabled():
         report(12, f"check --all --max-n 4 --trials 10 exits 0 in "
+                   f"{elapsed:.1f}s")
+
+
+def test_criterion_12_full_check_run_max_n_5(capsys):
+    start = time.perf_counter()
+    code = main(["check", "--all", "--max-n", "5", "--trials", "1",
+                 "--seed", str(SEED)])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "FAIL" not in out
+    lines = out.splitlines()
+    assert sum(line.startswith("PASS ") for line in lines) == 91
+    assert lines[-1] == "91/91 checks passed"
+    assert elapsed < 60.0, f"check --all --max-n 5 took {elapsed:.1f}s"
+    with capsys.disabled():
+        report(12, f"check --all --max-n 5 --trials 1 exits 0 in "
                    f"{elapsed:.1f}s")
 
 

@@ -365,6 +365,23 @@ def test_cmd_builtin_cramer(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "(-5/2, 2)"
 
 
+@pytest.mark.parametrize("matrix", [
+    [["2", "3"], ["4", "5"]],      # regular: would fail inside the solver
+    [["1", "2"], ["2", "4"]],      # singular: would report "no solution"
+])
+@pytest.mark.parametrize("vector", [["1", "2", "3"], ["1"]])
+def test_cmd_builtin_cramer_vector_length(tmp_path, capsys, matrix, vector):
+    """A --vector whose length is not n is refused before solving, with one
+    error line naming --vector and both lengths."""
+    mat = write(tmp_path, "A.mat", matrix)
+    vec = write(tmp_path, "b.vec", vector)
+    assert main(["builtin", "cramer", "--matrix", mat, "--vector", vec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --vector has {len(vector)} entries, "
+                            "the matrix is 2x2\n")
+
+
 @pytest.mark.parametrize("matrix, vector", [
     ([["1/0", "3"], ["4", "5"]], ["1", "0"]),
     ([[True, "3"], ["4", "5"]], ["1", "0"]),

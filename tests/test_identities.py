@@ -1,12 +1,16 @@
 """The identity-check registry: framework behavior and spot checks."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
 
+from tracediagrams import identities
 from tracediagrams.identities import (REGISTRY, CheckFailure, IdentityReport,
                                       derive_seed, random_matrix,
                                       random_vector, report_lines,
                                       report_records, run_all, run_check)
-from tracediagrams.linalg import Matrix, det_oracle
+from tracediagrams.linalg import Matrix, Permutation, det_oracle
 
 
 def test_registry_contents():
@@ -33,6 +37,36 @@ def test_run_check_single():
 def test_asym_special_cases_value():
     report = run_check("asym_special_cases", n=3, trials=2, seed=0)
     assert report.outcome == "pass"   # includes the -6 closed-circle value
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_asym_zero_full_walk(n):
+    """The check walks one input per multiset of digits; the full walk over
+    all n^(n+1) basis inputs confirms that no image survives either."""
+    k = n + 1
+    perms = list(Permutation.all_permutations(k))
+    for ins in product(range(1, n + 1), repeat=k):
+        image = Counter()
+        for p in perms:
+            image[tuple(ins[i - 1] for i in p.images)] += p.sign
+        assert not any(image.values()), ins
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_asym_zero_fails_without_one_permutation(monkeypatch, n):
+    """With one signed permutation missing, the reduced walk must catch the
+    surviving image: the constant input already gives +-1."""
+    every = Permutation.all_permutations
+    monkeypatch.setattr(identities.Permutation, "all_permutations",
+                        staticmethod(lambda m: list(every(m))[1:]))
+    report = run_check("asym_zero_beyond_n", n)
+    assert report.outcome == "fail"
+    assert report.counterexample["inputs"] == [1] * (n + 1)
+
+
+def test_asym_zero_reaches_n_6():
+    assert REGISTRY["asym_zero_beyond_n"].n_range == (2, 6)
+    assert run_check("asym_zero_beyond_n", 6).outcome == "pass"
 
 
 def test_det_permsum_many_trials():
@@ -113,8 +147,6 @@ def test_failure_carries_counterexample():
 
 
 def test_run_check_records_unexpected_exception_as_error():
-    from tracediagrams import identities
-
     @identities._register("raises_demo", "always raises", uses_trials=False)
     def raises_demo(ctx):
         raise ZeroDivisionError("no inverse")
@@ -191,7 +223,6 @@ def test_every_registry_diagram_cross_checks(monkeypatch):
     entry for entry: a mismatch raises inside its check and turns that
     report into an error."""
     from tracediagrams import builders
-    from tracediagrams import identities
     from tracediagrams.evaluate import EvalResult, eval_checked
 
     checked = []
@@ -206,4 +237,4 @@ def test_every_registry_diagram_cross_checks(monkeypatch):
             through_both(d, b), 0, 0.0))
     reports = run_all(max_n=4, trials=1, seed=7)
     assert [r.line() for r in reports if r.outcome != "pass"] == []
-    assert len(reports) == 69 and len(checked) == 356
+    assert len(reports) == 69 and len(checked) == 357
