@@ -254,7 +254,7 @@ def crossout_nullifier(n: int, j: int) -> Matrix:
 @dataclass(frozen=True)
 class TracedTerm:
     perm: Permutation
-    sign: int
+    sign: int                     # sgn(perm), or a class's signed count
     diagram: LayeredDiagram
     open_power: int | None        # A-power along the open strand, if open
 
@@ -271,18 +271,52 @@ def antisym_traced(k_total: int, i_open_power: int | None, name: str,
     i_open_power plus the loop steps of the permutation cycle through
     strand 1.
     """
+    return [_traced_term(p, p.sign, k_total, i_open_power, name, n)
+            for p in Permutation.all_permutations(k_total)]
+
+
+def antisym_traced_classes(k_total: int, i_open_power: int | None,
+                           name: str, n: int) -> list[TracedTerm]:
+    """antisym_traced summed within classes: one term per class, whose perm
+    is the class's first permutation and whose sign is the class's signed
+    count (the sum of its members' signs).
+
+    A class is a cycle type; with strand 1 open, the cycle through strand 1
+    is kept apart from the others.  Summing by class is exact: two
+    permutations share a class exactly when one is the other conjugated by
+    a permutation fixing strand 1, and that conjugation only renames the
+    traced loops, so both terms have the same graph up to edge ids; the
+    sign is a function of the cycle type.
+    """
     open_strand = i_open_power is not None
-    terms = []
+    classes: dict[tuple, list] = {}
     for p in Permutation.all_permutations(k_total):
-        d = _traced_diagram(k_total, p, name, n, open_strand,
-                            i_open_power or 0)
+        # cycles() starts each cycle at its smallest element, so the cycle
+        # through strand 1 comes first
+        lengths = [len(c) for c in p.cycles()]
         if open_strand:
-            cycle = next(c for c in p.cycles() if 1 in c)
-            power = (i_open_power or 0) + len(cycle) - 1
+            key = (lengths[0],) + tuple(sorted(lengths[1:]))
         else:
-            power = None
-        terms.append(TracedTerm(p, p.sign, d, power))
-    return terms
+            key = tuple(sorted(lengths))
+        entry = classes.get(key)
+        if entry is None:
+            classes[key] = [p, p.sign]
+        else:
+            entry[1] += p.sign
+    return [_traced_term(p, count, k_total, i_open_power, name, n)
+            for p, count in classes.values()]
+
+
+def _traced_term(p: Permutation, weight: int, k_total: int,
+                 i_open_power: int | None, name: str, n: int) -> TracedTerm:
+    open_strand = i_open_power is not None
+    d = _traced_diagram(k_total, p, name, n, open_strand, i_open_power or 0)
+    if open_strand:
+        cycle = next(c for c in p.cycles() if 1 in c)
+        power = (i_open_power or 0) + len(cycle) - 1
+    else:
+        power = None
+    return TracedTerm(p, weight, d, power)
 
 
 def _traced_diagram(m: int, p: Permutation, name: str, n: int,

@@ -19,8 +19,8 @@ from .diagrams import (COVECTOR, SINK, SOURCE, VECTOR, Cap, Cross, Cup,
                        validate_layered)
 from .evaluate import (CrossCheckMismatch, eval_checked, eval_contraction,
                        eval_layered)
-from .identities import (REGISTRY, report_lines, report_records, run_all,
-                         run_check)
+from .identities import (REGISTRY, report_lines, report_records, run_check,
+                         select_checks)
 from .linalg import Matrix, format_rat, rat
 from .tensor import Tensor
 
@@ -343,8 +343,7 @@ def cmd_check(args) -> int:
     if seed is None:
         seed = int(os.environ.get(SEED_ENV, "0"))
     if args.all:
-        reports = run_all(max_n=args.max_n, trials=args.trials, seed=seed,
-                          include_stretch=args.stretch)
+        selection = select_checks(args.max_n, args.stretch)
     else:
         if not args.id:
             print("error: give an identity id or --all", file=sys.stderr)
@@ -361,13 +360,17 @@ def cmd_check(args) -> int:
             if not ns:
                 raise ValueError(f"check {args.id} supports n in {lo}..{hi}, "
                                  f"got --max-n {args.max_n}")
-        reports = [run_check(args.id, n, args.trials, seed) for n in ns]
+        selection = [(args.id, n) for n in ns]
     emit = report_records if args.format == "jsonl" else report_lines
-    for line in emit(reports, timings=args.timings):
-        print(line)
-    failures = sum(r.outcome != "pass" for r in reports)
+    failures = 0
+    for check_id, n in selection:
+        report = run_check(check_id, n, args.trials, seed)
+        failures += report.outcome != "pass"
+        # each record as its check finishes, so a long run shows progress
+        for line in emit([report], timings=args.timings):
+            print(line, flush=True)
     if args.format == "text":
-        print(f"{len(reports) - failures}/{len(reports)} checks passed")
+        print(f"{len(selection) - failures}/{len(selection)} checks passed")
     return 0 if failures == 0 else 1
 
 

@@ -20,11 +20,11 @@ from math import comb, factorial
 from operator import itemgetter
 
 from .builders import (adjugate_diagram, adjugate_value, antisym_nodepair,
-                       antisym_tensor, antisym_traced, binet_cauchy_pair,
-                       complemental_node, cramer_solve, cross_product_node,
-                       crossout_nullifier, det_permsum_value,
-                       jacobi_diagrams, loop_diagram, power_strand,
-                       scalar_probe, trace_loop, vertex_pair)
+                       antisym_tensor, antisym_traced_classes,
+                       binet_cauchy_pair, complemental_node, cramer_solve,
+                       cross_product_node, crossout_nullifier,
+                       det_permsum_value, jacobi_diagrams, loop_diagram,
+                       power_strand, scalar_probe, trace_loop, vertex_pair)
 from .diagrams import (COVECTOR, SINK, VECTOR, Cap, Cross, Cup, Id,
                        LayeredDiagram, Mat, NVertex, Perm,
                        canonical_ciliation, compose_vertical, to_graph)
@@ -191,18 +191,21 @@ def run_check(check_id: str, n: int, trials: int = 10,
                           counterexample, elapsed)
 
 
-def run_all(max_n: int = 4, trials: int = 10, seed: int = 0,
-            include_stretch: bool = False) -> list[IdentityReport]:
+def select_checks(max_n: int = 4,
+                  include_stretch: bool = False) -> list[tuple[str, int]]:
+    """(check id, n) for every check and every n in its range up to max_n,
+    in registry order."""
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
-    reports = []
-    for check in REGISTRY.values():
-        if check.stretch and not include_stretch:
-            continue
-        lo, hi = check.n_range
-        for n in range(lo, min(hi, max_n) + 1):
-            reports.append(run_check(check.id, n, trials, seed))
-    return reports
+    return [(check.id, n) for check in REGISTRY.values()
+            if include_stretch or not check.stretch
+            for n in range(check.n_range[0], min(check.n_range[1], max_n) + 1)]
+
+
+def run_all(max_n: int = 4, trials: int = 10, seed: int = 0,
+            include_stretch: bool = False) -> list[IdentityReport]:
+    return [run_check(check_id, n, trials, seed)
+            for check_id, n in select_checks(max_n, include_stretch)]
 
 
 def report_lines(reports, timings: bool = False):
@@ -223,34 +226,39 @@ def eval_graph(diagram: LayeredDiagram, bindings) -> Tensor:
 
 
 def traced_terms(n: int, strands: int, closed: bool = False) -> list:
-    """(sign, open power, graph) for each term of the traced
-    antisymmetrizer on `strands` strands, strand 1 left open unless closed.
-    The graphs are built once, so a trial only binds its matrix."""
+    """(signed count, open power, graph) for each class of the traced
+    antisymmetrizer on `strands` strands, strand 1 left open unless closed
+    (builders.antisym_traced_classes).  The first element is the class's
+    signed count, not a sign.  The graphs are built once, so a trial only
+    binds its matrix."""
     return [(term.sign, term.open_power, to_graph(term.diagram))
-            for term in antisym_traced(strands, None if closed else 0, "A",
-                                       n)]
+            for term in antisym_traced_classes(
+                strands, None if closed else 0, "A", n)]
 
 
 def traced_groups(terms, matrix: Matrix) -> dict[int, Tensor]:
-    """Signed sums of traced terms, grouped by the matrix power along the
-    open strand; evaluated on the graph path."""
+    """Sums of traced_terms' terms grouped by the matrix power along the
+    open strand, evaluated on the graph path.  Each term's first element is
+    a signed count, not a sign, and scales its tensor."""
     groups: dict[int, Tensor] = {}
-    for sign, power, graph in terms:
+    for count, power, graph in terms:
         t = eval_contraction(graph, {"A": matrix}, validated=True).tensor
-        signed = t if sign > 0 else -t
+        weighted = t.scale(count)
         if power in groups:
-            groups[power] = groups[power] + signed
+            groups[power] = groups[power] + weighted
         else:
-            groups[power] = signed
+            groups[power] = weighted
     return groups
 
 
 def closed_traced_scalar(terms, matrix: Matrix):
+    """The sum of closed traced_terms' scalars.  Each term's first element
+    is a signed count, not a sign, and multiplies its scalar."""
     total = 0
-    for sign, _, graph in terms:
+    for count, _, graph in terms:
         value = eval_contraction(graph, {"A": matrix},
                                  validated=True).tensor.as_scalar()
-        total += sign * value
+        total += count * value
     return total
 
 
@@ -261,7 +269,8 @@ def _basis_tuples(n, k):
 
 # -- Registry entries ------------------------------------------------------------
 
-@_register("trace_loop", "closed labeled loop equals the matrix trace")
+@_register("trace_loop", "closed labeled loop equals the matrix trace",
+           n_range=(2, 7))
 def _check_trace_loop(ctx: CheckContext):
     d = trace_loop(ctx.n, "A")
     for trial in range(ctx.trials):
@@ -273,7 +282,7 @@ def _check_trace_loop(ctx: CheckContext):
 
 
 @_register("loop_dim", "closed unlabeled loop equals the dimension",
-           n_range=(2, 6), uses_trials=False)
+           n_range=(2, 7), uses_trials=False)
 def _check_loop_dim(ctx: CheckContext):
     got = eval_layered(loop_diagram(ctx.n), {}).tensor.as_scalar()
     if got != ctx.n:
@@ -281,7 +290,8 @@ def _check_loop_dim(ctx: CheckContext):
 
 
 @_register("det_permsum_vs_oracle",
-           "signed permutation-diagram sum equals the determinant")
+           "signed permutation-diagram sum equals the determinant",
+           n_range=(2, 7))
 def _check_det_permsum(ctx: CheckContext):
     for trial in range(ctx.trials):
         a = ctx.matrix(trial)
@@ -293,7 +303,7 @@ def _check_det_permsum(ctx: CheckContext):
 
 
 @_register("kink_identity", "cup-over-cap kinks equal the plain strand",
-           uses_trials=False)
+           n_range=(2, 7), uses_trials=False)
 def _check_kink(ctx: CheckContext):
     n = ctx.n
     ident = Tensor.identity(n, 1)
@@ -309,7 +319,7 @@ def _check_kink(ctx: CheckContext):
 
 
 @_register("cup_swap", "crossing after a cup swaps the output polarities",
-           uses_trials=False)
+           n_range=(2, 7), uses_trials=False)
 def _check_cup_swap(ctx: CheckContext):
     n = ctx.n
     swapped = LayeredDiagram(n, (), [(Cup(),), (Cross(),)])
@@ -371,7 +381,8 @@ def _check_triple_isotopy(ctx: CheckContext):
 
 
 @_register("cap_transpose_regression",
-           "matrix slides around a cap as itself, crosses it as transpose")
+           "matrix slides around a cap as itself, crosses it as transpose",
+           n_range=(2, 7))
 def _check_cap_transpose(ctx: CheckContext):
     n = ctx.n
     inputs = (VECTOR, COVECTOR)
@@ -400,7 +411,7 @@ def _check_cap_transpose(ctx: CheckContext):
 
 @_register("vertex_order_sign",
            "swapping two ciliation entries negates the vertex",
-           uses_trials=False)
+           n_range=(2, 7), uses_trials=False)
 def _check_vertex_order_sign(ctx: CheckContext):
     n = ctx.n
     base = canonical_ciliation(n, 2)
@@ -595,7 +606,7 @@ def _check_adjugate_formula(ctx: CheckContext):
 
 @_register("adjugate_elements",
            "rescaled diagram entries equal the adjugate entrywise",
-           n_range=(2, 6))
+           n_range=(2, 7))
 def _check_adjugate_elements(ctx: CheckContext):
     n = ctx.n
     for trial in range(ctx.trials):
@@ -674,7 +685,7 @@ def _check_crossout(ctx: CheckContext):
 
 @_register("cayley_hamilton",
            "the traced antisymmetrizer on n+1 strands vanishes",
-           n_range=(2, 6))
+           n_range=(2, 7))
 def _check_cayley(ctx: CheckContext):
     n = ctx.n
     terms = traced_terms(n, n + 1)
@@ -735,22 +746,22 @@ def _check_det_sum(ctx: CheckContext):
 
 @_register("asym_sum_decomposition",
            "traced antisymmetrizer splits by the cycle through the open "
-           "strand", n_range=(2, 6))
+           "strand", n_range=(2, 7))
 def _check_asym_sum(ctx: CheckContext):
     n = ctx.n
     open_terms = [traced_terms(n, k + 1) for k in range(n + 1)]
     closed_terms = [traced_terms(n, s, closed=True) for s in range(n + 1)]
-    strands = [to_graph(power_strand(n, "A", i)) for i in range(n + 1)]
+    strand_graphs = [to_graph(power_strand(n, "A", i)) for i in range(n + 1)]
     for trial in range(ctx.trials):
         a = ctx.matrix(trial)
+        closed = [closed_traced_scalar(terms, a) for terms in closed_terms]
+        strands = [eval_contraction(g, {"A": a}, validated=True).tensor
+                   for g in strand_graphs]
         for k in range(0, n + 1):
             groups = traced_groups(open_terms[k], a)
             for i in range(k + 1):
-                closed = closed_traced_scalar(closed_terms[k - i], a)
                 coeff = Fraction((-1) ** i * factorial(k), factorial(k - i))
-                strand = eval_contraction(strands[i], {"A": a},
-                                          validated=True).tensor
-                want = strand.scale(coeff * closed)
+                want = strands[i].scale(coeff * closed[k - i])
                 got = groups.get(i, Tensor.zeros(n, 1, 1))
                 if got != want:
                     ctx.fail("cycle-decomposition coefficient mismatch",
@@ -786,7 +797,7 @@ def _check_binet(ctx: CheckContext):
 
 @_register("generalized_cross_product",
            "the (n-1)-input vertex matches the column determinant",
-           n_range=(2, 6))
+           n_range=(2, 7))
 def _check_cross_product(ctx: CheckContext):
     n = ctx.n
     for trial in range(ctx.trials):

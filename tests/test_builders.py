@@ -8,7 +8,8 @@ import pytest
 from tracediagrams.builders import (CramerSolution, adjugate_diagram,
                                     adjugate_value, antisym_nodepair,
                                     antisym_permsum, antisym_tensor,
-                                    antisym_traced, binet_cauchy_pair,
+                                    antisym_traced, antisym_traced_classes,
+                                    binet_cauchy_pair,
                                     codeterminant, complemental_node,
                                     cramer_solve, cross_product_node,
                                     crossout_nullifier, det_diagram_value,
@@ -316,6 +317,46 @@ def test_cayley_hamilton_fixture():
 def test_traced_open_power_parameter():
     (term,) = [t for t in antisym_traced(1, 2, "A", 2)]
     assert evaluated(term.diagram, {"A": A}).to_matrix() == A ** 2
+
+
+def _graph_shape(diagram):
+    """A traced term's graph up to edge ids: its boundary vertices and the
+    multiset of its edges' ends and labels."""
+    g = to_graph(diagram)
+    return tuple(g.vertices), tuple(sorted(
+        (e.tail, e.head, e.labels) for e in g.edges.values()))
+
+
+def _traced_by_graph(m, i_open):
+    """Every permutation term of antisym_traced, keyed by graph shape."""
+    by_graph = {}
+    for term in antisym_traced(m, i_open, "A", 2):
+        by_graph.setdefault(_graph_shape(term.diagram), []).append(term)
+    return by_graph
+
+
+@pytest.mark.parametrize("i_open", [None, 0])
+def test_traced_classes_cover_every_permutation_graph(i_open):
+    """One class term per distinct graph: every permutation's graph is its
+    class representative's graph, up to edge ids."""
+    for m in range(0 if i_open is None else 1, 6):
+        by_graph = _traced_by_graph(m, i_open)
+        classes = antisym_traced_classes(m, i_open, "A", 2)
+        shapes = [_graph_shape(t.diagram) for t in classes]
+        assert sorted(shapes) == sorted(by_graph), m
+        for shape, rep in zip(shapes, classes):
+            assert {t.open_power for t in by_graph[shape]} == \
+                {rep.open_power}, (m, rep.perm)
+
+
+@pytest.mark.parametrize("i_open", [None, 0])
+def test_traced_class_weight_is_its_members_sign_sum(i_open):
+    for m in range(0 if i_open is None else 1, 6):
+        by_graph = _traced_by_graph(m, i_open)
+        for rep in antisym_traced_classes(m, i_open, "A", 2):
+            members = by_graph[_graph_shape(rep.diagram)]
+            assert rep.perm == members[0].perm, (m, rep.perm)
+            assert rep.sign == sum(t.sign for t in members), (m, rep.perm)
 
 
 # -- fixed families ----------------------------------------------------------------

@@ -312,6 +312,29 @@ def test_cmd_check_max_n_below_range(capsys):
     assert "supports n in 3..3, got --max-n 2" in capsys.readouterr().err
 
 
+def test_cmd_check_streams_each_record(monkeypatch, capsys):
+    """Each record is written as its check finishes, before the next check
+    starts, and the stream reads exactly as the records of run_all."""
+    from tracediagrams import cli
+    from tracediagrams.identities import report_records, run_all
+
+    written_before = []
+    real = cli.run_check
+
+    def spy(*args):
+        written_before.append(capsys.readouterr().out)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "run_check", spy)
+    assert main(["check", "--all", "--max-n", "2", "--trials", "1",
+                 "--seed", "7", "--format", "jsonl"]) == 0
+    rest = capsys.readouterr().out
+    records = [r + "\n" for r in report_records(
+        run_all(max_n=2, trials=1, seed=7))]
+    assert written_before[:2] == ["", records[0]]
+    assert "".join(written_before) + rest == "".join(records)
+
+
 def test_cmd_check_jsonl(capsys):
     assert main(["check", "loop_dim", "--n", "2", "--format", "jsonl"]) == 0
     record = json.loads(capsys.readouterr().out.strip())

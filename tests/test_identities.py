@@ -69,6 +69,56 @@ def test_asym_zero_reaches_n_6():
     assert run_check("asym_zero_beyond_n", 6).outcome == "pass"
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_traced_classes_match_the_permutation_sum(n):
+    """The class-weighted traced terms give the same groups and closed
+    scalars as the signed sum over every permutation."""
+    from tracediagrams.builders import antisym_traced
+    from tracediagrams.diagrams import to_graph
+    from tracediagrams.evaluate import eval_contraction
+
+    a = random_matrix(n, 900 + n)
+
+    def walked(term):
+        return eval_contraction(to_graph(term.diagram), {"A": a}).tensor
+
+    for k in range(n + 1):
+        groups = {}
+        for term in antisym_traced(k + 1, 0, "A", n):
+            t = walked(term).scale(term.sign)
+            power = term.open_power
+            groups[power] = groups[power] + t if power in groups else t
+        assert identities.traced_groups(
+            identities.traced_terms(n, k + 1), a) == groups, k
+        closed = sum(term.sign * walked(term).as_scalar()
+                     for term in antisym_traced(k, None, "A", n))
+        assert identities.closed_traced_scalar(
+            identities.traced_terms(n, k, closed=True), a) == closed, k
+
+
+@pytest.mark.parametrize("dropped", [0, -1])
+def test_cayley_hamilton_fails_without_one_permutation(monkeypatch,
+                                                       dropped):
+    """Dropping the first permutation removes a whole class (the identity's);
+    dropping the last, (4 3 2 1), only lowers its class's signed count."""
+    every = Permutation.all_permutations
+
+    def all_but_one(m):
+        perms = list(every(m))
+        del perms[dropped]
+        return perms
+
+    monkeypatch.setattr(identities.Permutation, "all_permutations",
+                        staticmethod(all_but_one))
+    assert run_check("cayley_hamilton", 3).outcome == "fail"
+
+
+def test_traced_checks_reach_n_7():
+    for check_id in ("cayley_hamilton", "asym_sum_decomposition"):
+        assert REGISTRY[check_id].n_range == (2, 7)
+        assert run_check(check_id, 7, trials=1, seed=7).outcome == "pass"
+
+
 def test_det_permsum_many_trials():
     report = run_check("det_permsum_vs_oracle", n=4, trials=50, seed=7)
     assert report.outcome == "pass"
