@@ -13,10 +13,9 @@ from .diagrams import (COVECTOR, SINK, SOURCE, VECTOR, Cap, Cross, Cup,
                        validate_layered)
 from .evaluate import (Bindings, CrossCheckMismatch, EvalResult,
                        eval_checked, eval_contraction, eval_layered)
-from .linalg import (Matrix, Permutation, Polynomial, Rat, adjugate_oracle,
-                     charpoly_oracle, det_oracle, format_rat,
-                     lagrange_interpolate, levi_civita, rat, reversal_sign,
-                     solve_oracle)
+from .linalg import (Matrix, Permutation, Rat, adjugate_oracle,
+                     charpoly_oracle, det_oracle, format_rat, levi_civita,
+                     rat, reversal_sign, solve_oracle)
 from .tensor import Tensor
 
 __version__ = "0.1.0"
@@ -27,11 +26,11 @@ KERNEL_BACKEND = "pure"
 __all__ = [
     "Bindings", "COVECTOR", "Cap", "Cross", "CrossCheckMismatch", "Cup",
     "Diagram", "EvalResult", "Id", "KERNEL_BACKEND", "LayeredDiagram", "Mat",
-    "Matrix", "NVertex", "Perm", "Permutation", "Polynomial", "Rat",
-    "SINK", "SOURCE", "Tensor", "VECTOR",
+    "Matrix", "NVertex", "Perm", "Permutation", "Rat", "SINK", "SOURCE",
+    "Tensor", "VECTOR",
     "adjugate_oracle", "canonical_ciliation", "charpoly_oracle",
     "compose_vertical", "det_oracle", "eval_checked", "eval_contraction",
-    "eval_layered", "format_rat", "juxtapose_horizontal",
-    "lagrange_interpolate", "levi_civita", "rat", "reversal_sign",
-    "solve_oracle", "to_graph", "validate_graph", "validate_layered",
+    "eval_layered", "format_rat", "juxtapose_horizontal", "levi_civita",
+    "rat", "reversal_sign", "solve_oracle", "to_graph", "validate_graph",
+    "validate_layered",
 ]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _indices
 from math import factorial
 
 from .diagrams import (COVECTOR, SINK, SOURCE, VECTOR, Cap, Cup, Id,
@@ -183,11 +182,12 @@ def cross_product_node(n: int, vectors) -> Tensor:
 
 def _bind_inputs(t: Tensor, outs, vectors) -> Rat:
     """The entry of t at output index outs with vectors[s] bound to input
-    slot s: the sum over input indices of the entry times the components."""
+    slot s: the sum over the nonzero entries at outs of the entry times the
+    components."""
     acc = 0
-    for ins in _indices(range(1, t.n + 1), repeat=t.in_arity):
-        coeff = t.get(outs, ins)
-        if coeff:
+    for flat, coeff in t.nonzeros.items():
+        at, ins = t.index(flat)
+        if at == outs:
             for s, i in enumerate(ins):
                 coeff *= vectors[s][i - 1]
             acc += coeff

@@ -685,7 +685,7 @@ def _check_crossout(ctx: CheckContext):
 
 @_register("cayley_hamilton",
            "the traced antisymmetrizer on n+1 strands vanishes",
-           n_range=(2, 7))
+           n_range=(2, 8))
 def _check_cayley(ctx: CheckContext):
     n = ctx.n
     terms = traced_terms(n, n + 1)
@@ -701,7 +701,7 @@ def _check_cayley(ctx: CheckContext):
         cp = charpoly_oracle(a)
         for i in range(n + 1):
             want = Tensor.from_matrix(
-                (a ** i).scale(factorial(n) * cp.coefficient(i)))
+                (a ** i).scale(factorial(n) * cp[i]))
             if groups.get(i, Tensor.zeros(n, 1, 1)) != want:
                 ctx.fail("grouped coefficient disagrees with the "
                          "characteristic polynomial", trial=trial, i=i, A=a)
@@ -722,7 +722,7 @@ def _check_char_coefficients(ctx: CheckContext):
             sign = -1 if (i + n // 2) & 1 else 1
             diagram_side = Fraction(sign, factorial(i) * factorial(n - i)) \
                 * circle
-            if factorial(n) * cp.coefficient(i) != factorial(n) * diagram_side:
+            if factorial(n) * cp[i] != factorial(n) * diagram_side:
                 ctx.fail("coefficient mismatch", trial=trial, i=i, A=a)
 
 
@@ -746,7 +746,7 @@ def _check_det_sum(ctx: CheckContext):
 
 @_register("asym_sum_decomposition",
            "traced antisymmetrizer splits by the cycle through the open "
-           "strand", n_range=(2, 7))
+           "strand", n_range=(2, 8))
 def _check_asym_sum(ctx: CheckContext):
     n = ctx.n
     open_terms = [traced_terms(n, k + 1) for k in range(n + 1)]

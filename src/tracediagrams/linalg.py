@@ -7,10 +7,10 @@ no floating point anywhere, so every comparison is exact equality.
 Basis indices are 1-based throughout the public API, matching the usual
 e_1..e_n notation for the standard basis.
 
-The *_oracle functions are the brute-force linear-algebra reference
-implementations that diagram evaluations are checked against: determinant by
-permutation expansion, adjugate by cofactors, characteristic polynomial by
-evaluation at n+1 points plus exact Lagrange interpolation.
+The *_oracle functions are the exact linear-algebra references that diagram
+evaluations are checked against.  They share no code with the diagram engine:
+determinant by Bareiss elimination, adjugate by cofactors, characteristic
+polynomial by Berkowitz's recurrence, solutions by the adjugate.
 """
 
 from __future__ import annotations
@@ -61,27 +61,12 @@ class Permutation:
         return cls(range(1, m + 1))
 
     @classmethod
-    def reversal(cls, m: int) -> "Permutation":
-        return cls(range(m, 0, -1))
-
-    @classmethod
     def all_permutations(cls, m: int):
         for images in _itertools_permutations(range(1, m + 1)):
             yield cls(images)
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        return Permutation(self.images[other.images[i] - 1]
-                           for i in range(len(self.images)))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * len(self.images)
-        for i, img in enumerate(self.images, start=1):
-            images[img - 1] = i
-        return Permutation(images)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition, each cycle starting at its smallest element."""
@@ -248,88 +233,33 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
-# -- Polynomials ---------------------------------------------------------------
-
-class Polynomial:
-    """Dense polynomial; coeffs[i] multiplies x^i, trailing zeros trimmed."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = [rat(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    def coefficient(self, i: int) -> Rat:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def __call__(self, x: Rat) -> Rat:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial([c + (b[i] if i < len(b) else 0)
-                           for i, c in enumerate(a)])
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    def scale(self, c: Rat) -> "Polynomial":
-        c = rat(c)
-        return Polynomial([c * x for x in self.coeffs])
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"Polynomial({[format_rat(c) for c in self.coeffs]})"
-
-
-def lagrange_interpolate(points) -> Polynomial:
-    """Exact interpolation through (x, y) pairs with distinct x."""
-    points = [(rat(x), rat(y)) for x, y in points]
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    total = Polynomial([0])
-    for i, (xi, yi) in enumerate(points):
-        basis = Polynomial([1])
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                basis = basis * Polynomial([-xj, 1])
-                denom *= xi - xj
-        total = total + basis.scale(Fraction(yi, 1) / denom)
-    return total
-
-
-# -- Brute-force oracles ---------------------------------------------------------
+# -- Exact oracles ---------------------------------------------------------------
 
 def det_oracle(m: Matrix) -> Rat:
-    """Determinant by direct permutation expansion."""
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968): each step's division by the previous pivot is exact, so int
+    matrices stay in ints; a zero pivot swaps in a lower row and flips the
+    sign, and a column with no pivot makes the determinant 0."""
     n = m.n
-    total = 0
-    for p in Permutation.all_permutations(n):
-        term = p.sign
-        for i in range(1, n + 1):
-            term *= m.entry(i, p(i))
-            if term == 0:
-                break
-        total += term
-    return total
+    rows = [list(row) for row in m.rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                num = row[j] * pivot - lead * pivot_row[j]
+                row[j] = (num // prev if type(num) is int and type(prev) is int
+                          else num / prev)
+        prev = pivot
+    return sign * rows[-1][-1]
 
 
 def adjugate_oracle(m: Matrix) -> Matrix:
@@ -347,15 +277,28 @@ def adjugate_oracle(m: Matrix) -> Matrix:
     return Matrix(cof).transpose()
 
 
-def charpoly_oracle(m: Matrix) -> Polynomial:
-    """Coefficients of det(M - x*I), by evaluation at x = 0..n and
-    exact interpolation."""
-    n = m.n
-    points = []
-    for x in range(n + 1):
-        shifted = m - Matrix.identity(n).scale(x)
-        points.append((x, det_oracle(shifted)))
-    return lagrange_interpolate(points)
+def charpoly_oracle(m: Matrix) -> tuple[Rat, ...]:
+    """Coefficients of det(M - x*I), index i multiplying x^i, by Berkowitz's
+    division-free recurrence (IPL 18, 1984).
+
+    With M_k the leading k x k block, R and C the first k entries of row
+    k+1 and of column k+1, and a = M[k+1][k+1], the coefficients (highest
+    first) of det(x*I - M_(k+1)) are the lower-triangular Toeplitz matrix
+    with first column (1, -a, -R C, -R M_k C, ..., -R M_k^(k-1) C) applied
+    to those of det(x*I - M_k); det(M - x*I) is (-1)^n det(x*I - M)."""
+    n, rows = m.n, m.rows
+    poly = [1]
+    for k in range(n):
+        block = [r[:k] for r in rows[:k]]
+        row, col = rows[k][:k], [r[k] for r in rows[:k]]
+        toeplitz = [1, -rows[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(r * c for r, c in zip(row, col)))
+            col = [sum(b * c for b, c in zip(brow, col)) for brow in block]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
+                for i in range(k + 2)]
+    sign = -1 if n & 1 else 1
+    return tuple(sign * c for c in reversed(poly))
 
 
 def solve_oracle(m: Matrix, b) -> tuple[Rat, ...] | None:

@@ -113,10 +113,10 @@ def test_cayley_hamilton_fails_without_one_permutation(monkeypatch,
     assert run_check("cayley_hamilton", 3).outcome == "fail"
 
 
-def test_traced_checks_reach_n_7():
+def test_traced_checks_reach_n_8():
     for check_id in ("cayley_hamilton", "asym_sum_decomposition"):
-        assert REGISTRY[check_id].n_range == (2, 7)
-        assert run_check(check_id, 7, trials=1, seed=7).outcome == "pass"
+        assert REGISTRY[check_id].n_range == (2, 8)
+        assert run_check(check_id, 8, trials=1, seed=7).outcome == "pass"
 
 
 def test_det_permsum_many_trials():

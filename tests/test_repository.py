@@ -1,10 +1,15 @@
-"""Repository hygiene: no file that .gitignore excludes is tracked."""
+"""Repository hygiene: no file that .gitignore excludes is tracked, the
+package exports only names it defines, and the oracles stand apart from the
+engine they judge."""
 
+import ast
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+
+import tracediagrams
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,3 +26,23 @@ def test_no_ignored_file_is_tracked():
     out = git("ls-files", "-ci", "--exclude-standard")
     assert out.returncode == 0, out.stderr
     assert out.stdout == "", "tracked but ignored:\n" + out.stdout
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in tracediagrams.__all__
+               if not hasattr(tracediagrams, name)]
+    assert missing == []
+
+
+def test_linalg_imports_nothing_from_the_package():
+    source = Path(tracediagrams.__file__).with_name("linalg.py").read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[0] == "tracediagrams"
+                       for name in names), ast.unparse(node)
