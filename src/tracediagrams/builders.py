@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 from .diagrams import (COVECTOR, SINK, SOURCE, VECTOR, Cap, Cup, Id,
@@ -127,17 +128,26 @@ def antisym_permsum(k: int, n: int) -> list[tuple[int, LayeredDiagram]]:
 
 
 def antisym_tensor(k: int, n: int) -> Tensor:
-    """The signed sum of antisym_permsum's evaluated terms, added into one
-    dict of nonzeros in place; an entry that cancels is removed."""
+    """The signed sum of antisym_permsum's evaluated terms, each evaluated
+    on the n!/(n-k)! input columns whose k digits are distinct.
+
+    The sum is zero on every other column: where two input digits are
+    equal, composing a permutation with the swap of those two slots gives
+    the term of opposite sign, which reads the same output from that
+    column, so the two cancel at every key of it.  On a column of distinct
+    digits each permutation reads its own output, so the terms' nonzeros
+    are pairwise disjoint and merge without adding.  For k > n there is no
+    such column, and the sum is the zero tensor."""
+    columns = []
+    for digits in permutations(range(n), k):
+        c = 0
+        for digit in digits:
+            c = c * n + digit
+        columns.append(c)
     total: dict = {}
-    get = total.get
     for sign, d in antisym_permsum(k, n):
-        for i, x in eval_layered(d, {}).tensor.nonzeros.items():
-            v = get(i, 0) + sign * x
-            if v:
-                total[i] = v
-            else:
-                del total[i]
+        nonzeros = eval_layered(d, {}, columns=columns).tensor.nonzeros
+        total.update({i: sign * x for i, x in nonzeros.items()})
     return Tensor._owning(n, k, k, total)
 
 

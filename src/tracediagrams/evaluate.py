@@ -2,14 +2,15 @@
 
 eval_layered folds the slices of a layered diagram bottom to top over a
 sparse state, a dict from flat index to nonzero value that starts as the
-identity on the inputs.  A crossing or permutation moves each key to the
-key with its digits relabelled, forming no product.  Every other piece is
-a table from its input block to its nonzero (output block, coefficient)
-pairs, applied to the state's nonzeros only.  The final state is the
-result's nonzeros.  eval_contraction works on the graph form: it assigns
-an index variable to every edge end, with a Levi-Civita factor per vertex
-and an integer matrix factor per labeled edge, and sums the internal
-variables out of those factors one at a time.  Each bound matrix is read
+identity on the inputs, or on the given input columns only.  A crossing
+or permutation moves each key to the key with its digits relabelled,
+forming no product.  Every other piece is a table from its input block
+to its nonzero (output block, coefficient) pairs, applied to the state's
+nonzeros only.  The final state is the result's nonzeros.
+eval_contraction works on the graph form: it assigns an index variable to
+every edge end, with a Levi-Civita factor per vertex and an integer matrix
+factor per labeled edge, and sums the internal variables out of those
+factors one at a time.  Each bound matrix is read
 once per call as integers over the lcm of its denominators, and an edge's
 factor is the integer product of its labels over the product of their
 denominators; the common divisor is applied to the result's nonzeros at
@@ -208,11 +209,15 @@ def _relabel(state: dict, n: int, arity: int, offset: int, m: int,
 
 
 def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
-                 validated: bool = False) -> EvalResult:
+                 columns=None, validated: bool = False) -> EvalResult:
     """Fold the slices of d over a sparse state, starting from the identity
     on its inputs.  terms counts one product per (state nonzero, table
     coefficient) pair; relabelling by Cross and Perm counts none.
 
+    columns, an iterable of flat 0-based input indices (row-major over the
+    k inputs, the input half of a nonzeros key), starts the fold from the
+    identity on those columns only: the result keeps the full shape, equals
+    the full evaluation on those columns and is zero on every other.
     validated=True skips validating d, which the caller has done."""
     start = time.perf_counter()
     if not validated:
@@ -224,7 +229,15 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
     n = d.n
     k = len(d.inputs)
     size = n ** k
-    state = {i * (size + 1): 1 for i in range(size)}
+    if columns is None:
+        state = {i * (size + 1): 1 for i in range(size)}
+    else:
+        state = {}
+        for c in columns:
+            if not 0 <= c < size:
+                raise ValueError(f"input column {c} is outside "
+                                 f"range({size})")
+            state[c * (size + 1)] = 1
     arity = 2 * k
     polarities = list(d.inputs)
     terms = 0

@@ -513,7 +513,7 @@ def _check_complemental_formula(ctx: CheckContext):
 
 @_register("asym_compare",
            "antisymmetrizer equals its node-pair form up to the stated "
-           "constant", uses_trials=False, n_range=(2, 5))
+           "constant", uses_trials=False, n_range=(2, 6))
 def _check_asym_compare(ctx: CheckContext):
     n = ctx.n
     for k in range(0, n + 1):
@@ -548,7 +548,7 @@ def _check_asym_zero(ctx: CheckContext):
 
 @_register("asym_special_cases",
            "closed antisymmetrizer scalars and the determinant circle",
-           n_range=(2, 5))
+           n_range=(2, 6))
 def _check_asym_special(ctx: CheckContext):
     n = ctx.n
     want = reversal_sign(n) * factorial(n)

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from tracediagrams import builders
 from tracediagrams.builders import (CramerSolution, adjugate_diagram,
                                     adjugate_value, antisym_nodepair,
                                     antisym_permsum, antisym_tensor,
@@ -19,7 +20,7 @@ from tracediagrams.builders import (CramerSolution, adjugate_diagram,
                                     vertex_pair)
 from tracediagrams.diagrams import (compose_vertical, to_graph,
                                     validate_layered)
-from tracediagrams.evaluate import eval_checked, eval_contraction
+from tracediagrams.evaluate import eval_checked, eval_contraction, eval_layered
 from tracediagrams.identities import random_matrix, random_vector
 from tracediagrams.linalg import (Matrix, Permutation, adjugate_oracle,
                                   det_oracle, levi_civita, reversal_sign,
@@ -122,6 +123,26 @@ def test_antisym_nodepair_comparison():
 
 def test_antisym_beyond_dimension_is_zero():
     assert antisym_tensor(3, 2).is_zero()
+
+
+@pytest.mark.parametrize("k,n", [(0, 2), (2, 3), (3, 3), (4, 4), (3, 2)])
+def test_antisym_tensor_evaluates_every_permutation_diagram(monkeypatch, k,
+                                                            n):
+    """The sum stays one eval_layered call per permutation diagram, k! in
+    all, so a dropped or merged term shows in the checks that compare it
+    with the node pair.  perfbench's layered_eval times each of these calls
+    as one operation."""
+    calls = []
+
+    def counting(d, bindings, **kwargs):
+        calls.append(d)
+        return eval_layered(d, bindings, **kwargs)
+
+    monkeypatch.setattr(builders, "eval_layered", counting)
+    antisym_tensor(k, n)
+    assert len(calls) == factorial(k)
+    assert sorted(d.layers[0][0].images for d in calls) == \
+        sorted(p.images for p in Permutation.all_permutations(k))
 
 
 def rearrangement_sign(outs, ins):

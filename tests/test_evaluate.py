@@ -24,6 +24,8 @@ from tracediagrams.linalg import (Matrix, det_oracle, levi_civita,
                                   reversal_sign)
 from tracediagrams.tensor import Tensor
 
+from test_acceptance import _builder_catalog
+
 A = Matrix([[2, 3], [4, 5]])
 M4 = Matrix([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1], [1, 1, 0, 2]])
 
@@ -410,6 +412,57 @@ def test_eval_layered_result_holds_no_zero():
     layered = eval_layered(d, b).tensor
     assert layered.nonzeros and all(layered.nonzeros.values())
     assert layered == eval_contraction(to_graph(d), b).tensor
+
+
+# -- evaluation on given input columns ----------------------------------------------
+
+def _on_columns(t, columns):
+    """The nonzeros of t whose input half is one of columns."""
+    size = t.n ** t.in_arity
+    return {i: x for i, x in t.nonzeros.items() if i % size in columns}
+
+
+def _column_cases():
+    rng = random.Random(17)
+    for n in (2, 3):
+        yield from _builder_catalog(n)
+    for _ in range(200):
+        d = random_layered_diagram(rng.choice((2, 3)), rng)
+        yield d, random_bindings(d, rng)
+
+
+def test_columns_restrict_the_full_evaluation():
+    """On a random subset of its input columns, eval_layered gives the full
+    evaluation of either evaluator on those columns, and zero elsewhere;
+    columns=range(n^k) is the default evaluation, term for term."""
+    rng = random.Random(23)
+    for d, b in _column_cases():
+        size = d.n ** len(d.inputs)
+        full = eval_layered(d, b)
+        every = eval_layered(d, b, columns=range(size))
+        assert every.tensor.nonzeros == full.tensor.nonzeros
+        assert every.term_count == full.term_count
+        columns = set(rng.sample(range(size), rng.randint(0, size)))
+        got = eval_layered(d, b, columns=columns).tensor
+        shape = (got.n, got.out_arity, got.in_arity)
+        assert shape == (full.tensor.n, full.tensor.out_arity,
+                         full.tensor.in_arity)
+        assert got.nonzeros == _on_columns(full.tensor, columns)
+        contraction = eval_contraction(to_graph(d), b).tensor
+        assert got.nonzeros == _on_columns(contraction, columns)
+
+
+def test_empty_columns_give_the_zero_tensor():
+    t = eval_layered(adjugate_diagram(3, "A"), {"A": random_matrix(3, 5)},
+                     columns=[]).tensor
+    assert (t.n, t.out_arity, t.in_arity) == (3, 1, 1) and t.is_zero()
+
+
+def test_column_outside_the_inputs_is_refused():
+    d = antisym_nodepair(2, 3)
+    for bad in (9, -1):
+        with pytest.raises(ValueError, match=f"column {bad} "):
+            eval_layered(d, {}, columns=[0, bad])
 
 
 # -- cross-check ------------------------------------------------------------------

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from tracediagrams import identities
+from tracediagrams import builders, identities
 from tracediagrams.identities import (REGISTRY, CheckFailure, IdentityReport,
                                       derive_seed, random_matrix,
                                       random_vector, report_lines,
@@ -67,6 +67,23 @@ def test_asym_zero_fails_without_one_permutation(monkeypatch, n):
 def test_asym_zero_reaches_n_6():
     assert REGISTRY["asym_zero_beyond_n"].n_range == (2, 6)
     assert run_check("asym_zero_beyond_n", 6).outcome == "pass"
+
+
+@pytest.mark.parametrize("check_id", ["asym_compare", "asym_special_cases"])
+def test_asym_checks_fail_without_one_permutation(monkeypatch, check_id):
+    """antisym_tensor evaluates only the distinct-digit columns; with one
+    signed permutation diagram missing, the sum must still disagree with
+    the node pair."""
+    every = builders.antisym_permsum
+    monkeypatch.setattr(builders, "antisym_permsum",
+                        lambda k, n: every(k, n)[1:])
+    assert run_check(check_id, 3).outcome == "fail"
+
+
+def test_asym_checks_reach_n_6():
+    for check_id in ("asym_compare", "asym_special_cases"):
+        assert REGISTRY[check_id].n_range == (2, 6)
+        assert run_check(check_id, 6, trials=1, seed=7).outcome == "pass"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -272,8 +289,8 @@ def test_every_registry_diagram_cross_checks(monkeypatch):
     through a builder, goes through both evaluators, which must agree
     entry for entry: a mismatch raises inside its check and turns that
     report into an error."""
-    from tracediagrams import builders
     from tracediagrams.evaluate import EvalResult, eval_checked
+    from tracediagrams.tensor import Tensor
 
     checked = []
 
@@ -281,10 +298,21 @@ def test_every_registry_diagram_cross_checks(monkeypatch):
         checked.append(d)
         return eval_checked(d, bindings)
 
+    def layered(d, bindings, *, columns=None):
+        """The full diagram through both evaluators, then, if columns are
+        given, its nonzeros on those input columns, as eval_layered's."""
+        t = through_both(d, bindings)
+        if columns is not None:
+            size = d.n ** len(d.inputs)
+            keep = set(columns)
+            t = Tensor._owning(t.n, t.out_arity, t.in_arity,
+                               {i: x for i, x in t.nonzeros.items()
+                                if i % size in keep})
+        return EvalResult(t, 0, 0.0)
+
     monkeypatch.setattr(identities, "eval_graph", through_both)
     for module in (identities, builders):
-        monkeypatch.setattr(module, "eval_layered", lambda d, b: EvalResult(
-            through_both(d, b), 0, 0.0))
+        monkeypatch.setattr(module, "eval_layered", layered)
     reports = run_all(max_n=4, trials=1, seed=7)
     assert [r.line() for r in reports if r.outcome != "pass"] == []
     assert len(reports) == 69 and len(checked) == 357
