@@ -559,6 +559,12 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError:
+        where = args.command
+        if getattr(args, "file", None):
+            where += f" {args.file}"
+        print(f"error: out of memory in tracediag {where}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

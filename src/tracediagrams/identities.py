@@ -15,9 +15,9 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from math import comb, factorial
-from operator import itemgetter
+from operator import eq, itemgetter, mul
 
 from .builders import (adjugate_diagram, adjugate_value, antisym_nodepair,
                        antisym_tensor, antisym_traced_classes,
@@ -511,6 +511,16 @@ def _check_complemental_formula(ctx: CheckContext):
                          k=k, inputs=list(ins))
 
 
+def _is_multiple(t: Tensor, c: int, u: Tensor) -> bool:
+    """Whether t == c * u exactly, for a nonzero c, without building c * u:
+    the same shape, as many nonzeros, and t holding c times each of u's
+    (a key t lacks reads None), so the key sets are equal too."""
+    a, b = t.nonzeros, u.nonzeros
+    return ((t.n, t.out_arity, t.in_arity) == (u.n, u.out_arity, u.in_arity)
+            and len(a) == len(b)
+            and all(map(eq, map(a.get, b), map(mul, b.values(), repeat(c)))))
+
+
 @_register("asym_compare",
            "antisymmetrizer equals its node-pair form up to the stated "
            "constant", uses_trials=False, n_range=(2, 6))
@@ -520,7 +530,8 @@ def _check_asym_compare(ctx: CheckContext):
         perm_sum = antisym_tensor(k, n)
         pair = eval_layered(antisym_nodepair(k, n), {}).tensor
         # pair = ±(n-k)! * perm_sum, tested on integers without dividing
-        if perm_sum.scale(reversal_sign(n) * factorial(n - k)) != pair:
+        if not _is_multiple(pair, reversal_sign(n) * factorial(n - k),
+                            perm_sum):
             ctx.fail("node pair over (n-k)! disagrees with the sum", k=k)
 
 
@@ -557,7 +568,7 @@ def _check_asym_special(ctx: CheckContext):
         ctx.fail(f"bare circle gave {bare}, expected {want}")
     pair_n = eval_layered(antisym_nodepair(n, n), {}).tensor
     asym_n = antisym_tensor(n, n)
-    if pair_n.scale(reversal_sign(n)) != asym_n:
+    if not _is_multiple(asym_n, reversal_sign(n), pair_n):
         ctx.fail("joined pair at k=n is not the signed antisymmetrizer")
     for trial in range(ctx.trials):
         a = ctx.matrix(trial)

@@ -240,6 +240,20 @@ def test_cmd_eval_cross_check_failure_exit(tmp_path, capsys, monkeypatch):
     assert "cross-check" in capsys.readouterr().err
 
 
+def test_cmd_eval_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch):
+    import tracediagrams.cli as cli_module
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    path = write(tmp_path, "trace.json", TRACE_DOC)
+    monkeypatch.setattr(cli_module, "eval_layered", exhausted)
+    assert main(["eval", path, "--evaluator", "layered"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "out of memory" in err and "eval" in err and path in err
+
+
 def test_cmd_check_all_exit_zero(capsys):
     assert main(["check", "--all", "--max-n", "2", "--trials", "2",
                  "--seed", "42"]) == 0

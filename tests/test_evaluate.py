@@ -305,9 +305,7 @@ def test_fold_matches_entrywise_definition():
                                                           n))), None)]
         for piece, pol in pieces:
             j_in, j_out = piece_step(piece, n, (), 0)[:2]
-            if isinstance(piece, Mat):
-                table = evaluate_module._mat_table(piece, pol, b)
-            else:
+            if not isinstance(piece, Mat):
                 table = evaluate_module._piece_table(piece, n)
             entry = _piece_entry(piece, n, pol, b)
             for arity in range(j_in, j_in + 3):
@@ -319,6 +317,11 @@ def test_fold_matches_entrywise_definition():
                         # a relabelling forms no products: compare states
                         got = evaluate_module._relabel(
                             state, n, arity, offset, j_in, table)
+                    elif isinstance(piece, Mat):
+                        got, terms = evaluate_module._apply_mat(
+                            state, n, arity, offset, piece, pol, b)
+                        assert terms == want_terms, (piece, pol, arity,
+                                                     offset)
                     else:
                         got, terms = evaluate_module._apply(
                             state, n, arity, offset, j_in, j_out, table)
@@ -328,13 +331,60 @@ def test_fold_matches_entrywise_definition():
                     assert all(got.values())
 
 
+def test_mat_pass_matches_entrywise_definition(monkeypatch):
+    # both ways of a Mat pass, scatter and dense, against the definition:
+    # Fraction entries, a zero row and a zero column, rows whose products
+    # cancel on equal digits, both polarities and both against flags
+    taken = []
+    mostly_full = evaluate_module._mostly_full
+
+    def spy(*args):
+        taken.append(mostly_full(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(evaluate_module, "_mostly_full", spy)
+    rng = random.Random(23)
+    h = Fraction(1, 2)
+    for n in (2, 3, 4, 5):
+        mixed = [[rng.choice((0, 1, -2, 3, h, Fraction(-4, 3)))
+                  for _ in range(n)] for _ in range(n)]
+        mixed[0] = [0] * n                         # a zero row
+        for row in mixed:
+            row[-1] = 0                            # a zero column
+        cancelling = [[(1, -1)[j % 2] * (i + 1) if j < 2 else 0
+                       for j in range(n)] for i in range(n)]
+        cancelling[-1] = [h, -h] + [1] * (n - 2)
+        for rows in (mixed, cancelling):
+            b = {"A": Matrix(rows)}
+            pieces = [(Mat("A", against), pol) for against in (False, True)
+                      for pol in (VECTOR, COVECTOR)]
+            for arity in range(1, 5 if n < 5 else 6):
+                for piece, pol in pieces:
+                    entry = _piece_entry(piece, n, pol, b)
+                    offset = rng.randrange(arity)
+                    # every slot, most slots or a quarter of the slots
+                    # filled; equal values make the cancelling rows cancel
+                    for fill in ((1, 2), (0, 1, 1, 2, 1, h), (0, 0, 0, -1)):
+                        if arity == 5 and fill[0]:
+                            continue               # n^5 keys: partial only
+                        state = {i: x for i in range(n ** arity)
+                                 if (x := rng.choice(fill))}
+                        want, want_terms = _apply_by_definition(
+                            state, n, arity, offset, 1, 1, entry)
+                        got, terms = evaluate_module._apply_mat(
+                            state, n, arity, offset, piece, pol, b)
+                        assert got == want, (n, arity, offset, piece, pol)
+                        assert terms == want_terms, (n, arity, piece, pol)
+                        assert all(got.values())
+    assert True in taken and False in taken
+
+
 def test_fold_drops_cancelled_entries():
     n = 2
     # e1 - e2 through the matrix [[1, 1], [0, 0]]: its products cancel
-    table = evaluate_module._mat_table(
-        Mat("A"), VECTOR, {"A": Matrix([[1, 1], [0, 0]])})
-    assert evaluate_module._apply({0: 1, 1: -1}, n, 1, 0, 1, 1, table) == \
-        ({}, 2)
+    assert evaluate_module._apply_mat(
+        {0: 1, 1: -1}, n, 1, 0, Mat("A"), VECTOR,
+        {"A": Matrix([[1, 1], [0, 0]])}) == ({}, 2)
     # a cap meets a state whose diagonal sums to zero
     diag = {_flat((0, 0), n): 3, _flat((1, 1), n): -3}
     assert evaluate_module._apply(
@@ -553,8 +603,9 @@ def test_contraction_path_calls_no_layered_kernel(monkeypatch):
 
     for name in ("pair_contract", "permute_axes", "_strides", "_offsets"):
         monkeypatch.setattr(kernels, name, forbidden)
-    for name in ("_apply", "_relabel", "_piece_table", "_mat_table",
-                 "_vertex_table", "_perm_shifts"):
+    for name in ("_apply", "_apply_mat", "_mostly_full", "_relabel",
+                 "_piece_table", "_vertex_table", "_lexicographic_signs",
+                 "_perm_shifts"):
         monkeypatch.setattr(evaluate_module, name, forbidden)
     assert [graph_eval(d, b) for d, b in cases] == want
 

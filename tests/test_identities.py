@@ -1,6 +1,7 @@
 """The identity-check registry: framework behavior and spot checks."""
 
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -78,6 +79,22 @@ def test_asym_checks_fail_without_one_permutation(monkeypatch, check_id):
     monkeypatch.setattr(builders, "antisym_permsum",
                         lambda k, n: every(k, n)[1:])
     assert run_check(check_id, 3).outcome == "fail"
+
+
+def test_is_multiple_compares_every_entry():
+    from tracediagrams.tensor import Tensor
+
+    u = Tensor(2, 1, 1, [1, 0, Fraction(1, 2), -3])
+    assert identities._is_multiple(u.scale(-6), -6, u)
+    assert not identities._is_multiple(u.scale(6), -6, u)
+    off_by_one = u.scale(2)
+    off_by_one.nonzeros[3] += 1                    # same keys, one value off
+    assert not identities._is_multiple(off_by_one, 2, u)
+    assert not identities._is_multiple(u.scale(2) + Tensor(2, 1, 1, [
+        0, 5, 0, 0]), 2, u)                        # one key more
+    assert not identities._is_multiple(Tensor(2, 1, 1, [2, -6, 1, 0]), 2,
+                                       u)          # one key moved
+    assert not identities._is_multiple(Tensor(2, 0, 2, [2, 0, 1, -6]), 2, u)
 
 
 def test_asym_checks_reach_n_6():
