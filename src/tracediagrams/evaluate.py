@@ -5,12 +5,12 @@ sparse state, a dict from flat index to nonzero value that starts as the
 identity on the inputs, or on the given input columns only.  A crossing
 or permutation moves each key to the key with its digits relabelled,
 forming no product.  A matrix label reads the state by context (a key
-without the labeled wire's digit): sparse contexts scatter each nonzero
-through the matrix column its digit selects, and mostly full ones, on
-large states, form each output digit as one dot product of a matrix row
-with the context's vector of values.  Every other piece is a table from
-its input block to its nonzero (output block, coefficient) pairs, applied
-to the state's nonzeros only.  The final state is the result's nonzeros.
+without the labeled wire's digit): it scatters each nonzero through the
+matrix column its digit selects or, on large states whose contexts are
+mostly full, forms each output digit as one dot product of a matrix row
+with each context's values.  Every other piece is a table from its input
+block to its nonzero (output block, coefficient) pairs, applied to the
+state's nonzeros only.  The final state is the result's nonzeros.
 eval_contraction works on the graph form: it assigns an index variable to
 every edge end, with a Levi-Civita factor per vertex and an integer matrix
 factor per labeled edge, and sums the internal variables out of those
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, permutations, repeat
 from math import lcm
-from operator import add, floordiv, mod, mul, sub
+from operator import mul
 
 from . import kernels
 from .diagrams import (COVECTOR, Cap, Cross, Cup, Diagram, GInput, GNode,
@@ -172,19 +172,6 @@ def _piece_table(piece, n: int) -> dict | tuple:
     return table
 
 
-# A Mat pass reads the state by context: a key with the labeled wire's
-# digit zeroed, whose n slots are the keys with each digit there.  The pass
-# is dense when n >= 5, the state has at least n^4 nonzeros, and the
-# contexts of _FILL_SAMPLES nonzeros spread through it hold at least three
-# quarters of their slots on average; otherwise it scatters.  Pass by pass
-# on the det circle at n = 6 (2-core x86-64, Python 3.11), the dense way
-# takes 11.0 and 3.5 ms for the 5/6 and 6/6 full passes against 12.4 and
-# 4.9 ms scattered, ties at 4/6 and loses 1.5x at 2/6; at n = 7 it ties or
-# wins from 6/7 up and loses 1.2-1.8x below; at n <= 4, or below n^4
-# nonzeros, it does not repay its set-up.
-_FILL_SAMPLES = 16
-
-
 def _apply_mat(state: dict, n: int, arity: int, offset: int, piece: Mat,
                polarity: str, bindings: Bindings) -> tuple[dict, int]:
     """Apply a Mat piece to the state's axis at offset.  Returns the new
@@ -194,40 +181,24 @@ def _apply_mat(state: dict, n: int, arity: int, offset: int, piece: Mat,
 
     A label along a vector wire's (upward) orientation acts upward as the
     bound matrix A; along a covector wire's (downward) orientation it acts
-    upward as A^T.  The against flag swaps either case.
-
-    Scattering sends each nonzero through its column, one product and one
-    dict update per coefficient.  The dense way lines the state up as one
-    length-n vector per context and forms each output digit as one dot
-    product with the matrix row, for all contexts at once; it multiplies
-    the vectors' zeros too, but they are not counted."""
+    upward as A^T.  The against flag swaps either case."""
     rows = bindings[piece.name].rows
     if (polarity == COVECTOR) != bool(piece.against_orientation):
         rows = tuple(zip(*rows))
     low = n ** (arity - offset - 1)
-    if n >= 5 and len(state) >= n ** 4 and _mostly_full(state, n, low):
-        ctxs = list(dict.fromkeys(map(sub, state, map(
-            mul, map(mod, map(floordiv, state, repeat(low)), repeat(n)),
-            repeat(low)))))
-        # vecs[j][c]: the value at digit j of context ctxs[c], or 0
-        vecs = [list(map(state.get, map(add, ctxs, repeat(j * low)),
-                         repeat(0))) for j in range(n)]
-        # each nonzero at digit j meets the column's nonzero coefficients
-        terms = sum((len(ctxs) - vec.count(0)) * (n - col.count(0))
-                    for vec, col in zip(vecs, zip(*rows)))
-        out: dict = {}
-        for i, row in enumerate(rows):
-            products = [map(mul, vec, repeat(x))
-                        for vec, x in zip(vecs, row) if x]
-            if products:
-                out.update(zip(map(add, ctxs, repeat(i * low)),
-                               map(sum, zip(*products))))
-        return _without_zeros(out), terms
+    if _mostly_full(state, n, low):
+        return _dense_mat(state, n, low, rows)
+    return _scatter_mat(state, n, low, rows)
+
+
+def _scatter_mat(state: dict, n: int, low: int, rows) -> tuple[dict, int]:
+    """_apply_mat's usual way: each nonzero goes through the column of rows
+    its digit (of weight low) selects, one product and one store each."""
     # cols[j]: (key shift, coefficient) of each nonzero in column j; moving
     # digit j to i shifts a key by (i - j) * low
     cols = [[((i - j) * low, x) for i, row in enumerate(rows)
              if (x := row[j])] for j in range(n)]
-    out = {}
+    out: dict = {}
     get = out.get
     terms = 0
     for key, val in state.items():
@@ -241,25 +212,51 @@ def _apply_mat(state: dict, n: int, arity: int, offset: int, piece: Mat,
     return _without_zeros(out), terms
 
 
+def _dense_mat(state: dict, n: int, low: int, rows) -> tuple[dict, int]:
+    """_apply_mat's dense way: output digit i of a context is the dot
+    product of row i with the context's n values, zeros included, formed
+    for all contexts at once one column of products at a time.  Zero
+    values are multiplied but not counted as terms."""
+    # each key with its digit of weight low zeroed, once, in first-seen order
+    ctxs = list(dict.fromkeys(key - key // low % n * low for key in state))
+    # by_digit[j][c]: the value at digit j of context ctxs[c], or 0
+    by_digit = [list(map(state.get, [c + j * low for c in ctxs], repeat(0)))
+                for j in range(n)]
+    terms = sum((len(ctxs) - vals.count(0)) * (n - col.count(0))
+                for vals, col in zip(by_digit, zip(*rows)))
+    out: dict = {}
+    for i, row in enumerate(rows):
+        products = [map(mul, vals, repeat(x))
+                    for vals, x in zip(by_digit, row) if x]
+        if products:
+            out.update(zip([c + i * low for c in ctxs],
+                           map(sum, zip(*products))))
+    return _without_zeros(out), terms
+
+
+def _mostly_full(state: dict, n: int, low: int) -> bool:
+    """The fixed rule that sends a Mat pass the dense way: n >= 5, at least
+    n^4 nonzeros, and the contexts of 16 nonzeros taken at even steps
+    through the state hold at least three quarters of their n slots on
+    average.  The dense way wins only there (BENCH_18.json, mat_passes);
+    sampling costs a few lookups, where counting every context would cost
+    as much as the gain."""
+    if n < 5 or len(state) < n ** 4:
+        return False
+    shifts = [j * low for j in range(n)]
+    sampled = found = 0
+    for key in islice(state, 0, None, len(state) // 16):
+        ctx = key - key // low % n * low
+        sampled += 1
+        found += sum(ctx + s in state for s in shifts)
+    return 4 * found >= 3 * n * sampled
+
+
 def _without_zeros(out: dict) -> dict:
     """out, or when sums in it cancelled, a copy without its zeros."""
     if 0 in out.values():
         return {k: v for k, v in out.items() if v}
     return out
-
-
-def _mostly_full(state: dict, n: int, low: int) -> bool:
-    """Whether the contexts of _FILL_SAMPLES nonzeros, taken at even steps
-    through the state's iteration order, hold at least three quarters of
-    their n slots each on average: the fill rule of _apply_mat, for a
-    state of at least _FILL_SAMPLES nonzeros."""
-    shifts = [j * low for j in range(n)]
-    sampled = found = 0
-    for key in islice(state, 0, None, len(state) // _FILL_SAMPLES):
-        ctx = key - key // low % n * low
-        sampled += 1
-        found += sum(map(state.__contains__, map(add, repeat(ctx), shifts)))
-    return 4 * found >= 3 * n * sampled
 
 
 def _apply(state: dict, n: int, arity: int, offset: int, j_in: int,

@@ -331,18 +331,11 @@ def test_fold_matches_entrywise_definition():
                     assert all(got.values())
 
 
-def test_mat_pass_matches_entrywise_definition(monkeypatch):
-    # both ways of a Mat pass, scatter and dense, against the definition:
-    # Fraction entries, a zero row and a zero column, rows whose products
-    # cancel on equal digits, both polarities and both against flags
-    taken = []
-    mostly_full = evaluate_module._mostly_full
-
-    def spy(*args):
-        taken.append(mostly_full(*args))
-        return taken[-1]
-
-    monkeypatch.setattr(evaluate_module, "_mostly_full", spy)
+def test_mat_pass_matches_entrywise_definition():
+    # both ways of a Mat pass, scatter and dense, each run on every state
+    # against the definition: Fraction entries, a zero row and a zero
+    # column, rows whose products cancel on equal digits, both polarities
+    # and both against flags
     rng = random.Random(23)
     h = Fraction(1, 2)
     for n in (2, 3, 4, 5):
@@ -358,25 +351,40 @@ def test_mat_pass_matches_entrywise_definition(monkeypatch):
             b = {"A": Matrix(rows)}
             pieces = [(Mat("A", against), pol) for against in (False, True)
                       for pol in (VECTOR, COVECTOR)]
-            for arity in range(1, 5 if n < 5 else 6):
+            for arity in range(1, 5):
                 for piece, pol in pieces:
                     entry = _piece_entry(piece, n, pol, b)
                     offset = rng.randrange(arity)
+                    low = n ** (arity - offset - 1)
+                    # the rows _apply_mat applies upward: A or A^T
+                    up = [[entry((i,), (j,)) for j in range(n)]
+                          for i in range(n)]
                     # every slot, most slots or a quarter of the slots
                     # filled; equal values make the cancelling rows cancel
                     for fill in ((1, 2), (0, 1, 1, 2, 1, h), (0, 0, 0, -1)):
-                        if arity == 5 and fill[0]:
-                            continue               # n^5 keys: partial only
                         state = {i: x for i in range(n ** arity)
                                  if (x := rng.choice(fill))}
-                        want, want_terms = _apply_by_definition(
+                        want = _apply_by_definition(
                             state, n, arity, offset, 1, 1, entry)
-                        got, terms = evaluate_module._apply_mat(
-                            state, n, arity, offset, piece, pol, b)
-                        assert got == want, (n, arity, offset, piece, pol)
-                        assert terms == want_terms, (n, arity, piece, pol)
-                        assert all(got.values())
-    assert True in taken and False in taken
+                        assert evaluate_module._apply_mat(
+                            state, n, arity, offset, piece, pol, b) == want
+                        for way in (evaluate_module._scatter_mat,
+                                    evaluate_module._dense_mat):
+                            got, terms = way(state, n, low, up)
+                            assert (got, terms) == want, (way, n, arity,
+                                                          piece, pol)
+                            assert all(got.values())
+
+
+def test_mat_pass_goes_dense_only_on_large_mostly_full_states():
+    mostly_full = evaluate_module._mostly_full
+    full = dict.fromkeys(range(5 ** 4), 1)
+    assert mostly_full(full, 5, 5)
+    # three of every four slots, or fewer than n^4 nonzeros, or n < 5
+    assert mostly_full({k: 1 for k in range(5 ** 5) if k % 5 < 4}, 5, 1)
+    assert not mostly_full({k: 1 for k in range(5 ** 5) if k % 5 < 3}, 5, 1)
+    assert not mostly_full(dict.fromkeys(range(5 ** 4 - 1), 1), 5, 5)
+    assert not mostly_full(dict.fromkeys(range(4 ** 5), 1), 4, 4)
 
 
 def test_fold_drops_cancelled_entries():
@@ -603,9 +611,9 @@ def test_contraction_path_calls_no_layered_kernel(monkeypatch):
 
     for name in ("pair_contract", "permute_axes", "_strides", "_offsets"):
         monkeypatch.setattr(kernels, name, forbidden)
-    for name in ("_apply", "_apply_mat", "_mostly_full", "_relabel",
-                 "_piece_table", "_vertex_table", "_lexicographic_signs",
-                 "_perm_shifts"):
+    for name in ("_apply", "_apply_mat", "_scatter_mat", "_dense_mat",
+                 "_mostly_full", "_relabel", "_piece_table", "_vertex_table",
+                 "_lexicographic_signs", "_perm_shifts"):
         monkeypatch.setattr(evaluate_module, name, forbidden)
     assert [graph_eval(d, b) for d, b in cases] == want
 
