@@ -24,8 +24,8 @@ from math import factorial
 
 from .diagrams import (COVECTOR, SINK, SOURCE, VECTOR, Cap, Cup, Id,
                        LayeredDiagram, Mat, NVertex, Perm,
-                       canonical_ciliation, compose_vertical)
-from .evaluate import eval_layered
+                       canonical_ciliation, compose_vertical, to_graph)
+from .evaluate import eval_contraction, eval_layered
 from .linalg import (Matrix, Permutation, Rat, rat, reversal_sign)
 from .tensor import Tensor
 
@@ -76,8 +76,6 @@ def det_permsum(n: int, name: str) -> list[tuple[int, LayeredDiagram]]:
 
 
 def det_permsum_value(n: int, matrix: Matrix) -> Rat:
-    from .diagrams import to_graph
-    from .evaluate import eval_contraction
     basis = tuple(range(1, n + 1))
     total = 0
     for sign, d in det_permsum(n, "A"):

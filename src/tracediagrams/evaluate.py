@@ -22,12 +22,11 @@ the end.  The two paths share no semantic code, which is what makes
 eval_checked a meaningful cross-check.
 
 Both evaluators return an EvalResult wrapping the tensor together with the
-number of multiply-accumulate terms and the wall-clock time.
+number of multiply-accumulate terms.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, permutations, repeat
@@ -46,7 +45,6 @@ from .tensor import Tensor
 class EvalResult:
     tensor: Tensor
     term_count: int
-    elapsed: float
 
 
 class CrossCheckMismatch(Exception):
@@ -311,7 +309,6 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
     identity on those columns only: the result keeps the full shape, equals
     the full evaluation on those columns and is zero on every other.
     validated=True skips validating d, which the caller has done."""
-    start = time.perf_counter()
     if not validated:
         errors = validate_layered(d)
         if errors:
@@ -364,8 +361,7 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
             offset += j_out
         polarities = new_polarities
 
-    return EvalResult(Tensor._owning(n, arity - k, k, state), terms,
-                      time.perf_counter() - start)
+    return EvalResult(Tensor._owning(n, arity - k, k, state), terms)
 
 
 # -- Contraction evaluator ---------------------------------------------------
@@ -425,7 +421,6 @@ def eval_contraction(d: Diagram, bindings: Bindings,
     (0,0)-tensor); both tuples are 1-based.  validated=True skips
     validating d, for a graph that to_graph has just built and checked.
     """
-    start = time.perf_counter()
     if not validated:
         problems = validate_graph(d)
         if problems:
@@ -520,7 +515,7 @@ def eval_contraction(d: Diagram, bindings: Bindings,
         tensor = Tensor._owning(n, out_count, in_count, nonzeros)
     else:
         tensor = Tensor._owning(n, 0, 0, nonzeros)
-    return EvalResult(tensor, terms, time.perf_counter() - start)
+    return EvalResult(tensor, terms)
 
 
 def _divided(v: int, divisor: int) -> Rat:

@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, repeat
+from itertools import combinations_with_replacement, product, repeat
 from math import comb, factorial
 from operator import eq, itemgetter, mul
 
@@ -263,7 +263,6 @@ def closed_traced_scalar(terms, matrix: Matrix):
 
 
 def _basis_tuples(n, k):
-    from itertools import product
     return product(range(1, n + 1), repeat=k)
 
 
@@ -855,7 +854,8 @@ def _check_jacobi(ctx: CheckContext):
 
 
 @_register("dodgson",
-           "the k=n-2 specialization reproduces Dodgson condensation",
+           "2x2 minors of the adjugate are det(A) times complementary "
+           "entries (Jacobi's theorem, k=2)",
            n_range=(3, 3), stretch=True)
 def _check_dodgson(ctx: CheckContext):
     n = 3
@@ -866,15 +866,8 @@ def _check_dodgson(ctx: CheckContext):
             sub = Matrix([[a.entry(r, c) for c in cols] for r in rows])
             return det_oracle(sub)
 
-        # Dodgson condensation at n=3: det(A) * interior entry equals the
-        # corner 2x2 minors' cross-difference
-        want = minor((1, 2), (1, 2)) * minor((2, 3), (2, 3)) \
-            - minor((1, 2), (2, 3)) * minor((2, 3), (1, 2))
-        got = det_oracle(a) * a.entry(2, 2)
-        if got != want:
-            ctx.fail("brute-force condensation instance failed",
-                     trial=trial, A=a)
-        # tie to the diagrams: 2x2 minors of the adjugate against det * A
+        # 2x2 minors of the diagram adjugate against det(A) times the
+        # complementary minors of A
         adj = adjugate_value(n, a)
         for rows in ((1, 2), (1, 3), (2, 3)):
             for cols in ((1, 2), (1, 3), (2, 3)):
@@ -882,7 +875,7 @@ def _check_dodgson(ctx: CheckContext):
                 comp_rows = tuple(i for i in (1, 2, 3) if i not in cols)
                 comp_cols = tuple(i for i in (1, 2, 3) if i not in rows)
                 sign = (-1) ** (sum(rows) + sum(cols))
-                want2 = sign * det_oracle(a) * minor(comp_rows, comp_cols)
-                if det_oracle(sub) != want2:
+                want = sign * det_oracle(a) * minor(comp_rows, comp_cols)
+                if det_oracle(sub) != want:
                     ctx.fail("adjugate minor identity failed", trial=trial,
                              rows=list(rows), cols=list(cols), A=a)

@@ -6,20 +6,19 @@ variables out of sparse factors, one variable at a time (bucket
 elimination).  A factor is a dict from the mixed-radix integer of its
 variables' digits, first variable most significant, to a nonzero value; ε
 factors read theirs from a table per (n, arity) of the n!/(n-m)! keys of
-distinct digits.  A join reads the shared-variable
-digits and the kept digits of each key as sums of table lookups, one per
-run of digits (`_runs`); runs are cut so that no table exceeds max(the
-factor's nonzero count, n^3) entries.  The factors left after elimination
-are multiplied in keyed by the result's flat index, so one that shares no
-variable with the running product adds its flat offsets to the product's,
-and the result is the dict of its nonzeros by flat index.
+distinct digits.  Every product of two factors is a join (`_join`): the
+restriction to pinned digits, each bucket, and the factors left after
+elimination, whose last join keys the product by the result's flat index.
+A join reads the shared-variable digits and the kept digits of each key as
+sums of table lookups, one per run of digits (`_runs`); runs are cut so
+that no table exceeds max(the factor's nonzero count, n^3) entries.
 
 The tables are planned once per shape, not once per call: `_plan_cache`
 maps a join's shape (n, the positions of its variables relabelled by
-first occurrence, the dropped positions and the two run lengths) to its
-readers, a step of the final product's shape to its readers, and the
-weights of a lone reading to its runs.  A join or a step makes one
-lookup, and a network renumbered or rebound reuses every plan.
+first occurrence, the dropped positions, the two run lengths and the
+weights of its kept digits, if given) to its readers, and the weights of
+a lone reading to its runs.  A join makes one lookup, and a network
+renumbered or rebound reuses every plan.
 
 The dense kernels, `pair_contract` and `permute_axes`, have no caller in
 the package: tensors are combined by composing diagrams, and the layered
@@ -145,8 +144,7 @@ def _sign_table(n, m):
 
 # Shape -> plan, so that each shape is planned once per process:
 #   (n, weights, run length)             -> _digit_sums' runs (_runs);
-#   a join's shape (see _join)           -> its readers and kept positions;
-#   a final product step (see _step)     -> its readers.
+#   a join's shape (see _join)           -> its readers and kept positions.
 # No key holds a variable id or a value, so a network with its variables
 # renumbered, or bound to other matrices, reuses every plan.
 _plan_cache: dict[tuple, tuple | list | None] = {}
@@ -271,7 +269,7 @@ def _pairs(a, a_out, b, b_out, match, summing):
     return {k: v for k, v in out.items() if v}, terms
 
 
-def _join_plan(n, p, b_at, dropped, a_run, b_run):
+def _join_plan(n, p, b_at, dropped, a_run, b_run, weights):
     """The plan of a join of the shape _join keys it by: the match readers
     (None when no variable is shared), a's and b's out readers, and the
     positions in a's scope + b's scope of the variables kept, a's first."""
@@ -289,20 +287,30 @@ def _join_plan(n, p, b_at, dropped, a_run, b_run):
     if shared:
         match = (_runs(n, _place(n, a_vars, shared), a_run),
                  _runs(n, _place(n, b_vars, shared), b_run))
-    a_out = _runs(n, _place(n, a_vars, keep, n ** len(b_keep)), a_run)
-    b_out = _runs(n, _place(n, b_vars, [b_vars[i - p] for i in b_keep]),
-                  b_run)
-    return match, a_out, b_out, keep + b_keep, any(dropped)
+    if weights is None:
+        a_out = _place(n, a_vars, keep, n ** len(b_keep))
+        b_out = _place(n, b_vars, [b_vars[i - p] for i in b_keep])
+    else:
+        a_out = weights[:p]
+        b_out = [0 if i >= 0 else w for i, w in zip(b_at, weights[p:])]
+    return (match, _runs(n, a_out, a_run), _runs(n, b_out, b_run),
+            keep + b_keep, any(dropped))
 
 
-def _join(n, a, b, drop):
+def _join(n, a, b, drop, weights=None):
     """Product of factors a and b with the variables in drop summed out.
-    b is the one indexed by the shared variables, so pass the smaller as b.
-    Returns the factor, zeros dropped, and the number of products formed.
+    The larger is joined as a, its entries matched against the rows of the
+    other's indexed by the shared variables.  Returns the factor, zeros
+    dropped, and the number of products formed.  The product is keyed by
+    its kept digits as a mixed-radix integer, or, given weights (a dict
+    over the variables), by the sum of each kept digit times its weight.
 
     The plan is looked up once by the join's shape: n, a's variable count,
     the position in a of each of b's variables (-1 if none), which of a's
-    then b's variables are dropped, and the run length of each side."""
+    then b's variables are dropped, the run length of each side and the
+    weights of a's then b's variables, if any."""
+    if len(b[1]) > len(a[1]):
+        a, b = b, a
     a_scope, a_table = a
     b_scope, b_table = b
     both = a_scope + b_scope
@@ -311,42 +319,14 @@ def _join(n, a, b, drop):
                     for v in b_scope]),
              tuple([v in drop for v in both]),
              _run_length(n, len(a_scope), len(a_table)),
-             _run_length(n, len(b_scope), len(b_table)))
+             _run_length(n, len(b_scope), len(b_table)),
+             None if weights is None else tuple([weights[v] for v in both]))
     plan = _plan_cache.get(shape)
     if plan is None:
         plan = _plan_cache[shape] = _join_plan(*shape)
     match, a_out, b_out, keep, summing = plan
     table, terms = _pairs(a_table, a_out, b_table, b_out, match, summing)
     return (tuple([both[i] for i in keep]), table), terms
-
-
-def _step_plan(n, width, code, f_run, t_run):
-    """The plan of a final product step of the shape _step keys it by:
-    the match readers (None when no variable is held) and the factor's
-    out reader.  The product's own keys are its out readings."""
-    held = [i for i, c in enumerate(code) if c < 0]
-    match = None
-    if held:
-        top = len(held) - 1
-        at = {-1 - code[i]: n ** (top - k) for k, i in enumerate(held)}
-        match = (_runs(n, _place(n, range(len(code)), held), f_run),
-                 _runs(n, [at.get(i, 0) for i in range(width)], t_run))
-    return match, _runs(n, [max(c, 0) for c in code], f_run)
-
-
-def _step(n, width, f, table, code):
-    """Multiply the factor f into the running product `table`, keyed by
-    the result's flat index less its base over width digits.  code gives
-    each of f's variables as -1 - the place the product reads its digit
-    at, when the product holds it, else as its weight in the flat index.
-    Returns the new product and the number of products formed."""
-    shape = (n, width, code, _run_length(n, len(code), len(f)),
-             _run_length(n, width, len(table)))
-    plan = _plan_cache.get(shape)
-    if plan is None:
-        plan = _plan_cache[shape] = _step_plan(*shape)
-    match, f_out = plan
-    return _pairs(f, f_out, table, None, match, False)
 
 
 _UNIT = ((), {0: 1})
@@ -371,7 +351,8 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
     network zero), a matrix factor the nonzeros of its flat vals keyed by
     their own index (the diagonal, over one variable, when head == tail),
     a δ factor its n diagonal keys d*(n+1).  Fixed variables restrict
-    their factors first.  Then the variables that are neither fixed nor
+    their factors first: each is joined with the one entry of its pinned
+    digits, which are dropped.  Then the variables that are neither fixed nor
     outputs are summed out, one at a time in greedy min-degree order:
     fewest other variables sharing a factor with it, ties to the lower
     id.  The factors mentioning the variable are joined, smallest first,
@@ -381,15 +362,15 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
     shared-variable digits and its kept digits with a lookup per run of
     digits, from the plan `_plan_cache` holds for the join's shape.  A
     summed variable that no factor mentions contributes a factor n.  The
-    factors left, all over output variables, are multiplied in, smallest
-    first, keyed by the result's flat index from the start (`_step`,
-    planned by shape as a join is): a factor sharing no variable with the
-    running product adds its flat offsets to the product's.  An output
-    variable they do not mention is broadcast over its n digits.
+    factors left, all over output variables, are joined smallest first,
+    the last join keyed by the result's flat index (a lone factor is
+    re-keyed by `_digit_sums`).  An output variable they do not mention
+    is broadcast over its n digits.
 
     terms counts the multiply-adds performed: one per product formed in a
-    join (a variable summed out of a lone factor is a join with the unit
-    factor) and one per entry written to the result.
+    join other than a restriction (a variable summed out of a lone factor
+    is a join with the unit factor) and one per entry written to the
+    result.
     """
     pinned = dict(fixed)
     factors = []
@@ -412,22 +393,19 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
     scale = 1
     if pinned:
         restricted = []
-        for scope, table in factors:
-            held = [v for v in scope if v in pinned]
+        for f in factors:
+            held = tuple([v for v in f[0] if v in pinned])
             if held:
-                keep = [v for v in scope if v not in pinned]
                 want = 0
                 for v in held:
                     want = want * n + pinned[v]
-                table = {k: e for h, k, e in zip(
-                    _digit_sums(table, n, _place(n, scope, held)),
-                    _digit_sums(table, n, _place(n, scope, keep)),
-                    table.values()) if h == want}
-                scope = tuple(keep)
+                # joined with the one entry of the pinned digits, uncounted
+                f, _ = _join(n, f, (held, {want: 1}), held)
+            scope, table = f
             if not table:
                 return {}, 0
             if scope:
-                restricted.append((scope, table))
+                restricted.append(f)
             else:
                 scale *= table[0]
         factors = restricted
@@ -466,10 +444,8 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
         elim.difference_update(last)
         acc = bucket[0]
         for i in range(1, len(bucket)):
-            drop = {u for u, at in last.items() if at == i}
-            f = bucket[i]
-            acc, t = _join(n, f, acc, drop) if len(f[1]) > len(acc[1]) \
-                else _join(n, acc, f, drop)
+            acc, t = _join(n, acc, bucket[i],
+                           {u for u, at in last.items() if at == i})
             terms += t
             if not acc[1]:
                 return {}, terms
@@ -480,35 +456,30 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
 
     # the result's flat index is base + the sum of digit(v) * weight[v];
     # out_vars may repeat a variable, so its weight sums its place values
-    width = len(out_vars)
     weight = dict.fromkeys(outs, 0)
-    place = {}
     base = 0
     stride = 1
-    for i in range(width - 1, -1, -1):
-        v = out_vars[i]
+    for v in reversed(out_vars):
         if v in pinned:
             base += pinned[v] * stride
         else:
             weight[v] += stride
-            place.setdefault(v, i)
         stride *= n
     factors.sort(key=lambda f: len(f[1]))
-    scope, f = factors[0] if factors else _UNIT
-    table = dict(zip(_digit_sums(f, n, [weight[v] for v in scope]),
-                     f.values()))
-    held = set(scope)
-    for scope, f in factors[1:]:
-        # the running product's keys are flat indices less base, so a
-        # variable's digit is read at one place it holds in out_vars
-        table, t = _step(n, width, f, table, tuple(
-            [-1 - place[v] if v in held else weight[v] for v in scope]))
+    acc = factors[0] if factors else _UNIT
+    last = len(factors) - 1
+    for i in range(1, last + 1):
+        # the last join keys the product by the result's flat index
+        acc, t = _join(n, acc, factors[i], (), weight if i == last else None)
         terms += t
-        held.update(scope)
+    scope, table = acc
+    if last < 1:                # a lone factor is re-keyed by flat index
+        table = dict(zip(_digit_sums(table, n, [weight[v] for v in scope]),
+                         table.values()))
 
     spread = [base]
     for v, w in weight.items():
-        if v not in held:
+        if v not in mentioned:
             spread = [s + d * w for s in spread for d in range(n)]
     terms += len(table) * len(spread)
     if spread != [0] or scale != 1:

@@ -290,5 +290,5 @@ def test_criterion_13_stretch_jacobi_dodgson():
     for n in (2, 3, 4):
         assert run_check("jacobi", n, trials=5, seed=SEED).outcome == "pass"
     assert run_check("dodgson", 3, trials=10, seed=SEED).outcome == "pass"
-    report(13, "stretch: Jacobi wiring W0 at n <= 4 and Dodgson "
-               "condensation at n = 3")
+    report(13, "stretch: Jacobi wiring W0 at n <= 4 and the adjugate's "
+               "2x2 minors at n = 3")

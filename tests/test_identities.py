@@ -325,7 +325,7 @@ def test_every_registry_diagram_cross_checks(monkeypatch):
             t = Tensor._owning(t.n, t.out_arity, t.in_arity,
                                {i: x for i, x in t.nonzeros.items()
                                 if i % size in keep})
-        return EvalResult(t, 0, 0.0)
+        return EvalResult(t, 0)
 
     monkeypatch.setattr(identities, "eval_graph", through_both)
     for module in (identities, builders):

@@ -304,7 +304,7 @@ def test_renumbered_or_rebound_network_adds_no_plan(n):
     kernels._plan_cache.clear()
     want = _open_circle(n, list(range(2 * n + 1)), rows)
     plans = dict(kernels._plan_cache)
-    assert any(len(key) == 6 for key in plans)      # a join's plan
+    assert any(len(key) == 7 for key in plans)      # a join's plan
     assert _open_circle(n, shifted, rows) == want
     other = [[-x for x in row] for row in rows]
     assert _open_circle(n, shifted, other)[1] == want[1]

@@ -46,3 +46,31 @@ def test_linalg_imports_nothing_from_the_package():
             continue
         assert not any(name.split(".")[0] == "tracediagrams"
                        for name in names), ast.unparse(node)
+
+
+def test_every_private_helper_is_named_outside_its_definition():
+    """A module-level _-prefixed function or class that nothing in the
+    package names, outside its own definition, is dead code.  Decorated
+    ones are exempt: the decorator registers them."""
+    package = Path(tracediagrams.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    helpers = [(module, node) for module, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.decorator_list]
+    uses = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+            elif isinstance(node, ast.alias):
+                uses.setdefault(node.name, []).append(node)
+    unused = []
+    for module, helper in helpers:
+        own = set(map(id, ast.walk(helper)))
+        if all(id(use) in own for use in uses.get(helper.name, ())):
+            unused.append(f"{module}: {helper.name}")
+    assert unused == []
