@@ -184,22 +184,21 @@ def cross_product_node(n: int, vectors) -> Tensor:
     if len(vectors) != n - 1 or any(len(v) != n for v in vectors):
         raise ValueError(f"need {n - 1} vectors of length {n}")
     node = eval_layered(complemental_node(n - 1, n), {}).tensor
-    return Tensor(n, 1, 0, [_bind_inputs(node, (c,), vectors)
-                            for c in range(1, n + 1)])
+    bound = _bind_inputs(node, vectors)
+    return Tensor(n, 1, 0, [bound.get((c,), 0) for c in range(1, n + 1)])
 
 
-def _bind_inputs(t: Tensor, outs, vectors) -> Rat:
-    """The entry of t at output index outs with vectors[s] bound to input
-    slot s: the sum over the nonzero entries at outs of the entry times the
-    components."""
-    acc = 0
+def _bind_inputs(t: Tensor, vectors) -> dict:
+    """t with vectors[s] bound to input slot s, as {output index tuple:
+    value}: each nonzero entry times its components, summed by its outputs
+    in one pass.  Outputs with no nonzero entry are absent."""
+    bound = {}
     for flat, coeff in t.nonzeros.items():
-        at, ins = t.index(flat)
-        if at == outs:
-            for s, i in enumerate(ins):
-                coeff *= vectors[s][i - 1]
-            acc += coeff
-    return acc
+        outs, ins = t.index(flat)
+        for s, i in enumerate(ins):
+            coeff *= vectors[s][i - 1]
+        bound[outs] = bound.get(outs, 0) + coeff
+    return bound
 
 
 # -- Adjugate, Cramer, cross-out ---------------------------------------------
@@ -398,7 +397,7 @@ def scalar_probe(diagram: LayeredDiagram, bindings, vectors) -> Rat:
     if t.out_arity != 0 or t.in_arity != len(vectors):
         raise ValueError("probe arity mismatch")
     vectors = [tuple(rat(x) for x in v) for v in vectors]
-    return _bind_inputs(t, (), vectors)
+    return _bind_inputs(t, vectors).get((), 0)
 
 
 def jacobi_diagrams(k: int, n: int, name: str):

@@ -343,6 +343,10 @@ def cmd_check(args) -> int:
     if seed is None:
         seed = int(os.environ.get(SEED_ENV, "0"))
     if args.all:
+        if args.n is not None:
+            print("error: --all runs every n up to --max-n; give --max-n, "
+                  "not --n", file=sys.stderr)
+            return 2
         selection = select_checks(args.max_n, args.stretch)
     else:
         if not args.id:

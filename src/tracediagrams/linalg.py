@@ -149,16 +149,9 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, n: int) -> "Matrix":
-        return cls([[0] * n for _ in range(n)])
-
     def entry(self, i: int, j: int) -> Rat:
         """1-based entry access: row i, column j."""
         return self.rows[i - 1][j - 1]
-
-    def column(self, j: int) -> tuple[Rat, ...]:
-        return tuple(row[j - 1] for row in self.rows)
 
     def with_column(self, j: int, column) -> "Matrix":
         column = [rat(x) for x in column]

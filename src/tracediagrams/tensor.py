@@ -45,10 +45,6 @@ class Tensor:
         return t
 
     @classmethod
-    def scalar(cls, n: int, value: Rat) -> "Tensor":
-        return cls(n, 0, 0, [rat(value)])
-
-    @classmethod
     def zeros(cls, n: int, out_arity: int, in_arity: int) -> "Tensor":
         return cls._owning(n, out_arity, in_arity, {})
 

@@ -305,6 +305,15 @@ def test_cmd_check_error_does_not_hide_other_checks(capsys):
     assert passed > 0 and f"{passed}/{passed + 1} checks passed" in out
 
 
+def test_cmd_check_all_refuses_n(capsys):
+    # --all runs every n up to --max-n; a lone --n would be dropped
+    assert main(["check", "--all", "--n", "3", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
 def test_cmd_check_rejects_nonpositive_trials(capsys):
     assert main(["check", "cayley_hamilton", "--n", "3", "--trials", "-5"]) == 2
     captured = capsys.readouterr()

@@ -10,7 +10,8 @@ import pytest
 
 import tracediagrams.evaluate as evaluate_module
 from tracediagrams.builders import (adjugate_diagram, antisym_nodepair,
-                                    antisym_tensor, jacobi_diagrams,
+                                    antisym_tensor, det_permsum,
+                                    jacobi_diagrams,
                                     loop_diagram, trace_loop, vertex_pair)
 from tracediagrams.diagrams import (COVECTOR, SINK, VECTOR, Cap, Cross,
                                     Cup, Id, LayeredDiagram, Mat, NVertex,
@@ -662,6 +663,32 @@ def test_fuzz_corpus_work_is_pinned():
         nonzeros += len(layered.tensor.nonzeros)
     assert (layered_terms, contraction_terms, nonzeros) == \
         (27144, 15521, 6468)
+
+
+def test_probe_work_is_pinned():
+    """A probe pins every boundary variable.  The joins that restrict
+    factors to the pinned digits are not counted, so a probe's terms are
+    the products of its eliminations and the one entry written.  Each
+    det_permsum term's probe at the identity entry forms no product, so
+    on a matrix with no zero entry it costs one term."""
+    counts = []
+    for n in (2, 3, 4):
+        a = Matrix([[n * r + c + 1 for c in range(n)] for r in range(n)])
+        basis = tuple(range(1, n + 1))
+        counts.append(sum(
+            eval_contraction(to_graph(d), {"A": a},
+                             probe=(basis, basis)).term_count
+            for _, d in det_permsum(n, "A")))
+    assert counts == [2, 6, 24]
+    rng = random.Random(13)
+    terms = 0
+    for _ in range(200):
+        d = random_layered_diagram(rng.choice((2, 3)), rng, max_width=3)
+        probe = tuple(tuple(rng.randint(1, d.n) for _ in slots)
+                      for slots in (d.outputs(), d.inputs))
+        terms += eval_contraction(to_graph(d), random_bindings(d, rng),
+                                  probe=probe).term_count
+    assert terms == 349
 
 
 def _random_rational_matrix(n, rng):

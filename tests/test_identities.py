@@ -103,6 +103,87 @@ def test_asym_checks_reach_n_6():
         assert run_check(check_id, 6, trials=1, seed=7).outcome == "pass"
 
 
+def test_vertex_checks_reach_n_7():
+    for check_id in ("node_antisymmetry", "complemental_node_formula"):
+        assert REGISTRY[check_id].n_range == (2, 7)
+        assert run_check(check_id, 7, seed=7).outcome == "pass"
+    assert REGISTRY["generalized_cross_product"].n_range == (2, 8)
+    assert run_check("generalized_cross_product", 8, trials=1,
+                     seed=7).outcome == "pass"
+
+
+def _edited(evaluate, edit):
+    """evaluate, with edit(d, bindings, nonzeros) applied to a copy of the
+    nonzeros of each tensor it returns."""
+    from tracediagrams.evaluate import EvalResult
+    from tracediagrams.tensor import Tensor
+
+    def edited(d, bindings):
+        result = evaluate(d, bindings)
+        t = result if isinstance(result, Tensor) else result.tensor
+        nonzeros = dict(t.nonzeros)
+        edit(d, bindings, nonzeros)
+        t = Tensor._owning(t.n, t.out_arity, t.in_arity, nonzeros)
+        return t if isinstance(result, Tensor) else EvalResult(
+            t, result.term_count)
+    return edited
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_node_antisymmetry_catches_a_repeated_input(monkeypatch, n):
+    """+5 at inputs (1, 1) of the canonical k = 2 vertex and -5 on each
+    swapped ciliation: every swap still negates, so only the repeated-input
+    statement can see it."""
+    from tracediagrams.diagrams import canonical_ciliation
+
+    def plant(d, bindings, nonzeros):
+        if len(d.inputs) == 2:
+            vertex, = d.layers[0]
+            canonical = vertex.ciliation == canonical_ciliation(n, 2)
+            nonzeros[0] = 5 if canonical else -5   # outputs all 1: flat 0
+    monkeypatch.setattr(identities, "eval_layered",
+                        _edited(identities.eval_layered, plant))
+    report = run_check("node_antisymmetry", n)
+    assert report.outcome == "fail"
+    assert report.counterexample == {
+        "seed": 0, "n": n, "k": 2, "inputs": [1, 1],
+        "message": "repeated basis inputs gave a nonzero value"}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_complemental_formula_catches_one_flipped_sign(monkeypatch, n):
+    """The k = 1 vertex with the sign of its first nonzero, at outputs
+    (1, ..., n-1) and input n, flipped."""
+    def flip(d, bindings, nonzeros):
+        if len(d.inputs) == 1:
+            first = min(nonzeros)
+            nonzeros[first] = -nonzeros[first]
+    monkeypatch.setattr(identities, "eval_layered",
+                        _edited(identities.eval_layered, flip))
+    report = run_check("complemental_node_formula", n)
+    assert report.outcome == "fail"
+    assert report.counterexample == {
+        "seed": 0, "n": n, "k": 1, "inputs": [n],
+        "message": "closed form mismatch on a basis input"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_crossout_catches_an_entry_beside_the_pinned_input(monkeypatch, n):
+    """The vertex nullified for j = 2 gains the entry 1 at inputs
+    (2, ..., 2), where the bare vertex is zero."""
+    def plant(d, bindings, nonzeros):
+        if set(bindings) == {"P"} and bindings["P"].entry(2, 2) == 0:
+            nonzeros[sum(n ** i for i in range(n))] = 1
+    monkeypatch.setattr(identities, "eval_graph",
+                        _edited(identities.eval_graph, plant))
+    report = run_check("crossout_lemma", n, trials=2)
+    assert report.outcome == "fail"
+    assert {key: report.counterexample[key]
+            for key in ("seed", "n", "j", "inputs", "message")} == {
+        "seed": 0, "n": n, "j": 2, "inputs": [2] * n,
+        "message": "nullifier visible beside the pinned input"}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_traced_classes_match_the_permutation_sum(n):
     """The class-weighted traced terms give the same groups and closed

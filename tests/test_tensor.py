@@ -27,8 +27,9 @@ def test_shapes_and_indexing():
 
 
 def test_scalar_boxing():
-    s = Tensor.scalar(3, 7)
+    s = Tensor(3, 0, 0, [7])
     assert s.arity == 0 and s.as_scalar() == 7
+    assert Tensor(3, 0, 0, [0]).as_scalar() == 0
     with pytest.raises(ValueError):
         Tensor.identity(2, 1).as_scalar()
 
