@@ -35,14 +35,23 @@ class DiagramFileError(ValueError):
 
 # -- Diagram file parsing -------------------------------------------------------
 
-def parse_diagram_file(text: str) -> tuple[LayeredDiagram, dict]:
-    """Parse the JSON diagram format into a validated layered diagram plus
-    matrix bindings.  Raises DiagramFileError with a located message."""
+def _parse_json(text: str):
+    """json.loads, raising DiagramFileError for text that is not JSON (at
+    its line and column) or is nested too deeply for the parser."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise DiagramFileError(
             f"line {err.lineno} column {err.colno}: {err.msg}") from err
+    except RecursionError:
+        raise DiagramFileError(
+            "arrays or objects nested too deeply to parse") from None
+
+
+def parse_diagram_file(text: str) -> tuple[LayeredDiagram, dict]:
+    """Parse the JSON diagram format into a validated layered diagram plus
+    matrix bindings.  Raises DiagramFileError with a located message."""
+    doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise DiagramFileError("top level must be an object")
 
@@ -381,7 +390,7 @@ def cmd_check(args) -> int:
 def cmd_builtin(args) -> int:
     matrix = None
     if args.matrix:
-        matrix = parse_matrix_literal(json.loads(_read_file(args.matrix)))
+        matrix = parse_matrix_literal(_parse_json(_read_file(args.matrix)))
         if args.n is not None and matrix.n != args.n:
             print(f"error: matrix is {matrix.n}x{matrix.n}, --n is {args.n}",
                   file=sys.stderr)
@@ -454,7 +463,7 @@ def _run_builtin(name: str, n: int, k, matrix, args) -> str:
         case "cramer":
             if not args.vector:
                 raise ValueError("this builtin needs --vector")
-            literal = json.loads(_read_file(args.vector))
+            literal = _parse_json(_read_file(args.vector))
             if not isinstance(literal, list):
                 raise ValueError("vector literal must be an array")
             b = [_scalar_literal(x, f"vector entry {i}")

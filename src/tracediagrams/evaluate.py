@@ -11,9 +11,10 @@ mostly full, forms each output digit as one dot product of a matrix row
 with each context's values.  Every other piece is a table from its input
 block to its nonzero (output block, coefficient) pairs, applied to the
 state's nonzeros only.  The final state is the result's nonzeros.
-eval_contraction works on the graph form: it assigns an index variable to
-every edge end, with a Levi-Civita factor per vertex and an integer matrix
-factor per labeled edge, and sums the internal variables out of those
+eval_contraction works on the graph form: it assigns one index variable to
+each unlabeled edge and one to each end of a labeled edge, with a
+Levi-Civita factor per vertex and an integer matrix factor per labeled
+edge, and sums the internal variables out of those
 factors one at a time.  Each bound matrix is read
 once per call as integers over the lcm of its denominators, and an edge's
 factor is the integer product of its labels over the product of their
@@ -410,12 +411,14 @@ def eval_contraction(d: Diagram, bindings: Bindings,
                      validated: bool = False) -> EvalResult:
     """Contract the diagram's factors over index variables on edge ends.
 
-    Every boundary position gets a variable; unlabeled edges share one
-    variable across both ends, labeled edges couple two variables through
-    the integer product of their labels, and each vertex contributes the
-    Levi-Civita sign of its ciliation-ordered end variables.
-    kernels.epsilon_network sums the internal variables out by sparse
-    variable elimination.
+    Unlabeled edges share one variable across both ends; labeled edges
+    couple two variables, one per end (one for a labeled loop), through
+    the integer product of their labels; and each vertex contributes the
+    Levi-Civita sign of its ciliation-ordered end variables.  Each
+    boundary position reads the variable of its edge's end, so a straight
+    wire or a cup's two outputs read one variable twice and form no
+    product.  kernels.epsilon_network sums the internal variables out by
+    sparse variable elimination.
 
     probe=(outs, ins) restricts evaluation to a single entry (returned as a
     (0,0)-tensor); both tuples are 1-based.  validated=True skips
@@ -428,86 +431,69 @@ def eval_contraction(d: Diagram, bindings: Bindings,
     check_bindings(d.matrix_names(), d.n, bindings)
 
     n = d.n
-    # boundary variables: outputs by position, then inputs by position
-    outputs: dict[int, int] = {}
+    outputs: dict[int, int] = {}       # position -> boundary vertex id
     inputs: dict[int, int] = {}
     nodes = []
     for vid, v in enumerate(d.vertices):
         kind = type(v)
         if kind is GOutput:
-            outputs[vid] = v.position - 1
+            outputs[v.position] = vid
         elif kind is GInput:
-            inputs[vid] = v.position - 1
+            inputs[v.position] = vid
         elif kind is GNode:
             nodes.append(v)
-    out_count = len(outputs)
-    in_count = len(inputs)
-    boundary_var = outputs
-    for vid, pos in inputs.items():
-        boundary_var[vid] = out_count + pos
-    nvars = out_count + in_count
 
-    # the variable at each end of each edge, by edge id
+    # the variable at each end of each edge, by edge id, numbered in one
+    # pass (an unlabeled loop's variable is in no factor: a factor n);
+    # vertex_var: the variable at each boundary vertex (entries of nodes
+    # are overwritten and never read)
     end_var: dict[str, dict[int, int]] = {"tail": {}, "head": {}}
     tail_var, head_var = end_var["tail"], end_var["head"]
-    eps_factors: list[tuple[int, ...]] = []
-    delta_factors: list[tuple[int, int]] = []
+    vertex_var: dict[int, int] = {}
     mat_factors: list[tuple[int, int, list]] = []
     chains: dict = {}       # _edge_factor's memo, for this call only
     divisor = 1
-
+    nvars = 0
     for eid, e in d.edges.items():
-        tail, head = e.tail, e.head
-        if tail[0] == "loop":
-            v = nvars
-            nvars += 1
-            if e.labels:
-                flat, denom = _edge_factor(e.labels, bindings, n, chains)
-                mat_factors.append((v, v, flat))
-                divisor *= denom
-            # unlabeled loop: a free variable contributes the factor n
-            continue
-        tv = boundary_var.get(tail[1])
-        hv = boundary_var.get(head[1])
+        tv = hv = nvars
+        nvars += 1
         if e.labels:
-            if tv is None:
-                tv = nvars
-                nvars += 1
-            if hv is None:
+            if e.tail[0] != "loop":
                 hv = nvars
                 nvars += 1
             flat, denom = _edge_factor(e.labels, bindings, n, chains)
             mat_factors.append((hv, tv, flat))
             divisor *= denom
-        elif tv is None:
-            if hv is None:
-                hv = nvars
-                nvars += 1
-            tv = hv
-        elif hv is None:
-            hv = tv
-        elif tv != hv:
-            delta_factors.append((tv, hv))
+        if e.tail[0] != "loop":
+            vertex_var[e.tail[1]] = tv
+            vertex_var[e.head[1]] = hv
         tail_var[eid] = tv
         head_var[eid] = hv
 
-    for v in nodes:
-        eps_factors.append(tuple([end_var[end][eid]
-                                  for eid, end in v.ciliation]))
+    eps_factors = [tuple([end_var[end][eid] for eid, end in v.ciliation])
+                   for v in nodes]
+    # outputs by position, then inputs by position; an unlabeled edge
+    # between two boundary vertices puts its variable here twice
+    boundary = [vertex_var[outputs[p]] for p in range(1, len(outputs) + 1)]
+    boundary += [vertex_var[inputs[p]] for p in range(1, len(inputs) + 1)]
+    out_count = len(outputs)
+    in_count = len(inputs)
 
     if probe is None:
-        out_vars = list(range(out_count + in_count))
+        out_vars = boundary
         fixed: list[tuple[int, int]] = []
     else:
         outs, ins = probe
         if len(outs) != out_count or len(ins) != in_count:
             raise ValueError("probe arity mismatch")
+        indices = tuple(outs) + tuple(ins)
+        if not all(1 <= idx <= n for idx in indices):
+            raise ValueError(f"probe index out of range 1..{n}")
         out_vars = []
-        fixed = [(pos, idx - 1) for pos, idx in enumerate(tuple(outs)
-                                                          + tuple(ins))]
+        fixed = [(v, idx - 1) for v, idx in zip(boundary, indices)]
 
     nonzeros, terms = kernels.epsilon_network(
-        n, nvars, out_vars, fixed, eps_factors, delta_factors, mat_factors)
+        n, nvars, out_vars, fixed, eps_factors, mat_factors)
 
     if divisor != 1:
         nonzeros = {i: _divided(v, divisor) for i, v in nonzeros.items()}

@@ -6,9 +6,13 @@ variables out of sparse factors, one variable at a time (bucket
 elimination).  A factor is a dict from the mixed-radix integer of its
 variables' digits, first variable most significant, to a nonzero value; ε
 factors read theirs from a table per (n, arity) of the n!/(n-m)! keys of
-distinct digits.  Every product of two factors is a join (`_join`): the
-restriction to pinned digits, each bucket, and the factors left after
-elimination, whose last join keys the product by the result's flat index.
+distinct digits, and matrix factors their nonzero entries.  There are no
+δ factors: two ends that must carry one digit share one variable, an
+output listed twice is read where its two digits agree, and a variable
+pinned to two different digits makes the network zero.  Every product of
+two factors is a join (`_join`): the restriction to pinned digits, each
+bucket, and the factors left after elimination, whose last join keys the
+product by the result's flat index.
 A join reads the shared-variable digits and the kept digits of each key as
 sums of table lookups, one per run of digits (`_runs`); runs are cut so
 that no table exceeds max(the factor's nonzero count, n^3) entries.
@@ -332,30 +336,30 @@ def _join(n, a, b, drop, weights=None):
 _UNIT = ((), {0: 1})
 
 
-def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
-                    mat_factors):
+def epsilon_network(n, nvars, out_vars, fixed, eps_factors, mat_factors):
     """Sum factor products over all assignments of `nvars` index variables.
 
-    Variables take 0-based digits in range(n); `fixed` pins some of them.
-    Factors reference variables by id:
-      eps_factors:   tuples of var ids -> Levi-Civita sign of their digits
-      delta_factors: (v1, v2)          -> 1 if equal else 0
-      mat_factors:   (head, tail, flat n*n vals) -> vals[digit(head)*n+digit(tail)]
+    Variables take 0-based digits in range(n); `fixed` pairs (var, digit)
+    pin some of them, and a variable pinned to two different digits makes
+    the network zero.  Factors reference variables by id:
+      eps_factors: tuples of var ids -> Levi-Civita sign of their digits
+      mat_factors: (head, tail, flat n*n vals) -> vals[digit(head)*n+digit(tail)]
     out_vars selects the digits forming the result's mixed-radix index (most
-    significant first); returns ({flat index: nonzero value}, terms).
+    significant first) and may repeat a variable, whose entries then lie
+    where its digits agree; returns ({flat index: nonzero value}, terms).
 
     Sparse variable elimination.  Each factor is a dict from the
     mixed-radix integer of its variables' digits (first variable most
     significant) to a nonzero value: an ε factor is the table of
     `_sign_table` (a repeated variable, or more variables than n, makes the
     network zero), a matrix factor the nonzeros of its flat vals keyed by
-    their own index (the diagonal, over one variable, when head == tail),
-    a δ factor its n diagonal keys d*(n+1).  Fixed variables restrict
-    their factors first: each is joined with the one entry of its pinned
-    digits, which are dropped.  Then the variables that are neither fixed nor
-    outputs are summed out, one at a time in greedy min-degree order:
-    fewest other variables sharing a factor with it, ties to the lower
-    id.  The factors mentioning the variable are joined, smallest first,
+    their own index (the diagonal, over one variable, when head == tail).
+    There is no equality (δ) factor: ends that carry one digit are one
+    variable.  Fixed variables restrict their factors first: each is
+    joined with the one entry of its pinned digits, which are dropped.
+    Then the variables that are neither fixed nor outputs are summed out,
+    one at a time in greedy min-degree order: fewest other variables
+    sharing a factor with it, ties to the lower id.  The factors mentioning the variable are joined, smallest first,
     and each variable that only they mention is summed out at the last
     join where it appears; a join that sums nothing out forms each key
     once, so only the others add and drop zeros.  A join reads each key's
@@ -365,14 +369,19 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
     factors left, all over output variables, are joined smallest first,
     the last join keyed by the result's flat index (a lone factor is
     re-keyed by `_digit_sums`).  An output variable they do not mention
-    is broadcast over its n digits.
+    is broadcast over its n digits; one that out_vars repeats is read with
+    the sum of its place values, so a variable that is only an output,
+    twice (a straight wire), is an identity formed with no product.
 
     terms counts the multiply-adds performed: one per product formed in a
     join other than a restriction (a variable summed out of a lone factor
     is a join with the unit factor) and one per entry written to the
     result.
     """
-    pinned = dict(fixed)
+    pinned = {}
+    for v, d in fixed:
+        if pinned.setdefault(v, d) != d:
+            return {}, 0
     factors = []
     for f in eps_factors:
         if len(f) < 2:          # ε of at most one index is 1
@@ -380,9 +389,6 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, delta_factors,
         if len(set(f)) < len(f) or len(f) > n:
             return {}, 0
         factors.append((tuple(f), _sign_table(n, len(f))))
-    for a, b in delta_factors:
-        if a != b:
-            factors.append(((a, b), {d * (n + 1): 1 for d in range(n)}))
     for h, t, vals in mat_factors:
         if h == t:
             factors.append(((h,), {d: e for d in range(n)

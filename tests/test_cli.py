@@ -4,6 +4,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,36 @@ def test_cmd_eval_parse_error_exit(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+DEEP_JSON = "[" * 200000 + "]" * 200000
+
+
+def _one_nesting_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: arrays or objects nested too deeply to parse\n"
+
+
+def test_cmd_eval_deeply_nested_json(tmp_path, capsys):
+    assert main(["eval", write(tmp_path, "deep.json", DEEP_JSON)]) == 2
+    _one_nesting_error(capsys)
+
+
+def test_cmd_export_dot_deeply_nested_json(tmp_path, capsys):
+    assert main(["export-dot", write(tmp_path, "deep.json", DEEP_JSON)]) == 2
+    _one_nesting_error(capsys)
+
+
+@pytest.mark.parametrize("deep", ["--matrix", "--vector"])
+def test_cmd_builtin_deeply_nested_json(tmp_path, capsys, deep):
+    files = {"--matrix": write(tmp_path, "A.mat", [["2", "3"], ["4", "5"]]),
+             "--vector": write(tmp_path, "b.vec", ["1", "0"])}
+    files[deep] = write(tmp_path, "deep.json", DEEP_JSON)
+    assert main(["builtin", "cramer", "--matrix", files["--matrix"],
+                 "--vector", files["--vector"]]) == 2
+    _one_nesting_error(capsys)
+
+
 def test_cmd_eval_cross_check_failure_exit(tmp_path, capsys, monkeypatch):
     import tracediagrams.cli as cli_module
     from tracediagrams.diagrams import GNode, to_graph as real_to_graph
@@ -356,6 +387,31 @@ def test_cmd_check_streams_each_record(monkeypatch, capsys):
         run_all(max_n=2, trials=1, seed=7))]
     assert written_before[:2] == ["", records[0]]
     assert "".join(written_before) + rest == "".join(records)
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("check_all_seed7_max5.txt", ["--max-n", "5"]),
+    ("check_all_seed7_max4.jsonl", ["--max-n", "4", "--format", "jsonl"]),
+])
+def test_seeded_report_matches_golden(name, argv, capsys):
+    """`check --all --trials 1 --seed 7` prints the committed report byte
+    for byte; a difference is named by its first line."""
+    assert main(["check", "--all", "--trials", "1", "--seed", "7",
+                 *argv]) == 0
+    got = capsys.readouterr().out.encode("utf-8")
+    want = (GOLDEN / name).read_bytes()
+    if got != want:
+        got_lines = got.splitlines(keepends=True)
+        want_lines = want.splitlines(keepends=True)
+        at = next((i for i, pair in enumerate(zip(got_lines, want_lines))
+                   if pair[0] != pair[1]),
+                  min(len(got_lines), len(want_lines)))
+        pytest.fail(f"{name} differs first at line {at + 1}: "
+                    f"got {got_lines[at:at + 1]!r}, "
+                    f"want {want_lines[at:at + 1]!r}")
 
 
 def test_cmd_check_jsonl(capsys):

@@ -87,6 +87,36 @@ def test_probe_arity_mismatch():
         eval_contraction(g, {"A": A}, probe=((1, 2), (1,)))
 
 
+@pytest.mark.parametrize("probe", [((0,), (0,)), ((4,), (4,)),
+                                   ((1,), (4,))])
+def test_probe_index_out_of_range(probe):
+    """A probe index outside 1..n is refused, also on a straight wire,
+    where no factor would look the digit up."""
+    for d in (LayeredDiagram(3, (VECTOR,), [(Id(),)]),
+              adjugate_diagram(3, "A")):
+        with pytest.raises(ValueError, match="probe index out of range"):
+            eval_contraction(to_graph(d), {"A": Matrix.identity(3)},
+                             probe=probe)
+
+
+def test_probe_of_straight_wire_and_cup_outputs():
+    """An unlabeled edge between two boundary vertices is one variable,
+    read at both: a probe at equal digits reads 1 and writes one entry,
+    at unequal digits it reads 0 and does no work, and the whole tensor
+    forms no product."""
+    wire = to_graph(LayeredDiagram(3, (VECTOR,), [(Id(),)]))
+    cup = to_graph(LayeredDiagram(3, (), [(Cup(),)]))
+    for a, b in product((1, 2, 3), repeat=2):
+        for graph, probe in ((wire, ((a,), (b,))), (cup, ((a, b), ()))):
+            result = eval_contraction(graph, {}, probe=probe)
+            assert result.tensor.as_scalar() == (a == b)
+            assert result.term_count == (a == b)
+    for graph in (wire, cup):
+        result = eval_contraction(graph, {})
+        assert result.tensor.nonzeros == {0: 1, 4: 1, 8: 1}
+        assert result.term_count == 3
+
+
 def test_dimension_mismatch_binding():
     with pytest.raises(ValueError, match="dimension"):
         eval_layered(trace_loop(2, "A"), {"A": Matrix.identity(3)})
@@ -648,8 +678,12 @@ def test_layered_path_calls_no_contraction_kernel(monkeypatch):
 def test_fuzz_corpus_work_is_pinned():
     """A fixed fuzz corpus costs each evaluator a fixed number of terms and
     yields a fixed number of nonzeros, so a faster path cannot quietly do
-    different work.  The constants are those of the parent commit of the
-    per-call overhead cuts (019a4aa)."""
+    different work.  The layered terms and the nonzeros are those of the
+    parent commit of the per-call overhead cuts (019a4aa).  The
+    contraction terms fell from 15521 to 13082 when an unlabeled edge
+    between two boundary vertices became one variable read at both
+    instead of a δ factor joined with the rest: such a wire now costs
+    only the entries it spreads the result over."""
     rng = random.Random(12)
     layered_terms = contraction_terms = nonzeros = 0
     for _ in range(300):
@@ -662,7 +696,7 @@ def test_fuzz_corpus_work_is_pinned():
         contraction_terms += contraction.term_count
         nonzeros += len(layered.tensor.nonzeros)
     assert (layered_terms, contraction_terms, nonzeros) == \
-        (27144, 15521, 6468)
+        (27144, 13082, 6468)
 
 
 def test_probe_work_is_pinned():

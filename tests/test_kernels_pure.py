@@ -82,18 +82,16 @@ def permute_axes_oracle(n, vals, naxes, perm):
     return out
 
 
-def epsilon_network_oracle(n, nvars, out_vars, fixed, eps, delta, mats):
-    """Every factor is applied at the leaf of a full enumeration."""
-    pinned = dict(fixed)
+def epsilon_network_oracle(n, nvars, out_vars, fixed, eps, mats):
+    """Every factor is applied at the leaf of a full enumeration; every
+    (var, digit) pair of fixed must hold there."""
     out, terms = [0] * n ** len(out_vars), 0
     for digits in product(range(n), repeat=nvars):
-        if any(digits[v] != d for v, d in pinned.items()):
+        if any(digits[v] != d for v, d in fixed):
             continue
         value = 1
         for f in eps:
             value *= sign([digits[v] for v in f])
-        for v1, v2 in delta:
-            value *= int(digits[v1] == digits[v2])
         for h, t, m in mats:
             value *= m[digits[h] * n + digits[t]]
         if value:
@@ -144,7 +142,9 @@ def test_epsilon_network_matches_definition():
                 if nvars else []
         fixed = [(v, rng.randrange(n)) for v in range(nvars)
                  if rng.random() < 0.25]
-        eps, delta, mats = [], [], []
+        if fixed and rng.random() < 0.2:   # a variable pinned twice
+            fixed.append((rng.choice(fixed)[0], rng.randrange(n)))
+        eps, mats = [], []
         if nvars:
             for _ in range(rng.randint(0, 3)):
                 if rng.random() < 0.6:     # distinct var ids, maybe > n
@@ -154,11 +154,9 @@ def test_epsilon_network_matches_definition():
                     eps.append(tuple(rng.choices(range(nvars),
                                                  k=rng.randint(1, 4))))
             for _ in range(rng.randint(0, 2)):
-                delta.append((rng.randrange(nvars), rng.randrange(nvars)))
-            for _ in range(rng.randint(0, 2)):
                 mats.append((rng.randrange(nvars), rng.randrange(nvars),
                              [rand_val(rng) for _ in range(n * n)]))
-        args = (n, nvars, out_vars, fixed, eps, delta, mats)
+        args = (n, nvars, out_vars, fixed, eps, mats)
         assert kernels.epsilon_network(*args)[0] == \
             nonzeros(epsilon_network_oracle(*args)[0])
 
@@ -167,7 +165,7 @@ def test_epsilon_network_matches_definition():
 def test_epsilon_network_levi_civita(n):
     # one ε factor on n free output variables is the Levi-Civita tensor
     vals, terms = kernels.epsilon_network(n, n, list(range(n)), [],
-                                       [tuple(range(n))], [], [])
+                                          [tuple(range(n))], [])
     assert vals == nonzeros([sign(d) for d in product(range(n), repeat=n)])
     assert terms == len(vals)
 
@@ -175,62 +173,72 @@ def test_epsilon_network_levi_civita(n):
 def test_epsilon_network_fixed_clash_and_repeat():
     # two fixed variables sharing a digit zero the network
     assert kernels.epsilon_network(3, 3, [2], [(0, 1), (1, 1)],
-                                [(0, 1, 2)], [], []) == ({}, 0)
+                                   [(0, 1, 2)], []) == ({}, 0)
     # a variable repeated inside one ε factor zeroes it too
-    assert kernels.epsilon_network(3, 2, [0, 1], [], [(0, 1, 0)], [], []) == \
+    assert kernels.epsilon_network(3, 2, [0, 1], [], [(0, 1, 0)], []) == \
         ({}, 0)
     # a fixed variable removes its digit from the free ones
     assert kernels.epsilon_network(3, 3, [0, 2], [(1, 0)],
-                                [(0, 1, 2)], [], []) == ({5: -1, 7: 1}, 2)
+                                   [(0, 1, 2)], []) == ({5: -1, 7: 1}, 2)
+    # a variable pinned to two digits, as a probe pins a straight wire at
+    # unequal digits, zeroes the network; pinned twice to one digit, it is
+    # pinned once
+    col = [(1, 0, [2, 0, 7, -1, 4, 0, 5, 3, 3])]   # column 2: 7, 0, 3
+    assert kernels.epsilon_network(3, 2, [1], [(0, 2), (0, 1)], [], col) == \
+        ({}, 0)
+    assert kernels.epsilon_network(3, 2, [1], [(0, 2), (0, 2)], [], col) == \
+        kernels.epsilon_network(3, 2, [1], [(0, 2)], [], col) == \
+        ({0: 7, 2: 3}, 2)
 
 
 M3 = [2, 0, Fraction(1, 3), -1, 4, 0, 5, Fraction(-2, 7), 3]
 
 EPSILON_NETWORK_CASES = {
-    # (n, nvars, out_vars, fixed, eps_factors, delta_factors, mat_factors)
-    "repeated out var": (3, 3, [0, 1, 0], [], [(0, 1, 2)], [],
-                         [(2, 1, M3)]),
-    "fixed out var": (3, 3, [1, 2], [(2, 1)], [(0, 1, 2)], [], []),
+    # (n, nvars, out_vars, fixed, eps_factors, mat_factors)
+    "repeated out var": (3, 3, [0, 1, 0], [], [(0, 1, 2)], [(2, 1, M3)]),
+    "fixed out var": (3, 3, [1, 2], [(2, 1)], [(0, 1, 2)], []),
     "all-fixed eps, sign only": (3, 4, [3], [(0, 1), (1, 0), (2, 2)],
-                                 [(0, 1, 2)], [], [(3, 0, M3)]),
+                                 [(0, 1, 2)], [(3, 0, M3)]),
     "all-fixed eps, clash": (3, 4, [3], [(0, 1), (1, 2), (2, 1)],
-                             [(0, 1, 2)], [], [(3, 0, M3)]),
-    "eps longer than n": (2, 4, [0, 1], [], [(0, 1, 2)], [],
+                             [(0, 1, 2)], [(3, 0, M3)]),
+    "eps longer than n": (2, 4, [0, 1], [], [(0, 1, 2)],
                           [(3, 0, [1, 2, 3, 4])]),
     "eps longer than n, fixed": (2, 3, [], [(0, 0), (1, 1), (2, 0)],
-                                 [(0, 1, 2)], [], []),
-    "fixed var above every free var": (3, 4, [0, 1], [(3, 2)],
-                                       [(0, 3, 1), (2, 3, 0)], [(1, 2)],
+                                 [(0, 1, 2)], []),
+    "fixed var above every free var": (3, 3, [0, 1], [(2, 2)],
+                                       [(0, 2, 1), (1, 2, 0)],
                                        [(1, 0, M3)]),
-    "no eps factors": (3, 4, [0, 3], [(2, 1)], [], [(0, 1), (3, 2)],
-                       [(1, 3, M3), (0, 0, M3)]),
+    "no eps factors": (3, 2, [0, 1], [(1, 1)], [],
+                       [(0, 1, M3), (0, 0, M3)]),
     # variable 3 is summed and in no factor: a factor of n
-    "free var in no factor": (3, 4, [0, 1], [], [(0, 1, 2)], [],
-                              [(2, 1, M3)]),
+    "free var in no factor": (3, 4, [0, 1], [], [(0, 1, 2)], [(2, 1, M3)]),
     # output variable 2 is in no factor: broadcast over its digits
-    "output var in no factor": (3, 3, [0, 2, 1], [], [], [],
-                                [(0, 1, M3)]),
-    "loop matrix factor": (3, 3, [0, 1], [], [(0, 1, 2)], [],
-                           [(2, 2, M3)]),
+    "output var in no factor": (3, 3, [0, 2, 1], [], [], [(0, 1, M3)]),
+    # output variable 2, twice and in no factor, is a straight wire: an
+    # identity beside the matrix, broadcast over the sum of its places
+    "straight wire beside a factor": (3, 3, [2, 0, 2, 1], [], [],
+                                      [(0, 1, M3)]),
+    "straight wire alone": (3, 1, [0, 0], [], [], []),
+    "loop matrix factor": (3, 3, [0, 1], [], [(0, 1, 2)], [(2, 2, M3)]),
     "two disconnected components": (3, 6, [0, 3], [],
-                                    [(0, 1, 2), (3, 4, 5)], [(2, 5)],
+                                    [(0, 1, 2), (3, 4, 5)],
                                     [(1, 0, M3), (4, 3, M3)]),
     # after elimination three factors are left that share no variable:
     # ε(0, 1), M3(2, 3) and an integer matrix on (5, 4); output 6 is
     # pinned, output 7 is in no factor (broadcast) and the summed 8 is in
     # no factor (a factor 3)
     "three disjoint leftover factors": (
-        3, 9, [4, 0, 7, 2, 6, 1, 5, 3], [(6, 2)], [(0, 1)], [],
+        3, 9, [4, 0, 7, 2, 6, 1, 5, 3], [(6, 2)], [(0, 1)],
         [(2, 3, M3), (5, 4, [1, -2, 0, 3, 0, 4, -5, 6, 7])]),
     # ε(3, 4) and M3(0, 1) are multiplied in by flat offsets, then the
     # running product is joined with a matrix on (1, 2) through the digit
     # of the repeated output 1
     "leftover factors sharing a variable": (
-        3, 5, [2, 1, 0, 3, 4, 1], [], [(3, 4)], [],
+        3, 5, [2, 1, 0, 3, 4, 1], [], [(3, 4)],
         [(0, 1, M3), (1, 2, [3, 1, -4, 1, 5, -9, 2, 6, 5])]),
     # summing 0 and 1 out of ε(0, 1, 2)·S(0, 1) with S01 = S10 cancels at
     # digit 2 of variable 2 before variable 2 meets the output's matrix
-    "intermediate sum cancels": (3, 4, [3], [], [(0, 1, 2)], [],
+    "intermediate sum cancels": (3, 4, [3], [], [(0, 1, 2)],
                                  [(0, 1, [1, 5, 2, 5, 0, 4, 7, 3, 1]),
                                   (3, 2, [2, -1, 3, 6, 4, -2, 1, 1, 5])]),
 }
@@ -275,7 +283,7 @@ def test_epsilon_network_det_circle_terms(n):
     rows, want_terms = DET_CIRCLE_TERMS[n]
     flat_a = [x for row in rows for x in row]
     vals, terms = kernels.epsilon_network(
-        n, 2 * n, [], [], [tuple(range(n)), tuple(range(n, 2 * n))], [],
+        n, 2 * n, [], [], [tuple(range(n)), tuple(range(n, 2 * n))],
         [(n + i, i, flat_a) for i in range(n)])
     assert vals == {0: factorial(n) * det_oracle(Matrix(rows))}
     assert terms == want_terms
@@ -289,7 +297,7 @@ def _open_circle(n, ids, rows):
         n, 2 * n + 1, [ids[0], ids[n]], [],
         [tuple(ids[v] for v in range(n)),
          tuple(ids[v] for v in range(n, 2 * n))],
-        [], [(ids[n + i], ids[i], flat_a) for i in range(1, n)])
+        [(ids[n + i], ids[i], flat_a) for i in range(1, n)])
 
 
 @pytest.mark.parametrize("n", [3, 4])
