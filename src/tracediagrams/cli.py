@@ -35,23 +35,29 @@ class DiagramFileError(ValueError):
 
 # -- Diagram file parsing -------------------------------------------------------
 
-def _parse_json(text: str):
+def _parse_json(text: str, path: str | None = None):
     """json.loads, raising DiagramFileError for text that is not JSON (at
-    its line and column) or is nested too deeply for the parser."""
+    its line and column) or is nested too deeply for the parser.  The
+    message starts with path, the file the text was read from, if given."""
+    where = f"{path}: " if path else ""
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise DiagramFileError(
-            f"line {err.lineno} column {err.colno}: {err.msg}") from err
+            f"{where}line {err.lineno} column {err.colno}: {err.msg}"
+        ) from err
     except RecursionError:
         raise DiagramFileError(
-            "arrays or objects nested too deeply to parse") from None
+            f"{where}arrays or objects nested too deeply to parse") from None
 
 
-def parse_diagram_file(text: str) -> tuple[LayeredDiagram, dict]:
+def parse_diagram_file(text: str, path: str | None = None
+                       ) -> tuple[LayeredDiagram, dict]:
     """Parse the JSON diagram format into a validated layered diagram plus
-    matrix bindings.  Raises DiagramFileError with a located message."""
-    doc = _parse_json(text)
+    matrix bindings.  Raises DiagramFileError with a located message; a
+    JSON syntax error names path, the file the text was read from, if
+    given."""
+    doc = _parse_json(text, path)
     if not isinstance(doc, dict):
         raise DiagramFileError("top level must be an object")
 
@@ -323,7 +329,7 @@ def _read_file(path: str) -> str:
 def cmd_eval(args) -> int:
     # parse_diagram_file has validated the diagram, and to_graph checks
     # the graph it builds
-    diagram, bindings = parse_diagram_file(_read_file(args.file))
+    diagram, bindings = parse_diagram_file(_read_file(args.file), args.file)
     if args.evaluator == "layered":
         result = eval_layered(diagram, bindings, validated=True)
         tensors = {"layered": result}
@@ -390,7 +396,8 @@ def cmd_check(args) -> int:
 def cmd_builtin(args) -> int:
     matrix = None
     if args.matrix:
-        matrix = parse_matrix_literal(_parse_json(_read_file(args.matrix)))
+        matrix = parse_matrix_literal(
+            _parse_json(_read_file(args.matrix), args.matrix))
         if args.n is not None and matrix.n != args.n:
             print(f"error: matrix is {matrix.n}x{matrix.n}, --n is {args.n}",
                   file=sys.stderr)
@@ -463,7 +470,7 @@ def _run_builtin(name: str, n: int, k, matrix, args) -> str:
         case "cramer":
             if not args.vector:
                 raise ValueError("this builtin needs --vector")
-            literal = _parse_json(_read_file(args.vector))
+            literal = _parse_json(_read_file(args.vector), args.vector)
             if not isinstance(literal, list):
                 raise ValueError("vector literal must be an array")
             b = [_scalar_literal(x, f"vector entry {i}")
@@ -488,7 +495,7 @@ def _run_builtin(name: str, n: int, k, matrix, args) -> str:
 
 
 def cmd_export_dot(args) -> int:
-    diagram, _ = parse_diagram_file(_read_file(args.file))
+    diagram, _ = parse_diagram_file(_read_file(args.file), args.file)
     print(export_dot(to_graph(diagram)))
     return 0
 

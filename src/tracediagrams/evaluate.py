@@ -4,13 +4,17 @@ eval_layered folds the slices of a layered diagram bottom to top over a
 sparse state, a dict from flat index to nonzero value that starts as the
 identity on the inputs, or on the given input columns only.  A crossing
 or permutation moves each key to the key with its digits relabelled,
-forming no product.  A matrix label reads the state by context (a key
-without the labeled wire's digit): it scatters each nonzero through the
-matrix column its digit selects or, on large states whose contexts are
-mostly full, forms each output digit as one dot product of a matrix row
-with each context's values.  Every other piece is a table from its input
-block to its nonzero (output block, coefficient) pairs, applied to the
-state's nonzeros only.  The final state is the result's nonzeros.
+forming no product.  A matrix label leaves the state alone: the labels
+met along one wire multiply into that wire's pending matrix, which moves
+with the wire through crossings and permutations and is applied in one
+pass where the wire ends, at a cap, a vertex input or the top boundary.
+The pass reads the state by context (a key without the wire's digit): it
+scatters each nonzero through the matrix column its digit selects or, on
+large states whose contexts are mostly full, forms each output digit as
+one dot product of a matrix row with each context's values.  Every other
+piece is a table from its input block to its nonzero (output block,
+coefficient) pairs, applied to the state's nonzeros only.  The final
+state is the result's nonzeros.
 eval_contraction works on the graph form: it assigns one index variable to
 each unlabeled edge and one to each end of a labeled edge, with a
 Levi-Civita factor per vertex and an integer matrix factor per labeled
@@ -81,8 +85,10 @@ def check_bindings(names, n: int, bindings: Bindings):
 # (output axes, then input axes) to its nonzero value.  Cross and Perm are
 # key maps: _relabel moves every key by the sum of two shift-table lookups,
 # one per half of the moved digits, so their tables have n^ceil(m/2)
-# entries for m wires whatever the state's size.  _apply_mat applies a Mat
-# from the matrix bound to its name.  Every other piece but Id is a table
+# entries for m wires whatever the state's size.  A Mat piece forms no
+# state pass: _oriented reads the rows it applies upward and _fuse
+# multiplies them into its wire's pending matrix, which _apply_mat applies
+# to the state when the wire ends.  Every other piece but Id is a table
 # from the flat index of its input block to the list of (output block
 # index, nonzero coefficient) it maps that block to, and _apply multiplies
 # it into the state.
@@ -171,19 +177,30 @@ def _piece_table(piece, n: int) -> dict | tuple:
     return table
 
 
-def _apply_mat(state: dict, n: int, arity: int, offset: int, piece: Mat,
-               polarity: str, bindings: Bindings) -> tuple[dict, int]:
-    """Apply a Mat piece to the state's axis at offset.  Returns the new
-    state, zeros dropped, and the number of products: one per pair of a
-    state nonzero and a nonzero coefficient in the column its digit
-    selects, whichever way the pass takes.
-
-    A label along a vector wire's (upward) orientation acts upward as the
-    bound matrix A; along a covector wire's (downward) orientation it acts
-    upward as A^T.  The against flag swaps either case."""
+def _oriented(piece: Mat, polarity: str, bindings: Bindings) -> tuple:
+    """The rows a Mat piece applies upward on its wire.  A label along a
+    vector wire's (upward) orientation acts upward as the bound matrix A;
+    along a covector wire's (downward) orientation it acts upward as A^T.
+    The against flag swaps either case."""
     rows = bindings[piece.name].rows
     if (polarity == COVECTOR) != bool(piece.against_orientation):
-        rows = tuple(zip(*rows))
+        return tuple(zip(*rows))
+    return rows
+
+
+def _fuse(later, earlier) -> list:
+    """The rows of later @ earlier: a wire's labels in the order they act
+    upward, the later one on the left."""
+    cols = list(zip(*earlier))
+    return [[sum(map(mul, row, col)) for col in cols] for row in later]
+
+
+def _apply_mat(state: dict, n: int, arity: int, offset: int,
+               rows) -> tuple[dict, int]:
+    """Apply the matrix rows to the state's axis at offset, acting upward.
+    Returns the new state, zeros dropped, and the number of products: one
+    per pair of a state nonzero and a nonzero coefficient in the column
+    its digit selects, whichever way the pass takes."""
     low = n ** (arity - offset - 1)
     if _mostly_full(state, n, low):
         return _dense_mat(state, n, low, rows)
@@ -302,8 +319,12 @@ def _relabel(state: dict, n: int, arity: int, offset: int, m: int,
 def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
                  columns=None, validated: bool = False) -> EvalResult:
     """Fold the slices of d over a sparse state, starting from the identity
-    on its inputs.  terms counts one product per (state nonzero, table
-    coefficient) pair; relabelling by Cross and Perm counts none.
+    on its inputs.  The Mat labels along one wire are fused into one
+    matrix, the later label on the left, and applied in one pass where the
+    wire ends: before the cap or vertex that consumes it, or at the top
+    boundary.  terms counts one product per (state nonzero, table or
+    matrix coefficient) pair, and n^3 for each product of two labels
+    fused on a wire; relabelling by Cross and Perm counts none.
 
     columns, an iterable of flat 0-based input indices (row-major over the
     k inputs, the input half of a nonzeros key), starts the fold from the
@@ -330,16 +351,27 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
             state[c * (size + 1)] = 1
     arity = 2 * k
     polarities = list(d.inputs)
+    pending: dict = {}   # wire position -> the rows its labels await
     terms = 0
 
     for layer in d.layers:
         pos_old = 0          # position in the pre-slice wire profile
         offset = 0           # position in the partially rebuilt profile
         new_polarities = []
+        held, pending = pending, {}
         for piece in layer:
             kind = type(piece)
-            if kind is Id:
-                new_polarities.append(polarities[pos_old])
+            if kind is Id or kind is Mat:
+                polarity = polarities[pos_old]
+                if kind is Mat:
+                    rows = _oriented(piece, polarity, bindings)
+                    if pos_old in held:
+                        rows = _fuse(rows, held[pos_old])
+                        terms += n ** 3
+                    pending[offset] = rows
+                elif pos_old in held:
+                    pending[offset] = held[pos_old]
+                new_polarities.append(polarity)
                 pos_old += 1
                 offset += 1
                 continue
@@ -348,13 +380,22 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
             if kind is Cross or kind is Perm:
                 state = _relabel(state, n, arity, offset, j_in,
                                  _piece_table(piece, n))
+                if held:
+                    images = piece.images if kind is Perm else (2, 1)
+                    for s, t in enumerate(images):
+                        rows = held.get(pos_old + s)
+                        if rows is not None:
+                            pending[offset + t - 1] = rows
             else:
-                if kind is Mat:
-                    state, t = _apply_mat(state, n, arity, offset, piece,
-                                          polarities[pos_old], bindings)
-                else:
-                    state, t = _apply(state, n, arity, offset, j_in, j_out,
-                                      _piece_table(piece, n))
+                if held:
+                    for s in range(j_in):
+                        rows = held.get(pos_old + s)
+                        if rows is not None:
+                            state, t = _apply_mat(state, n, arity,
+                                                  offset + s, rows)
+                            terms += t
+                state, t = _apply(state, n, arity, offset, j_in, j_out,
+                                  _piece_table(piece, n))
                 terms += t
                 arity += j_out - j_in
             new_polarities.extend(outs)
@@ -362,6 +403,9 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
             offset += j_out
         polarities = new_polarities
 
+    for pos, rows in pending.items():
+        state, t = _apply_mat(state, n, arity, pos, rows)
+        terms += t
     return EvalResult(Tensor._owning(n, arity - k, k, state), terms)
 
 

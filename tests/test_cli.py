@@ -214,37 +214,60 @@ def test_cmd_eval_term_count(tmp_path, capsys):
 def test_cmd_eval_parse_error_exit(tmp_path, capsys):
     path = write(tmp_path, "bad.json", "{")
     assert main(["eval", path]) == 2
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 1 column")
 
 
 DEEP_JSON = "[" * 200000 + "]" * 200000
 
 
-def _one_nesting_error(capsys):
-    captured = capsys.readouterr()
+def _one_nesting_error(captured, path):
     assert captured.out == ""
     assert captured.err == \
-        "error: arrays or objects nested too deeply to parse\n"
+        f"error: {path}: arrays or objects nested too deeply to parse\n"
 
 
 def test_cmd_eval_deeply_nested_json(tmp_path, capsys):
-    assert main(["eval", write(tmp_path, "deep.json", DEEP_JSON)]) == 2
-    _one_nesting_error(capsys)
+    path = write(tmp_path, "deep.json", DEEP_JSON)
+    assert main(["eval", path]) == 2
+    _one_nesting_error(capsys.readouterr(), path)
 
 
 def test_cmd_export_dot_deeply_nested_json(tmp_path, capsys):
-    assert main(["export-dot", write(tmp_path, "deep.json", DEEP_JSON)]) == 2
-    _one_nesting_error(capsys)
+    path = write(tmp_path, "deep.json", DEEP_JSON)
+    assert main(["export-dot", path]) == 2
+    _one_nesting_error(capsys.readouterr(), path)
+
+
+def _cramer_files(tmp_path, bad, text):
+    """The --matrix and --vector files of a cramer call, the one named by
+    bad holding text instead."""
+    files = {"--matrix": write(tmp_path, "A.mat", [["2", "3"], ["4", "5"]]),
+             "--vector": write(tmp_path, "b.vec", ["1", "0"])}
+    files[bad] = write(tmp_path, "bad.json", text)
+    return files
 
 
 @pytest.mark.parametrize("deep", ["--matrix", "--vector"])
 def test_cmd_builtin_deeply_nested_json(tmp_path, capsys, deep):
-    files = {"--matrix": write(tmp_path, "A.mat", [["2", "3"], ["4", "5"]]),
-             "--vector": write(tmp_path, "b.vec", ["1", "0"])}
-    files[deep] = write(tmp_path, "deep.json", DEEP_JSON)
+    files = _cramer_files(tmp_path, deep, DEEP_JSON)
     assert main(["builtin", "cramer", "--matrix", files["--matrix"],
                  "--vector", files["--vector"]]) == 2
-    _one_nesting_error(capsys)
+    # the error names the file nested too deeply, and not the other one
+    other = files["--vector" if deep == "--matrix" else "--matrix"]
+    captured = capsys.readouterr()
+    _one_nesting_error(captured, files[deep])
+    assert other not in captured.err
+
+
+@pytest.mark.parametrize("bad", ["--matrix", "--vector"])
+def test_cmd_builtin_malformed_json_names_file(tmp_path, capsys, bad):
+    files = _cramer_files(tmp_path, bad, "[1, 2")
+    assert main(["builtin", "cramer", "--matrix", files["--matrix"],
+                 "--vector", files["--vector"]]) == 2
+    other = files["--vector" if bad == "--matrix" else "--matrix"]
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {files[bad]}: line 1 column 6: ")
+    assert other not in err
 
 
 def test_cmd_eval_cross_check_failure_exit(tmp_path, capsys, monkeypatch):
@@ -541,3 +564,4 @@ def test_export_dot_adjugate_ports():
 def test_export_dot_parse_error(tmp_path, capsys):
     path = write(tmp_path, "bad.json", "not json at all")
     assert main(["export-dot", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 1 column")

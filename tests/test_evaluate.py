@@ -2,16 +2,17 @@
 
 import inspect
 import random
+import types
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 
 import pytest
 
 import tracediagrams.evaluate as evaluate_module
 from tracediagrams.builders import (adjugate_diagram, antisym_nodepair,
-                                    antisym_tensor, det_permsum,
-                                    jacobi_diagrams,
+                                    antisym_permsum, antisym_tensor,
+                                    det_permsum, jacobi_diagrams,
                                     loop_diagram, trace_loop, vertex_pair)
 from tracediagrams.diagrams import (COVECTOR, SINK, VECTOR, Cap, Cross,
                                     Cup, Id, LayeredDiagram, Mat, NVertex,
@@ -349,7 +350,8 @@ def test_fold_matches_entrywise_definition():
                             state, n, arity, offset, j_in, table)
                     elif isinstance(piece, Mat):
                         got, terms = evaluate_module._apply_mat(
-                            state, n, arity, offset, piece, pol, b)
+                            state, n, arity, offset,
+                            evaluate_module._oriented(piece, pol, b))
                         assert terms == want_terms, (piece, pol, arity,
                                                      offset)
                     else:
@@ -386,7 +388,7 @@ def test_mat_pass_matches_entrywise_definition():
                     entry = _piece_entry(piece, n, pol, b)
                     offset = rng.randrange(arity)
                     low = n ** (arity - offset - 1)
-                    # the rows _apply_mat applies upward: A or A^T
+                    # the rows _oriented reads for the piece: A or A^T
                     up = [[entry((i,), (j,)) for j in range(n)]
                           for i in range(n)]
                     # every slot, most slots or a quarter of the slots
@@ -397,13 +399,78 @@ def test_mat_pass_matches_entrywise_definition():
                         want = _apply_by_definition(
                             state, n, arity, offset, 1, 1, entry)
                         assert evaluate_module._apply_mat(
-                            state, n, arity, offset, piece, pol, b) == want
+                            state, n, arity, offset,
+                            evaluate_module._oriented(piece, pol, b)) == want
                         for way in (evaluate_module._scatter_mat,
                                     evaluate_module._dense_mat):
                             got, terms = way(state, n, low, up)
                             assert (got, terms) == want, (way, n, arity,
                                                           piece, pol)
                             assert all(got.values())
+
+
+def test_fuse_matches_matrix_product():
+    """A wire's pending matrix after two labels is the later one times
+    the earlier one, exactly."""
+    rng = random.Random(24)
+    for n in (1, 2, 3, 4):
+        later, earlier = (_random_rational_matrix(n, rng) for _ in "ab")
+        assert Matrix(evaluate_module._fuse(later.rows, earlier.rows)) == \
+            later @ earlier
+
+
+def _mutant(old, new):
+    """A fresh copy of the evaluate module, built from its source with the
+    one occurrence of old replaced by new."""
+    source = inspect.getsource(evaluate_module)
+    assert source.count(old) == 1, old
+    module = types.ModuleType(evaluate_module.__name__)
+    module.__package__ = evaluate_module.__package__
+    exec(compile(source.replace(old, new), evaluate_module.__file__, "exec"),
+         vars(module))
+    return module
+
+
+def _first_mismatch(module, count):
+    """The index of the first of count seeded fuzz diagrams (n = 2 or 3,
+    width 5) on which module's eval_checked raises, or None."""
+    rng = random.Random(25)
+    for i in range(count):
+        d = random_layered_diagram(rng.choice((2, 3)), rng)
+        bindings = random_bindings(d, rng)
+        try:
+            module.eval_checked(d, bindings)
+        except module.CrossCheckMismatch:
+            return i
+    return None
+
+
+_PERM_IMAGES = "images = piece.images if kind is Perm else (2, 1)"
+_CONSUMED = "for s in range(j_in):"
+
+
+@pytest.mark.parametrize("old, new", [
+    # the labels on a wire fused in the wrong order (earlier @ later)
+    ("rows = _fuse(rows, held[pos_old])",
+     "rows = _fuse(held[pos_old], rows)"),
+    # a pending matrix left at its position by a crossing, or by a
+    # permutation, while its wire moves
+    (_PERM_IMAGES, "images = piece.images if kind is Perm else (1, 2)"),
+    (_PERM_IMAGES, "images = sorted(piece.images) if kind is Perm "
+                   "else (2, 1)"),
+    # a pending matrix dropped where a cap, a vertex or the top boundary
+    # ends its wire
+    (_CONSUMED, "for s in range(0 if kind is Cap else j_in):"),
+    (_CONSUMED, "for s in range(0 if kind is NVertex else j_in):"),
+    ("for pos, rows in pending.items():", "for pos, rows in ():"),
+])
+def test_fold_mutants_fail_the_cross_check(old, new):
+    assert _first_mismatch(_mutant(old, new), 300) is not None
+
+
+def test_unmutated_copy_passes_the_cross_check():
+    # the harness of the mutant tests: the same corpus, the same code
+    assert _first_mismatch(_mutant(_CONSUMED, _CONSUMED), 300) is None
 
 
 def test_mat_pass_goes_dense_only_on_large_mostly_full_states():
@@ -420,9 +487,10 @@ def test_mat_pass_goes_dense_only_on_large_mostly_full_states():
 def test_fold_drops_cancelled_entries():
     n = 2
     # e1 - e2 through the matrix [[1, 1], [0, 0]]: its products cancel
-    assert evaluate_module._apply_mat(
-        {0: 1, 1: -1}, n, 1, 0, Mat("A"), VECTOR,
-        {"A": Matrix([[1, 1], [0, 0]])}) == ({}, 2)
+    rows = evaluate_module._oriented(Mat("A"), VECTOR,
+                                     {"A": Matrix([[1, 1], [0, 0]])})
+    assert evaluate_module._apply_mat({0: 1, 1: -1}, n, 1, 0, rows) == \
+        ({}, 2)
     # a cap meets a state whose diagonal sums to zero
     diag = {_flat((0, 0), n): 3, _flat((1, 1), n): -3}
     assert evaluate_module._apply(
@@ -641,9 +709,10 @@ def test_contraction_path_calls_no_layered_kernel(monkeypatch):
 
     for name in ("pair_contract", "permute_axes", "_strides", "_offsets"):
         monkeypatch.setattr(kernels, name, forbidden)
-    for name in ("_apply", "_apply_mat", "_scatter_mat", "_dense_mat",
-                 "_mostly_full", "_relabel", "_piece_table", "_vertex_table",
-                 "_lexicographic_signs", "_perm_shifts"):
+    for name in ("_apply", "_apply_mat", "_oriented", "_fuse",
+                 "_scatter_mat", "_dense_mat", "_mostly_full", "_relabel",
+                 "_piece_table", "_vertex_table", "_lexicographic_signs",
+                 "_perm_shifts"):
         monkeypatch.setattr(evaluate_module, name, forbidden)
     assert [graph_eval(d, b) for d, b in cases] == want
 
@@ -678,12 +747,16 @@ def test_layered_path_calls_no_contraction_kernel(monkeypatch):
 def test_fuzz_corpus_work_is_pinned():
     """A fixed fuzz corpus costs each evaluator a fixed number of terms and
     yields a fixed number of nonzeros, so a faster path cannot quietly do
-    different work.  The layered terms and the nonzeros are those of the
-    parent commit of the per-call overhead cuts (019a4aa).  The
-    contraction terms fell from 15521 to 13082 when an unlabeled edge
-    between two boundary vertices became one variable read at both
-    instead of a δ factor joined with the rest: such a wire now costs
-    only the entries it spreads the result over."""
+    different work.  The nonzeros are those of the parent commit of the
+    per-call overhead cuts (019a4aa).  The contraction terms fell from
+    15521 to 13082 when an unlabeled edge between two boundary vertices
+    became one variable read at both instead of a δ factor joined with
+    the rest: such a wire now costs only the entries it spreads the
+    result over.  The layered terms fell from 27144 to 17669 when the
+    labels on one wire were fused into one matrix applied where the wire
+    ends: each product of two labels counts n^3 terms, one per product of
+    entries, and the wire's one pass counts a term per (state nonzero,
+    nonzero coefficient) pair as each label's pass did."""
     rng = random.Random(12)
     layered_terms = contraction_terms = nonzeros = 0
     for _ in range(300):
@@ -696,7 +769,28 @@ def test_fuzz_corpus_work_is_pinned():
         contraction_terms += contraction.term_count
         nonzeros += len(layered.tensor.nonzeros)
     assert (layered_terms, contraction_terms, nonzeros) == \
-        (27144, 13082, 6468)
+        (17669, 13082, 6468)
+
+
+def test_label_free_terms_are_unchanged():
+    """Wires without labels carry no pending matrix, so a diagram without
+    Mat pieces costs the terms it cost before labels were fused: the
+    antisymmetrizer's permutation terms, one node pair and the label-free
+    diagrams of a seeded fuzz corpus."""
+    n = 4
+    columns = [sum(d * n ** (n - 1 - i) for i, d in enumerate(digits))
+               for digits in permutations(range(n))]
+    assert sum(eval_layered(d, {}, columns=columns).term_count
+               for _, d in antisym_permsum(n, n)) == 0
+    assert eval_layered(antisym_nodepair(2, 3), {}).term_count == 18
+    rng = random.Random(14)
+    count = terms = 0
+    for _ in range(300):
+        d = random_layered_diagram(rng.choice((2, 3)), rng)
+        if not d.matrix_names():
+            count += 1
+            terms += eval_layered(d, {}).term_count
+    assert (count, terms) == (113, 1767)
 
 
 def test_probe_work_is_pinned():
