@@ -6,15 +6,18 @@ identity on the inputs, or on the given input columns only.  A crossing
 or permutation moves each key to the key with its digits relabelled,
 forming no product.  A matrix label leaves the state alone: the labels
 met along one wire multiply into that wire's pending matrix, which moves
-with the wire through crossings and permutations and is applied in one
-pass where the wire ends, at a cap, a vertex input or the top boundary.
-The pass reads the state by context (a key without the wire's digit): it
-scatters each nonzero through the matrix column its digit selects or, on
-large states whose contexts are mostly full, forms each output digit as
-one dot product of a matrix row with each context's values.  Every other
-piece is a table from its input block to its nonzero (output block,
-coefficient) pairs, applied to the state's nonzeros only.  The final
-state is the result's nonzeros.
+with the wire through crossings and permutations and is taken in by the
+piece that ends the wire.  A vertex absorbs its inputs up to the last
+labeled one, a pass each, into their digits in increasing order, each
+value carrying the sign of the sort: the Levi-Civita sign is
+antisymmetric, so its table then applies to the sorted block, and the
+state holds one entry per set of absorbed digits where it held one per
+order.  A cap takes its two wires' matrices P and Q as one table, of
+P^T Q.  At the top boundary each pending matrix scatters every nonzero
+through the matrix column its digit selects.  Every other piece is a
+table from its input block to its nonzero (output block, coefficient)
+pairs, applied to the state's nonzeros only.  The final state is the
+result's nonzeros.
 eval_contraction works on the graph form: it assigns one index variable to
 each unlabeled edge and one to each end of a labeled edge, with a
 Levi-Civita factor per vertex and an integer matrix factor per labeled
@@ -32,9 +35,10 @@ number of multiply-accumulate terms.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations, repeat
+from itertools import combinations, permutations
 from math import lcm
 from operator import mul
 
@@ -87,11 +91,13 @@ def check_bindings(names, n: int, bindings: Bindings):
 # one per half of the moved digits, so their tables have n^ceil(m/2)
 # entries for m wires whatever the state's size.  A Mat piece forms no
 # state pass: _oriented reads the rows it applies upward and _fuse
-# multiplies them into its wire's pending matrix, which _apply_mat applies
-# to the state when the wire ends.  Every other piece but Id is a table
-# from the flat index of its input block to the list of (output block
-# index, nonzero coefficient) it maps that block to, and _apply multiplies
-# it into the state.
+# multiplies them into its wire's pending matrix.  A vertex takes its
+# inputs' pending matrices in by _absorb, whose _absorb_table passes sort
+# the digits of the inputs it has absorbed; a cap by one _cap_table; the
+# top boundary by _apply_mat.  Every other piece but Id is a table from
+# the flat index of its input block to the list of (output block index,
+# nonzero coefficient) it maps that block to, and _apply multiplies it
+# into the state.
 
 # (n, the piece's table fields) -> table or shift tables, for every piece
 # but Id and Mat
@@ -177,6 +183,78 @@ def _piece_table(piece, n: int) -> dict | tuple:
     return table
 
 
+def _block(digits, n: int) -> int:
+    """The row-major flat index of a tuple of digits."""
+    block = 0
+    for d in digits:
+        block = block * n + d
+    return block
+
+
+# (n, s) -> _insertions(n, s)
+_insertion_cache: dict[tuple, list] = {}
+
+
+def _insertions(n: int, s: int) -> list:
+    """How a digit joins each increasing s-digit prefix: one (prefix block,
+    inserts) pair per prefix, where inserts holds, for each digit e not in
+    the prefix, e, the block of the increasing (s + 1)-digit tuple it
+    makes, and the sign of sorting the prefix followed by e: (-1)^g for
+    the g prefix digits greater than e."""
+    found = _insertion_cache.get((n, s))
+    if found is None:
+        found = []
+        for prefix in combinations(range(n), s):
+            inserts = []
+            for e in range(n):
+                if e not in prefix:
+                    i = bisect(prefix, e)
+                    digits = prefix[:i] + (e,) + prefix[i:]
+                    inserts.append((e, _block(digits, n),
+                                    -1 if (s - i) & 1 else 1))
+            found.append((_block(prefix, n), inserts))
+        _insertion_cache[(n, s)] = found
+    return found
+
+
+def _absorb_table(n: int, s: int, rows) -> dict:
+    """The table that absorbs a vertex's input wire s + 1 into the sorted
+    digits of the s before it: the block (prefix, d) maps to the sorted
+    prefix with e inserted, for each e not in the prefix that the wire's
+    pending rows (the identity when rows is None) take d to, with the
+    rows' coefficient times the insertion sign."""
+    table = {}
+    for block, inserts in _insertions(n, s):
+        base = block * n
+        if rows is None:
+            for e, out, sign in inserts:
+                table[base + e] = [(out, sign)]
+            continue
+        for d in range(n):
+            row = [(out, sign * x) for e, out, sign in inserts
+                   if (x := rows[e][d])]
+            if row:
+                table[base + d] = row
+    return table
+
+
+def _cap_table(n: int, p, q) -> tuple[dict, int]:
+    """The table of a cap whose left wire awaits the rows p and whose
+    right wire awaits q, one of them possibly None: the block (a, b) maps
+    to the scalar (p^T q)[a][b], the sum over e of p's coefficient taking
+    a to e times q's taking b to e.  Returns the table and the terms of
+    forming p^T q, n^3 when both wires carry rows."""
+    terms = 0
+    if p is None:
+        m = q
+    else:
+        m = list(zip(*p))
+        if q is not None:
+            m, terms = _fuse(m, q), n ** 3
+    return {a * n + b: [(0, x)] for a, row in enumerate(m)
+            for b, x in enumerate(row) if x}, terms
+
+
 def _oriented(piece: Mat, polarity: str, bindings: Bindings) -> tuple:
     """The rows a Mat piece applies upward on its wire.  A label along a
     vector wire's (upward) orientation acts upward as the bound matrix A;
@@ -197,19 +275,11 @@ def _fuse(later, earlier) -> list:
 
 def _apply_mat(state: dict, n: int, arity: int, offset: int,
                rows) -> tuple[dict, int]:
-    """Apply the matrix rows to the state's axis at offset, acting upward.
-    Returns the new state, zeros dropped, and the number of products: one
-    per pair of a state nonzero and a nonzero coefficient in the column
-    its digit selects, whichever way the pass takes."""
+    """Apply the matrix rows to the state's axis at offset, acting upward:
+    each nonzero goes through the column of rows its digit selects.
+    Returns the new state, zeros dropped, and the number of products, one
+    per pair of a state nonzero and a nonzero coefficient in its column."""
     low = n ** (arity - offset - 1)
-    if _mostly_full(state, n, low):
-        return _dense_mat(state, n, low, rows)
-    return _scatter_mat(state, n, low, rows)
-
-
-def _scatter_mat(state: dict, n: int, low: int, rows) -> tuple[dict, int]:
-    """_apply_mat's usual way: each nonzero goes through the column of rows
-    its digit (of weight low) selects, one product and one store each."""
     # cols[j]: (key shift, coefficient) of each nonzero in column j; moving
     # digit j to i shifts a key by (i - j) * low
     cols = [[((i - j) * low, x) for i, row in enumerate(rows)
@@ -226,46 +296,6 @@ def _scatter_mat(state: dict, n: int, low: int, rows) -> tuple[dict, int]:
     if len(out) == terms:       # each product has a key of its own
         return out, terms
     return _without_zeros(out), terms
-
-
-def _dense_mat(state: dict, n: int, low: int, rows) -> tuple[dict, int]:
-    """_apply_mat's dense way: output digit i of a context is the dot
-    product of row i with the context's n values, zeros included, formed
-    for all contexts at once one column of products at a time.  Zero
-    values are multiplied but not counted as terms."""
-    # each key with its digit of weight low zeroed, once, in first-seen order
-    ctxs = list(dict.fromkeys(key - key // low % n * low for key in state))
-    # by_digit[j][c]: the value at digit j of context ctxs[c], or 0
-    by_digit = [list(map(state.get, [c + j * low for c in ctxs], repeat(0)))
-                for j in range(n)]
-    terms = sum((len(ctxs) - vals.count(0)) * (n - col.count(0))
-                for vals, col in zip(by_digit, zip(*rows)))
-    out: dict = {}
-    for i, row in enumerate(rows):
-        products = [map(mul, vals, repeat(x))
-                    for vals, x in zip(by_digit, row) if x]
-        if products:
-            out.update(zip([c + i * low for c in ctxs],
-                           map(sum, zip(*products))))
-    return _without_zeros(out), terms
-
-
-def _mostly_full(state: dict, n: int, low: int) -> bool:
-    """The fixed rule that sends a Mat pass the dense way: n >= 5, at least
-    n^4 nonzeros, and the contexts of 16 nonzeros taken at even steps
-    through the state hold at least three quarters of their n slots on
-    average.  The dense way wins only there (BENCH_18.json, mat_passes);
-    sampling costs a few lookups, where counting every context would cost
-    as much as the gain."""
-    if n < 5 or len(state) < n ** 4:
-        return False
-    shifts = [j * low for j in range(n)]
-    sampled = found = 0
-    for key in islice(state, 0, None, len(state) // 16):
-        ctx = key - key // low % n * low
-        sampled += 1
-        found += sum(ctx + s in state for s in shifts)
-    return 4 * found >= 3 * n * sampled
 
 
 def _without_zeros(out: dict) -> dict:
@@ -301,6 +331,25 @@ def _apply(state: dict, n: int, arity: int, offset: int, j_in: int,
     return _without_zeros(out), terms
 
 
+def _absorb(state: dict, n: int, arity: int, offset: int,
+            wires: list) -> tuple[dict, int]:
+    """Absorb the input wires of a vertex at [offset, ...) up to the last
+    one with pending rows; wires holds each input's rows, or None.  After
+    s wires the block's first s axes hold their digits in increasing
+    order and each value carries the sign of the sort, which is the ε
+    sign's change, so the vertex table still applies: every sorted block
+    is one of its keys.  Returns the new state and the products formed."""
+    labeled = [s for s, rows in enumerate(wires) if rows is not None]
+    terms = 0
+    for s in range(labeled[-1] + 1 if labeled else 0):
+        rows = wires[s]
+        if s or rows is not None:       # one digit is sorted already
+            state, t = _apply(state, n, arity, offset, s + 1, s + 1,
+                              _absorb_table(n, s, rows))
+            terms += t
+    return state, terms
+
+
 def _relabel(state: dict, n: int, arity: int, offset: int, m: int,
              shifts: tuple[list, list]) -> dict:
     """Permute the state's axes [offset, offset + m) by a piece's
@@ -320,11 +369,14 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
                  columns=None, validated: bool = False) -> EvalResult:
     """Fold the slices of d over a sparse state, starting from the identity
     on its inputs.  The Mat labels along one wire are fused into one
-    matrix, the later label on the left, and applied in one pass where the
-    wire ends: before the cap or vertex that consumes it, or at the top
-    boundary.  terms counts one product per (state nonzero, table or
-    matrix coefficient) pair, and n^3 for each product of two labels
-    fused on a wire; relabelling by Cross and Perm counts none.
+    matrix, the later label on the left, which the piece that ends the
+    wire takes in: a vertex absorbs its inputs into sorted digits, one
+    pass per input up to its last labeled one (an unlabeled input between
+    labeled ones by the identity), before its table; a cap applies one
+    table of P^T Q; the top boundary makes one pass per wire.  terms
+    counts one product per (state nonzero, table or matrix coefficient)
+    pair, and n^3 for each product of two matrices, two labels fused on a
+    wire or a cap's P^T Q; relabelling by Cross and Perm counts none.
 
     columns, an iterable of flat 0-based input indices (row-major over the
     k inputs, the input half of a nonzeros key), starts the fold from the
@@ -387,15 +439,17 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
                         if rows is not None:
                             pending[offset + t - 1] = rows
             else:
-                if held:
-                    for s in range(j_in):
-                        rows = held.get(pos_old + s)
-                        if rows is not None:
-                            state, t = _apply_mat(state, n, arity,
-                                                  offset + s, rows)
-                            terms += t
+                table = _piece_table(piece, n)
+                if held and j_in:
+                    wires = [held.get(pos_old + s) for s in range(j_in)]
+                    if kind is NVertex:
+                        state, t = _absorb(state, n, arity, offset, wires)
+                        terms += t
+                    elif wires != [None, None]:     # a cap
+                        table, t = _cap_table(n, *wires)
+                        terms += t
                 state, t = _apply(state, n, arity, offset, j_in, j_out,
-                                  _piece_table(piece, n))
+                                  table)
                 terms += t
                 arity += j_out - j_in
             new_polarities.extend(outs)
