@@ -232,7 +232,8 @@ def cramer_solve(a: Matrix, b) -> CramerSolution:
 
     A_j is A with column j replaced by b.  The adjugate diagram composed
     with A_j's strand is (-1)^floor(n/2) * (n-1)! * det(A_j) * Id, so its
-    entry (j, j) gives det(A_j); the diagram is built once for every j."""
+    entry (j, j) gives det(A_j); the diagram is built once for every j
+    and evaluated on its input column j only."""
     n = a.n
     b = tuple(rat(x) for x in b)
     det_a = det_diagram_value(n, a)
@@ -243,7 +244,8 @@ def cramer_solve(a: Matrix, b) -> CramerSolution:
     xs = []
     for j in range(1, n + 1):
         a_j = a.with_column(j, b)
-        value = eval_layered(diagram, {"Aj": a_j}).tensor.get((j,), (j,))
+        value = eval_layered(diagram, {"Aj": a_j},
+                             columns=[j - 1]).tensor.get((j,), (j,))
         det_aj = _exact_div(value, reversal_sign(n) * factorial(n - 1))
         xs.append(_exact_div(det_aj, det_a))
     return CramerSolution(tuple(xs), False)

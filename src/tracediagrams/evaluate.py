@@ -12,12 +12,19 @@ labeled one, a pass each, into their digits in increasing order, each
 value carrying the sign of the sort: the Levi-Civita sign is
 antisymmetric, so its table then applies to the sorted block, and the
 state holds one entry per set of absorbed digits where it held one per
-order.  A cap takes its two wires' matrices P and Q as one table, of
-P^T Q.  At the top boundary each pending matrix scatters every nonzero
-through the matrix column its digit selects.  Every other piece is a
-table from its input block to its nonzero (output block, coefficient)
-pairs, applied to the state's nonzeros only.  The final state is the
-result's nonzeros.
+order.  The producing side uses the same antisymmetry: from n = 4, a
+vertex whose outputs meet only identity wires and labels before one
+later vertex takes all of them, and are at least four if labeled, writes
+them as one group, its output blocks with increasing digits only.  The
+taking vertex moves each group wire it absorbs to the front of the
+group's rest, with the sign of the move; for the group wires left past
+its last labeled input, still sorted, the result is scaled at the end by
+the number of their orders.  A cap takes its two wires' matrices P and
+Q as one table, of P^T Q.  At the top boundary each pending matrix
+scatters every nonzero through the matrix column its digit selects.
+Every other piece is a table from its input block to its nonzero (output
+block, coefficient) pairs, applied to the state's nonzeros only.  The
+final state is the result's nonzeros.
 eval_contraction works on the graph form: it assigns one index variable to
 each unlabeled edge and one to each end of a labeled edge, with a
 Levi-Civita factor per vertex and an integer matrix factor per labeled
@@ -39,7 +46,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import factorial, lcm
 from operator import mul
 
 from . import kernels
@@ -94,7 +101,11 @@ def check_bindings(names, n: int, bindings: Bindings):
 # multiplies them into its wire's pending matrix.  A vertex takes its
 # inputs' pending matrices in by _absorb, whose _absorb_table passes sort
 # the digits of the inputs it has absorbed; a cap by one _cap_table; the
-# top boundary by _apply_mat.  Every other piece but Id is a table from
+# top boundary by _apply_mat.  A vertex whose outputs _grouped finds
+# going together to one later vertex writes them sorted, by its
+# _sorted_outputs table; Id and Mat carry the group's position as they
+# carry pending matrices, and _absorb's _extraction_table passes open the
+# group up one wire at a time.  Every other piece but Id is a table from
 # the flat index of its input block to the list of (output block index,
 # nonzero coefficient) it maps that block to, and _apply multiplies it
 # into the state.
@@ -238,6 +249,68 @@ def _absorb_table(n: int, s: int, rows) -> dict:
     return table
 
 
+# (n, r) -> _extraction_table(n, r)
+_extraction_cache: dict[tuple, dict] = {}
+
+
+def _extraction_table(n: int, r: int) -> dict:
+    """The table that moves each digit of an increasing r-digit block to
+    the front: the block x_1 < ... < x_r maps to (x_j, the rest in
+    increasing order) with the sign (-1)^(j-1) of that move, for each j.
+    Its keys are the increasing blocks."""
+    table = _extraction_cache.get((n, r))
+    if table is None:
+        table = {}
+        for digits in combinations(range(n), r):
+            table[_block(digits, n)] = [
+                (_block((x,) + digits[:j] + digits[j + 1:], n),
+                 -1 if j & 1 else 1) for j, x in enumerate(digits)]
+        _extraction_cache[(n, r)] = table
+    return table
+
+
+def _sorted_outputs(piece: NVertex, n: int) -> dict:
+    """A vertex's table with only the output blocks whose digits increase
+    left to right, cached with the piece tables."""
+    key = (n, piece.in_count, piece.ciliation, "sorted")
+    table = _piece_table_cache.get(key)
+    if table is None:
+        keep = _extraction_table(n, n - piece.in_count)
+        table = {}
+        for block, row in _piece_table(piece, n).items():
+            row = [(out, c) for out, c in row if out in keep]
+            if row:
+                table[block] = row
+        _piece_table_cache[key] = table
+    return table
+
+
+def _grouped(layers, li: int, n: int, g: int, m: int) -> bool:
+    """Whether the m wires at [g, g + m) above slice li meet nothing but
+    Id and Mat pieces before one vertex takes all of them as inputs, and
+    are at least 4 if a Mat meets any of them.  The taking vertex must
+    extract a labeled group wire, and for fewer than 4 wires those passes
+    cost about what the sorted birth saves."""
+    labeled = False
+    for layer in layers[li + 1:]:
+        pos_old = pos_new = 0
+        for i, piece in enumerate(layer):
+            j_in, j_out = piece_step(piece, n, (), 0, check=False)[:2]
+            if pos_old + j_in > g:          # the first piece on the group
+                if type(piece) is NVertex:
+                    return pos_old <= g and g + m <= pos_old + j_in and (
+                        m > 3 or not labeled)
+                carriers = [type(p) for p in layer[i:i + m]]
+                if not all(t is Id or t is Mat for t in carriers):
+                    return False
+                labeled = labeled or Mat in carriers
+                g = pos_new
+                break
+            pos_old += j_in
+            pos_new += j_out
+    return False
+
+
 def _cap_table(n: int, p, q) -> tuple[dict, int]:
     """The table of a cap whose left wire awaits the rows p and whose
     right wire awaits q, one of them possibly None: the block (a, b) maps
@@ -331,23 +404,41 @@ def _apply(state: dict, n: int, arity: int, offset: int, j_in: int,
     return _without_zeros(out), terms
 
 
-def _absorb(state: dict, n: int, arity: int, offset: int,
-            wires: list) -> tuple[dict, int]:
+def _absorb(state: dict, n: int, arity: int, offset: int, wires: list,
+            groups=()) -> tuple[dict, int, int]:
     """Absorb the input wires of a vertex at [offset, ...) up to the last
     one with pending rows; wires holds each input's rows, or None.  After
     s wires the block's first s axes hold their digits in increasing
     order and each value carries the sign of the sort, which is the ε
     sign's change, so the vertex table still applies: every sorted block
-    is one of its keys.  Returns the new state and the products formed."""
+    is one of its keys.  groups holds a (first input, r) pair for each
+    group of r inputs, the outputs of one earlier vertex, that the state
+    holds at increasing digits only: it stands for the block antisymmetric
+    in them.  A wire of a group is first moved to the front of the group's
+    rest by an _extraction_table pass.  The r' wires of a group left past
+    the last absorbed input stay sorted: the vertex table is antisymmetric
+    in them too, so on the sorted block it gives its sum over all their
+    orders divided by r'!.  Returns the new state, the products formed
+    and the product of those r'!, by which the fold scales its result."""
     labeled = [s for s, rows in enumerate(wires) if rows is not None]
+    last = labeled[-1] + 1 if labeled else 0
     terms = 0
-    for s in range(labeled[-1] + 1 if labeled else 0):
+    for s in range(last):
+        for g, r in groups:
+            if g <= s < g + r - 1:      # r - (s - g) group wires from s on
+                left = r - s + g
+                state, t = _apply(state, n, arity, offset + s, left, left,
+                                  _extraction_table(n, left))
+                terms += t
         rows = wires[s]
         if s or rows is not None:       # one digit is sorted already
             state, t = _apply(state, n, arity, offset, s + 1, s + 1,
                               _absorb_table(n, s, rows))
             terms += t
-    return state, terms
+    scale = 1
+    for g, r in groups:
+        scale *= factorial(max(0, min(r, g + r - last)))
+    return state, terms, scale
 
 
 def _relabel(state: dict, n: int, arity: int, offset: int, m: int,
@@ -373,10 +464,16 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
     wire takes in: a vertex absorbs its inputs into sorted digits, one
     pass per input up to its last labeled one (an unlabeled input between
     labeled ones by the identity), before its table; a cap applies one
-    table of P^T Q; the top boundary makes one pass per wire.  terms
-    counts one product per (state nonzero, table or matrix coefficient)
-    pair, and n^3 for each product of two matrices, two labels fused on a
-    wire or a cap's P^T Q; relabelling by Cross and Perm counts none.
+    table of P^T Q; the top boundary makes one pass per wire.  From n = 4,
+    a vertex's outputs that go through Id and Mat pieces only to one later
+    vertex, all of them, are born as one sorted group (see _grouped and
+    _absorb).
+    terms counts one product per (state nonzero, table or matrix
+    coefficient) pair, an extraction pass's (entry, digit moved to the
+    front) pairs included, and n^3 for each product of two matrices, two
+    labels fused on a wire or a cap's P^T Q; relabelling by Cross and Perm
+    counts none, and so does scaling the result by the r! orders of group
+    wires that no vertex extracted.
 
     columns, an iterable of flat 0-based input indices (row-major over the
     k inputs, the input half of a nonzeros key), starts the fold from the
@@ -404,13 +501,22 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
     arity = 2 * k
     polarities = list(d.inputs)
     pending: dict = {}   # wire position -> the rows its labels await
+    # first wire position -> r, of each sorted group.  Below n = 4 only
+    # unlabeled groups of two or three wires could form, and on the fuzz
+    # corpora at n = 2 and 3 they saved 0.5% of the terms, too little for
+    # the walks: there no group forms and no walk runs
+    grouping = n > 3
+    held_groups = groups = {}
+    scale = 1            # the orders of the group wires no vertex extracted
     terms = 0
 
-    for layer in d.layers:
+    for li, layer in enumerate(d.layers):
         pos_old = 0          # position in the pre-slice wire profile
         offset = 0           # position in the partially rebuilt profile
         new_polarities = []
         held, pending = pending, {}
+        if grouping:
+            held_groups, groups = groups, {}
         for piece in layer:
             kind = type(piece)
             if kind is Id or kind is Mat:
@@ -423,6 +529,8 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
                     pending[offset] = rows
                 elif pos_old in held:
                     pending[offset] = held[pos_old]
+                if pos_old in held_groups:
+                    groups[offset] = held_groups[pos_old]
                 new_polarities.append(polarity)
                 pos_old += 1
                 offset += 1
@@ -440,12 +548,23 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
                             pending[offset + t - 1] = rows
             else:
                 table = _piece_table(piece, n)
-                if held and j_in:
-                    wires = [held.get(pos_old + s) for s in range(j_in)]
-                    if kind is NVertex:
-                        state, t = _absorb(state, n, arity, offset, wires)
+                if kind is NVertex:
+                    taken = held_groups and [
+                        (g - pos_old, r) for g, r in held_groups.items()
+                        if pos_old <= g < pos_old + j_in]
+                    if held and j_in or taken:
+                        wires = [held.get(pos_old + s) for s in range(j_in)]
+                        state, t, orders = _absorb(state, n, arity, offset,
+                                                   wires, taken)
                         terms += t
-                    elif wires != [None, None]:     # a cap
+                        scale *= orders
+                    if grouping and j_out > 1 and \
+                            _grouped(d.layers, li, n, offset, j_out):
+                        groups[offset] = j_out
+                        table = _sorted_outputs(piece, n)
+                elif held and j_in:
+                    wires = [held.get(pos_old + s) for s in range(j_in)]
+                    if wires != [None, None]:     # a cap
                         table, t = _cap_table(n, *wires)
                         terms += t
                 state, t = _apply(state, n, arity, offset, j_in, j_out,
@@ -460,6 +579,8 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
     for pos, rows in pending.items():
         state, t = _apply_mat(state, n, arity, pos, rows)
         terms += t
+    if scale != 1:
+        state = {key: val * scale for key, val in state.items()}
     return EvalResult(Tensor._owning(n, arity - k, k, state), terms)
 
 

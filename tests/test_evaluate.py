@@ -14,9 +14,9 @@ from tracediagrams.builders import (adjugate_diagram, antisym_nodepair,
                                     antisym_permsum, antisym_tensor,
                                     det_permsum, jacobi_diagrams,
                                     loop_diagram, trace_loop, vertex_pair)
-from tracediagrams.diagrams import (COVECTOR, SINK, VECTOR, Cap, Cross,
-                                    Cup, Id, LayeredDiagram, Mat, NVertex,
-                                    Perm, canonical_ciliation,
+from tracediagrams.diagrams import (COVECTOR, SINK, SOURCE, VECTOR, Cap,
+                                    Cross, Cup, Id, LayeredDiagram, Mat,
+                                    NVertex, Perm, canonical_ciliation,
                                     compose_vertical, piece_step, to_graph)
 from tracediagrams.evaluate import (CrossCheckMismatch, eval_checked,
                                     eval_contraction, eval_layered)
@@ -442,11 +442,77 @@ def test_absorbed_inputs_match_a_pass_per_wire(n):
             want = ev._apply(want, n, arity, offset, j_in, j_out, table)[0]
             got, last = state, table
             if isinstance(piece, NVertex):
-                got = ev._absorb(state, n, arity, offset, wires)[0]
+                got, _, scale = ev._absorb(state, n, arity, offset, wires)
+                assert scale == 1       # no input is in a sorted group
             elif any(labeled):
                 last = ev._cap_table(n, *wires)[0]
             got = ev._apply(got, n, arity, offset, j_in, j_out, last)[0]
             assert got == want, (piece, labeled, arity, offset)
+
+
+def _sorted_groups(j):
+    """Every placement of one or two disjoint groups of at least two
+    wires among j inputs, as (first input, size) pairs."""
+    ones = [((g, r),) for r in range(2, j + 1) for g in range(j - r + 1)]
+    return ones + [a + b for a in ones for b in ones
+                   if a[0][0] + a[0][1] <= b[0][0]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_extracted_groups_match_the_expanded_state(n):
+    """A state held at increasing digits only on each group of a vertex's
+    inputs, absorbed with the groups' extraction passes and then the vertex
+    table, times the returned scale, gives what the state expanded into all
+    the orderings of each group, with the sign of each, gives without
+    groups: for every in_count, every group size and placement, canonical
+    and shuffled ciliations, no label, every label and random subsets."""
+    ev = evaluate_module
+    rng = random.Random(400 + n)
+    values = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    for j in range(2, n + 1):
+        for cil in (canonical_ciliation(n, j),
+                    tuple(rng.sample(range(1, n + 1), n))):
+            piece = NVertex(SINK, j, cil)
+            table = ev._piece_table(piece, n)
+            for groups in _sorted_groups(j):
+                subsets = [(False,) * j, (True,) * j]
+                subsets += [tuple(rng.random() < 0.5 for _ in range(j))
+                            for _ in range(2)]
+                for labeled in subsets:
+                    wires = [_random_rational_matrix(n, rng).rows if on
+                             else None for on in labeled]
+                    arity = j + rng.randint(0, 2)
+                    offset = rng.randint(0, arity - j)
+                    stored, expanded = {}, {}
+                    for _ in range(6):
+                        digits = [rng.randrange(n) for _ in range(arity)]
+                        for g, r in groups:
+                            at = offset + g
+                            digits[at:at + r] = rng.sample(range(n), r)
+                            digits[at:at + r] = sorted(digits[at:at + r])
+                        value = rng.choice(values)
+                        stored[_flat(digits, n)] = value
+                        orders = [permutations(range(r)) for _, r in groups]
+                        for sigmas in product(*orders):
+                            moved, sign = list(digits), value
+                            for (g, r), sigma in zip(groups, sigmas):
+                                at = offset + g
+                                moved[at:at + r] = [digits[at + i]
+                                                    for i in sigma]
+                                sign *= levi_civita(tuple(i + 1
+                                                          for i in sigma))
+                            expanded[_flat(moved, n)] = sign
+                    want, _, one = ev._absorb(expanded, n, arity, offset,
+                                              wires)
+                    assert one == 1
+                    want = ev._apply(want, n, arity, offset, j, n - j,
+                                     table)[0]
+                    got, _, scale = ev._absorb(stored, n, arity, offset,
+                                               wires, groups)
+                    got = ev._apply(got, n, arity, offset, j, n - j,
+                                    table)[0]
+                    assert {k: v * scale for k, v in got.items()} == want, \
+                        (j, cil, groups, labeled)
 
 
 def _mutant(old, new):
@@ -507,9 +573,109 @@ def test_fold_mutants_fail_the_cross_check(old, new):
     assert _first_mismatch(_mutant(old, new)) is not None
 
 
+def _group_diagram(rng):
+    """A seeded n = 4 diagram built to meet sorted groups: a vertex with
+    m >= 2 outputs beside two input wires, a slice of random Id, Mat,
+    Cross, Cup and Cap pieces over all of them, a slice of labels, and a
+    vertex that takes 2 or more of the wires that begin the top profile
+    with the outputs' polarity.  The fold keeps the outputs as a group
+    when the random slice leaves them alone and the last vertex takes
+    all of them.  Shapes whose boundary would exceed 7 wires are drawn
+    again, so that every diagram stays cheap."""
+    n = 4
+    while True:
+        m = rng.randint(2, n)
+        birth = rng.choice((SINK, SOURCE))
+        out, into = (COVECTOR, VECTOR) if birth == SINK else (VECTOR,
+                                                                COVECTOR)
+        inputs = [into] * (n - m) + [rng.choice((VECTOR, COVECTOR))
+                                     for _ in range(2)]
+        profile = [out] * m + inputs[n - m:]
+        pieces, top, pos = [], [], 0
+        while pos < len(profile):
+            pair = tuple(profile[pos:pos + 2])
+            kind = rng.choice(("id", "id", "mat", "cross", "cup", "cap"))
+            if kind == "cross" and len(pair) == 2:
+                pieces.append(Cross())
+                top += pair[::-1]
+                pos += 2
+            elif kind == "cap" and len(set(pair)) == 2:
+                pieces.append(Cap())
+                pos += 2
+            elif kind == "cup" and Cup() not in pieces:
+                pieces.append(Cup())
+                top += [COVECTOR, VECTOR]
+            else:
+                pieces.append(Mat("B") if kind == "mat" else Id())
+                top.append(profile[pos])
+                pos += 1
+        run = 0
+        while run < min(n, len(top)) and top[run] == out:
+            run += 1
+        if run < 2:
+            continue
+        j = rng.randint(2, run)
+        if len(inputs) + len(top) - 2 * j + n > 7:
+            continue
+        first, last = (tuple(rng.sample(range(1, n + 1), n)) for _ in "ab")
+        return LayeredDiagram(n, inputs, [
+            (NVertex(birth, n - m, first),) + (Id(), Id()),
+            tuple(pieces),
+            tuple(rng.choice((Id(), Id(), Mat("A"))) for _ in top),
+            (NVertex(SOURCE if birth == SINK else SINK, j, last),)
+            + (Id(),) * (len(top) - j)])
+
+
+def _first_group_mismatch(module, count=150):
+    """The index of the first of count seeded _group_diagram corpus
+    diagrams on which module's eval_checked raises, or None."""
+    rng = random.Random(26)
+    for i in range(count):
+        d = _group_diagram(rng)
+        try:
+            module.eval_checked(d, random_bindings(d, rng))
+        except module.CrossCheckMismatch:
+            return i
+    return None
+
+
+_KEPT = "t is Id or t is Mat"
+
+
+@pytest.mark.parametrize("old, new", [
+    # a digit moved to the front of a sorted group with the sign +1
+    ("-1 if j & 1 else 1", "1"),
+    # the r! orderings of a group's wires past the last labeled input
+    # not counted
+    ("scale *= factorial(max(0, min(r, g + r - last)))", "scale *= 1"),
+    # a group kept while a crossing, a cup or a cap meets its wires
+    (_KEPT, "t in (Id, Mat, Cross)"),
+    (_KEPT, "t in (Id, Mat, Cup)"),
+    (_KEPT, "t in (Id, Mat, Cap)"),
+    # a group kept for a vertex that takes only some of its wires
+    ("return pos_old <= g and g + m <= pos_old + j_in and (",
+     "return ("),
+    # a vertex writing its decreasing output blocks where the extraction
+    # passes read increasing ones
+    ("keep = _extraction_table(n, n - piece.in_count)",
+     "keep = {_block(c[::-1], n) for c in combinations(range(n), "
+     "n - piece.in_count)}"),
+    # a group's position dropped by the Id and Mat pieces that carry it
+    ("groups[offset] = held_groups[pos_old]", "pass"),
+])
+def test_group_mutants_fail_the_cross_check(old, new):
+    assert _first_group_mismatch(_mutant(old, new)) is not None
+
+
 def test_unmutated_copy_passes_the_cross_check():
-    # the harness of the mutant tests: the same corpus, the same code
-    assert _first_mismatch(_mutant(_TOP, _TOP)) is None
+    # the harness of the mutant tests: the same corpora, the same code;
+    # 18 of the group corpus's vertices start a group
+    module = _mutant(_TOP, _TOP)
+    assert _first_mismatch(module) is None
+    walk, kept = module._grouped, []
+    module._grouped = lambda *args: kept.append(walk(*args)) or kept[-1]
+    assert _first_group_mismatch(module) is None
+    assert sum(kept) == 18
 
 
 def test_fold_drops_cancelled_entries():
@@ -533,15 +699,20 @@ def _dense_matrix(n, seed):
                     for _ in range(n)] for _ in range(n)])
 
 
-@pytest.mark.parametrize("n, terms", [(3, 69), (4, 569), (5, 5328),
-                                      (6, 56185), (7, 654854)])
+@pytest.mark.parametrize("n, terms", [(3, 69), (4, 446), (5, 2345),
+                                      (6, 11770), (7, 57039), (8, 269768)])
 def test_layered_det_circle_term_count(n, terms):
     """One product per (state nonzero, table coefficient).  The sink
     absorbs its labeled inputs one at a time into sorted digits, so each
     set of absorbed digits is one state entry where each of its orders
     was one before; with a pass of A per wire ahead of the vertex table
     the counts were 132, 1488, 18780 and 273024 for n = 3..6, and n = 7
-    took 4.5M terms."""
+    took 4.5M terms.  From n = 4 the source writes its outputs as one
+    sorted group too, one entry where it wrote n!, and the sink moves
+    each wire's digit to the front of the group's rest (n - s entries per
+    entry for the s-th wire) before absorbing it: the counts were 569,
+    5328, 56185 and 654854 for n = 4..7 and 8328465 at n = 8 with the
+    source's n! orders, and n = 3, below the group rule, keeps 69."""
     a = _dense_matrix(n, 1)
     res = eval_layered(vertex_pair(n, [["A"]] * n), {"A": a})
     assert res.term_count == terms
@@ -550,8 +721,15 @@ def test_layered_det_circle_term_count(n, terms):
 
 
 def test_layered_nodepair_term_count():
-    assert eval_layered(antisym_nodepair(2, 4), {}).term_count == 72
-    assert eval_layered(antisym_nodepair(2, 5), {}).term_count == 360
+    """The sink's outputs are one sorted group, which the source takes
+    past its last labeled input (it has none): the sink writes one entry
+    per output set where it wrote one per order, and the source's table
+    applies to it, the result scaled by r!.  Before groups the counts
+    were 72 and 360, and at n = 3, below the group rule, 18 is
+    unchanged."""
+    assert eval_layered(antisym_nodepair(2, 3), {}).term_count == 18
+    assert eval_layered(antisym_nodepair(2, 4), {}).term_count == 36
+    assert eval_layered(antisym_nodepair(2, 5), {}).term_count == 60
 
 
 def test_wide_permutation_of_cups_in_bounded_memory():
@@ -744,7 +922,8 @@ def test_contraction_path_calls_no_layered_kernel(monkeypatch):
     for name in ("_apply", "_apply_mat", "_oriented", "_fuse", "_relabel",
                  "_absorb", "_absorb_table", "_insertions", "_cap_table",
                  "_block", "_piece_table", "_vertex_table",
-                 "_lexicographic_signs", "_perm_shifts"):
+                 "_lexicographic_signs", "_perm_shifts", "_grouped",
+                 "_extraction_table", "_sorted_outputs"):
         monkeypatch.setattr(evaluate_module, name, forbidden)
     assert [graph_eval(d, b) for d, b in cases] == want
 
@@ -792,7 +971,8 @@ def test_fuzz_corpus_work_is_pinned():
     16443 when vertices absorbed their inputs' matrices into sorted
     digits, one entry per digit set where each order was one, and a cap
     took its wires' matrices in one table of P^T Q instead of a pass per
-    wire and a cap pass."""
+    wire and a cap pass.  Sorted output groups form from n = 4 only, so
+    this n = 2, 3 corpus does the same work with them as without."""
     rng = random.Random(12)
     layered_terms = contraction_terms = nonzeros = 0
     for _ in range(300):
@@ -812,7 +992,10 @@ def test_label_free_terms_are_unchanged():
     """Wires without labels carry no pending matrix, so a diagram without
     Mat pieces costs the terms it cost before labels were fused: the
     antisymmetrizer's permutation terms, one node pair and the label-free
-    diagrams of a seeded fuzz corpus."""
+    diagrams of a seeded fuzz corpus.  Sorted output groups start at
+    n = 4, and the permutation terms have no vertex while the node pair
+    and the corpus are at n <= 3, so none of these counts moved with
+    them; test_layered_nodepair_term_count pins node pairs with groups."""
     n = 4
     columns = [sum(d * n ** (n - 1 - i) for i, d in enumerate(digits))
                for digits in permutations(range(n))]

@@ -112,11 +112,10 @@ def test_vertex_checks_reach_n_7():
                      seed=7).outcome == "pass"
 
 
-def test_circle_checks_reach_n_7():
+def test_circle_checks_reach_n_8():
     for check_id in ("det_sum", "char_coefficients", "cramer"):
-        assert REGISTRY[check_id].n_range == (2, 7)
-    for check_id in ("det_sum", "char_coefficients"):
-        assert run_check(check_id, 7, trials=1, seed=7).outcome == "pass"
+        assert REGISTRY[check_id].n_range == (2, 8)
+        assert run_check(check_id, 8, trials=1, seed=7).outcome == "pass"
 
 
 def _edited(evaluate, edit):
