@@ -12,16 +12,19 @@ labeled one, a pass each, into their digits in increasing order, each
 value carrying the sign of the sort: the Levi-Civita sign is
 antisymmetric, so its table then applies to the sorted block, and the
 state holds one entry per set of absorbed digits where it held one per
-order.  The producing side uses the same antisymmetry: from n = 4, a
+order.  Once every input is absorbed, or when the inputs are one
+unlabeled group (below), the table holds the increasing input blocks
+only.  The producing side uses the same antisymmetry: from n = 4, a
 vertex whose outputs meet only identity wires and labels before one
 later vertex takes all of them, and are at least four if labeled, writes
-them as one group, its output blocks with increasing digits only.  The
-taking vertex moves each group wire it absorbs to the front of the
-group's rest, with the sign of the move; for the group wires left past
-its last labeled input, still sorted, the result is scaled at the end by
-the number of their orders.  A cap takes its two wires' matrices P and
-Q as one table, of P^T Q.  At the top boundary each pending matrix
-scatters every nonzero through the matrix column its digit selects.
+them as one group: its table holds each row's increasing output block
+only.  The taking vertex moves each group wire it absorbs to the front
+of the group's rest, with the sign of the move; for the group wires
+left past its last labeled input, still sorted, the result is scaled at
+the end by the number of their orders.  A cap takes its two wires'
+matrices P and Q as one table, of P^T Q.  At the top boundary each
+pending matrix scatters every nonzero through the matrix column its
+digit selects.
 Every other piece is a table from its input block to its nonzero (output
 block, coefficient) pairs, applied to the state's nonzeros only.  The
 final state is the result's nonzeros.
@@ -45,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial, lcm
 from operator import mul
 
@@ -101,9 +104,10 @@ def check_bindings(names, n: int, bindings: Bindings):
 # multiplies them into its wire's pending matrix.  A vertex takes its
 # inputs' pending matrices in by _absorb, whose _absorb_table passes sort
 # the digits of the inputs it has absorbed; a cap by one _cap_table; the
-# top boundary by _apply_mat.  A vertex whose outputs _grouped finds
+# top boundary by _apply_mat.  A vertex whose input block is then sorted
+# reads its sorted_in _vertex_table, and one whose outputs _grouped finds
 # going together to one later vertex writes them sorted, by its
-# _sorted_outputs table; Id and Mat carry the group's position as they
+# sorted_out table; Id and Mat carry the group's position as they
 # carry pending matrices, and _absorb's _extraction_table passes open the
 # group up one wire at a time.  Every other piece but Id is a table from
 # the flat index of its input block to the list of (output block index,
@@ -127,19 +131,66 @@ def _lexicographic_signs(n: int) -> list:
     return signs
 
 
-def _vertex_table(n: int, in_count: int, ciliation) -> dict:
-    """The n! nonzeros of a vertex piece, keyed by input block: the ε sign
-    of the slots' digits read in ciliation order.  Slots 1..j are the
-    bottom (the input block), j+1..n the top (the output block), so the
-    digit of slot s has weight n^(n-s) in the key of both blocks together,
-    whose high part is the input block."""
-    weights = [n ** (n - s) for s in ciliation]
-    out_span = n ** (n - in_count)
-    table: dict[int, list] = {}
-    for digits, sign in zip(permutations(range(n)),
-                            _lexicographic_signs(n)):
-        block, out = divmod(sum(map(mul, digits, weights)), out_span)
-        table.setdefault(block, []).append((out, sign))
+def _order_blocks(digits: tuple, n: int, memo: dict) -> list:
+    """The row-major blocks of every order of the increasing digits, in
+    the order of itertools.permutations: each digit in turn, times its
+    weight, before the blocks of the others' orders.  memo holds the
+    lists already built, by digits, and maps () to [0]; one table's build
+    asks for a set of n - 1 or n digits once, so those are not kept."""
+    blocks = memo.get(digits)
+    if blocks is None:
+        w = n ** (len(digits) - 1)
+        blocks = [
+            d * w + b for i, d in enumerate(digits)
+            for b in _order_blocks(digits[:i] + digits[i + 1:], n, memo)]
+        if len(digits) < n - 1:
+            memo[digits] = blocks
+    return blocks
+
+
+# (n, in_count, ciliation parity, sorted_in, sorted_out) -> _vertex_table
+_vertex_cache: dict[tuple, dict] = {}
+
+
+def _vertex_table(n: int, in_count: int, ciliation, sorted_in: bool,
+                  sorted_out: bool) -> dict:
+    """The nonzeros of a vertex piece, keyed by input block: the ε sign of
+    the slots' digits read in ciliation order.  Slots 1..j are the bottom
+    (the input block), j+1..n the top (the output block).  That sign is
+    the ciliation's times the sign of the digits in slot order, and slots
+    holding a j-set S of digits, then the rest, each part increasing,
+    have the sign (-1)^(ΣS - C(j,2)): each digit of S is greater than
+    ΣS - C(j,2) digits of the rest in all.  The orders of each part
+    multiply that by their own lexicographic signs.  sorted_in keeps only
+    the increasing input blocks, one per j-set, and sorted_out only the
+    increasing output block of each row.  The ciliation changes only the
+    sign, so the ciliations of one parity share a table, cached by it."""
+    odd = sum(a > b for a, b in combinations(ciliation, 2)) & 1
+    key = (n, in_count, odd, sorted_in, sorted_out)
+    table = _vertex_cache.get(key)
+    if table is not None:
+        return table
+    in_signs = _lexicographic_signs(in_count)
+    out_signs = _lexicographic_signs(n - in_count)
+    cil_sign = -1 if odd else 1
+    pairs = in_count * (in_count - 1) // 2
+    memo: dict[tuple, list] = {(): [0]}
+    table = {}
+    for chosen in combinations(range(n), in_count):
+        rest = tuple(d for d in range(n) if d not in chosen)
+        sign = -cil_sign if (sum(chosen) - pairs) & 1 else cil_sign
+        if sorted_out:
+            row = [(_block(rest, n), sign)]
+        else:
+            row = [(out, sign * x) for out, x in
+                   zip(_order_blocks(rest, n, memo), out_signs)]
+        if sorted_in:
+            table[_block(chosen, n)] = row
+            continue
+        negated = [(out, -c) for out, c in row]
+        for block, x in zip(_order_blocks(chosen, n, memo), in_signs):
+            table[block] = row if x > 0 else negated
+    _vertex_cache[key] = table
     return table
 
 
@@ -163,12 +214,16 @@ def _perm_shifts(n: int, images) -> tuple[list, list]:
     return tuple(halves)
 
 
-def _piece_table(piece, n: int) -> dict | tuple:
+def _piece_table(piece, n: int, sorted_in: bool = False,
+                 sorted_out: bool = False) -> dict | tuple:
     """The table, or for Cross and Perm the shift tables, of a piece other
-    than Id and Mat, cached by n and the fields the table depends on."""
+    than Id and Mat, cached by n and the fields the table depends on; a
+    vertex's by _vertex_table's flags too, sorted_in counting only from
+    two inputs, below which every input block is increasing."""
     kind = type(piece)
     if kind is NVertex:
-        key = (n, piece.in_count, piece.ciliation)
+        sorted_in = sorted_in and piece.in_count > 1
+        key = (n, piece.in_count, piece.ciliation, sorted_in, sorted_out)
     elif kind is Perm:
         key = (n, piece.images)
     elif kind is Cross:
@@ -187,7 +242,7 @@ def _piece_table(piece, n: int) -> dict | tuple:
             case Cap():
                 table = {d * (n + 1): [(0, 1)] for d in range(n)}
             case NVertex(in_count=j, ciliation=cil):
-                table = _vertex_table(n, j, cil)
+                table = _vertex_table(n, j, cil, sorted_in, sorted_out)
             case _:
                 raise TypeError(f"unknown piece: {piece!r}")
         _piece_table_cache[key] = table
@@ -266,22 +321,6 @@ def _extraction_table(n: int, r: int) -> dict:
                 (_block((x,) + digits[:j] + digits[j + 1:], n),
                  -1 if j & 1 else 1) for j, x in enumerate(digits)]
         _extraction_cache[(n, r)] = table
-    return table
-
-
-def _sorted_outputs(piece: NVertex, n: int) -> dict:
-    """A vertex's table with only the output blocks whose digits increase
-    left to right, cached with the piece tables."""
-    key = (n, piece.in_count, piece.ciliation, "sorted")
-    table = _piece_table_cache.get(key)
-    if table is None:
-        keep = _extraction_table(n, n - piece.in_count)
-        table = {}
-        for block, row in _piece_table(piece, n).items():
-            row = [(out, c) for out, c in row if out in keep]
-            if row:
-                table[block] = row
-        _piece_table_cache[key] = table
     return table
 
 
@@ -467,7 +506,10 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
     table of P^T Q; the top boundary makes one pass per wire.  From n = 4,
     a vertex's outputs that go through Id and Mat pieces only to one later
     vertex, all of them, are born as one sorted group (see _grouped and
-    _absorb).
+    _absorb).  A vertex's table holds only the blocks the fold reads: its
+    increasing input blocks when every input is absorbed or the inputs
+    are one unlabeled group, each row's increasing output block when it
+    starts a group.
     terms counts one product per (state nonzero, table or matrix
     coefficient) pair, an extraction pass's (entry, digit moved to the
     front) pairs included, and n^3 for each product of two matrices, two
@@ -547,26 +589,33 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
                         if rows is not None:
                             pending[offset + t - 1] = rows
             else:
-                table = _piece_table(piece, n)
                 if kind is NVertex:
                     taken = held_groups and [
                         (g - pos_old, r) for g, r in held_groups.items()
                         if pos_old <= g < pos_old + j_in]
+                    # the input block is increasing once every input is
+                    # absorbed, or when the inputs are one unlabeled group
+                    sorted_in = False
                     if held and j_in or taken:
                         wires = [held.get(pos_old + s) for s in range(j_in)]
                         state, t, orders = _absorb(state, n, arity, offset,
                                                    wires, taken)
                         terms += t
                         scale *= orders
-                    if grouping and j_out > 1 and \
-                            _grouped(d.layers, li, n, offset, j_out):
+                        sorted_in = wires[-1] is not None or (
+                            taken == [(0, j_in)] and wires == [None] * j_in)
+                    sorted_out = grouping and j_out > 1 and \
+                        _grouped(d.layers, li, n, offset, j_out)
+                    if sorted_out:
                         groups[offset] = j_out
-                        table = _sorted_outputs(piece, n)
-                elif held and j_in:
-                    wires = [held.get(pos_old + s) for s in range(j_in)]
-                    if wires != [None, None]:     # a cap
-                        table, t = _cap_table(n, *wires)
-                        terms += t
+                    table = _piece_table(piece, n, sorted_in, sorted_out)
+                else:
+                    table = _piece_table(piece, n)
+                    if held and j_in:
+                        wires = [held.get(pos_old + s) for s in range(j_in)]
+                        if wires != [None, None]:     # a cap
+                            table, t = _cap_table(n, *wires)
+                            terms += t
                 state, t = _apply(state, n, arity, offset, j_in, j_out,
                                   table)
                 terms += t

@@ -623,7 +623,7 @@ def _check_adjugate_elements(ctx: CheckContext):
 
 
 @_register("cramer", "diagram-side solutions match the exact solver",
-           n_range=(2, 8))
+           n_range=(2, 9))
 def _check_cramer(ctx: CheckContext):
     n = ctx.n
     for trial in range(ctx.trials):
@@ -720,7 +720,7 @@ def _check_cayley(ctx: CheckContext):
 
 @_register("char_coefficients",
            "half-labeled circles assemble the characteristic coefficients",
-           n_range=(2, 8))
+           n_range=(2, 9))
 def _check_char_coefficients(ctx: CheckContext):
     n = ctx.n
     for trial in range(ctx.trials):
@@ -738,7 +738,7 @@ def _check_char_coefficients(ctx: CheckContext):
 
 
 @_register("det_sum", "determinant of a sum expands over labeled circles",
-           n_range=(2, 8))
+           n_range=(2, 9))
 def _check_det_sum(ctx: CheckContext):
     n = ctx.n
     for trial in range(ctx.trials):

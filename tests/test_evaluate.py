@@ -249,23 +249,43 @@ def _flat(digits, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_vertex_tensor_matches_entrywise_definition(n):
-    # built from its n! nonzeros, a vertex piece's table must hold exactly
-    # the nonzero Levi-Civita signs of every entry's digits read in
-    # ciliation order, keyed by input block
+    # a vertex piece's table must hold exactly the nonzero Levi-Civita
+    # signs of every entry's digits read in ciliation order, keyed by
+    # input block; sorted_in keeps the rows of the increasing input blocks
+    # only, and sorted_out the increasing output blocks of each row, with
+    # the same signs
     rng = random.Random(100 + n)
     for j in range(n + 1):
         ciliations = [canonical_ciliation(n, j)]
         ciliations += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]
         for cil in ciliations:
-            want = {}
+            full = {}
             for by_slot in product(range(n), repeat=n):
                 sign = levi_civita(tuple(by_slot[s - 1] + 1 for s in cil))
                 if sign:
-                    want.setdefault(_flat(by_slot[:j], n), []).append(
-                        (_flat(by_slot[j:], n), sign))
-            got = evaluate_module._vertex_table(n, j, cil)
-            assert {b: sorted(row) for b, row in got.items()} == want
-            assert all(type(c) is int for row in got.values() for _, c in row)
+                    full.setdefault(by_slot[:j], []).append(
+                        (by_slot[j:], sign))
+            for sorted_in, sorted_out in product((False, True), repeat=2):
+                want = {}
+                for ins, row in full.items():
+                    if sorted_in and list(ins) != sorted(ins):
+                        continue
+                    want[_flat(ins, n)] = sorted(
+                        (_flat(outs, n), sign) for outs, sign in row
+                        if not sorted_out or list(outs) == sorted(outs))
+                got = evaluate_module._vertex_table(n, j, cil, sorted_in,
+                                                    sorted_out)
+                assert {b: sorted(row) for b, row in got.items()} == want
+                assert all(type(c) is int
+                           for row in got.values() for _, c in row)
+
+
+def test_ciliations_of_one_parity_share_a_vertex_table():
+    # a ciliation only signs the table, so the 24 ciliations at n = 4
+    # read two tables
+    tables = {id(evaluate_module._vertex_table(4, 2, cil, False, False))
+              for cil in permutations(range(1, 5))}
+    assert len(tables) == 2
 
 
 def _piece_entry(piece, n, polarity, bindings):
@@ -657,9 +677,14 @@ _KEPT = "t is Id or t is Mat"
      "return ("),
     # a vertex writing its decreasing output blocks where the extraction
     # passes read increasing ones
-    ("keep = _extraction_table(n, n - piece.in_count)",
-     "keep = {_block(c[::-1], n) for c in combinations(range(n), "
-     "n - piece.in_count)}"),
+    ("row = [(_block(rest, n), sign)]",
+     "row = [(_block(rest[::-1], n), sign)]"),
+    # a vertex whose inputs the state holds sorted reading its rows at the
+    # decreasing input blocks, or without the sign of its digit set
+    ("table[_block(chosen, n)] = row",
+     "table[_block(chosen[::-1], n)] = row"),
+    ("sign = -cil_sign if (sum(chosen) - pairs) & 1 else cil_sign",
+     "sign = cil_sign"),
     # a group's position dropped by the Id and Mat pieces that carry it
     ("groups[offset] = held_groups[pos_old]", "pass"),
 ])
@@ -667,15 +692,39 @@ def test_group_mutants_fail_the_cross_check(old, new):
     assert _first_group_mismatch(_mutant(old, new)) is not None
 
 
+def test_group_beside_an_unlabeled_input_is_not_sorted_input():
+    # a vertex whose inputs are an unlabeled group of two and one more
+    # unlabeled wire holds blocks that do not increase, so it must read
+    # its full table; the group corpus has no such vertex
+    d = LayeredDiagram(4, (VECTOR, VECTOR, COVECTOR, COVECTOR), [
+        (NVertex(SINK, 2, canonical_ciliation(4, 2)), Id(), Id()),
+        (NVertex(SOURCE, 3, canonical_ciliation(4, 3)), Id())])
+    eval_checked(d, {})
+    module = _mutant("taken == [(0, j_in)] and wires == [None] * j_in",
+                     "taken and wires == [None] * j_in")
+    with pytest.raises(module.CrossCheckMismatch):
+        module.eval_checked(d, {})
+
+
 def test_unmutated_copy_passes_the_cross_check():
     # the harness of the mutant tests: the same corpora, the same code;
-    # 18 of the group corpus's vertices start a group
+    # 18 of the group corpus's vertices start a group, and 75 with two or
+    # more inputs read the table of increasing input blocks only
     module = _mutant(_TOP, _TOP)
     assert _first_mismatch(module) is None
     walk, kept = module._grouped, []
     module._grouped = lambda *args: kept.append(walk(*args)) or kept[-1]
+    table, sorted_in = module._piece_table, []
+
+    def counted(piece, n, *flags):
+        if flags and flags[0] and piece.in_count > 1:
+            sorted_in.append(piece)
+        return table(piece, n, *flags)
+
+    module._piece_table = counted
     assert _first_group_mismatch(module) is None
     assert sum(kept) == 18
+    assert len(sorted_in) == 75
 
 
 def test_fold_drops_cancelled_entries():
@@ -718,6 +767,25 @@ def test_layered_det_circle_term_count(n, terms):
     assert res.term_count == terms
     assert res.tensor.as_scalar() == \
         reversal_sign(n) * factorial(n) * det_oracle(a)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_det_circle_reads_one_entry_vertex_tables(monkeypatch, n):
+    """The source writes its outputs as one sorted group and the sink
+    absorbs every input, labeled or, in the unlabeled circle, taken as one
+    sorted group: the two circles share two tables, each the one entry
+    that the fold reads of a vertex's n!."""
+    cache = {}
+    monkeypatch.setattr(evaluate_module, "_piece_table_cache", cache)
+    a = _dense_matrix(n, 1)
+    for labels, bindings in (([["A"]] * n, {"A": a}), ([[]] * n, {})):
+        res = eval_layered(vertex_pair(n, labels), bindings)
+        value = det_oracle(a) if bindings else 1
+        assert res.tensor.as_scalar() == \
+            reversal_sign(n) * factorial(n) * value
+    vertex_tables = [t for key, t in cache.items() if len(key) == 5]
+    assert len(vertex_tables) == 2
+    assert all(sum(map(len, t.values())) == 1 for t in vertex_tables)
 
 
 def test_layered_nodepair_term_count():
@@ -922,8 +990,8 @@ def test_contraction_path_calls_no_layered_kernel(monkeypatch):
     for name in ("_apply", "_apply_mat", "_oriented", "_fuse", "_relabel",
                  "_absorb", "_absorb_table", "_insertions", "_cap_table",
                  "_block", "_piece_table", "_vertex_table",
-                 "_lexicographic_signs", "_perm_shifts", "_grouped",
-                 "_extraction_table", "_sorted_outputs"):
+                 "_order_blocks", "_lexicographic_signs", "_perm_shifts",
+                 "_grouped", "_extraction_table"):
         monkeypatch.setattr(evaluate_module, name, forbidden)
     assert [graph_eval(d, b) for d, b in cases] == want
 

@@ -112,9 +112,13 @@ def test_vertex_checks_reach_n_7():
                      seed=7).outcome == "pass"
 
 
-def test_circle_checks_reach_n_8():
+def test_circle_checks_reach_n_9():
+    # one trial of the cheapest of the three at n = 9; the others at 8
     for check_id in ("det_sum", "char_coefficients", "cramer"):
-        assert REGISTRY[check_id].n_range == (2, 8)
+        assert REGISTRY[check_id].n_range == (2, 9)
+    assert run_check("char_coefficients", 9, trials=1,
+                     seed=7).outcome == "pass"
+    for check_id in ("det_sum", "cramer"):
         assert run_check(check_id, 8, trials=1, seed=7).outcome == "pass"
 
 
