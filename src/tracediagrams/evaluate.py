@@ -2,28 +2,31 @@
 
 eval_layered folds the slices of a layered diagram bottom to top over a
 sparse state, a dict from flat index to nonzero value that starts as the
-identity on the inputs, or on the given input columns only.  A crossing
-or permutation moves each key to the key with its digits relabelled,
-forming no product.  A matrix label leaves the state alone: the labels
-met along one wire multiply into that wire's pending matrix, which moves
-with the wire through crossings and permutations and is taken in by the
-piece that ends the wire.  A vertex absorbs its inputs up to the last
-labeled one, a pass each, into their digits in increasing order, each
-value carrying the sign of the sort: the Levi-Civita sign is
-antisymmetric, so its table then applies to the sorted block, and the
-state holds one entry per set of absorbed digits where it held one per
-order.  Once every input is absorbed, or when the inputs are one
-unlabeled group (below), the table holds the increasing input blocks
-only.  The producing side uses the same antisymmetry: from n = 4, a
-vertex whose outputs meet only identity wires and labels before one
-later vertex takes all of them, and are at least four if labeled, writes
-them as one group: its table holds each row's increasing output block
-only.  The taking vertex moves each group wire it absorbs to the front
-of the group's rest, with the sign of the move; for the group wires
-left past its last labeled input, still sorted, the result is scaled at
-the end by the number of their orders.  A cap takes its two wires'
-matrices P and Q as one table, of P^T Q.  At the top boundary each
-pending matrix scatters every nonzero through the matrix column its
+identity on the inputs, or on the given input columns only.  One walk
+over the slices writes the state passes, which the fold then runs.  A
+crossing or permutation moves each key to the key with its digits
+relabelled, forming no product.  A matrix label leaves the state alone:
+the labels met along one wire multiply into that wire's pending matrix,
+which moves with the wire through crossings and permutations and is
+taken in by the piece that ends the wire.  The state may hold runs:
+consecutive wires whose digits it holds in increasing order only, each
+entry standing for the block antisymmetric in them.  A vertex absorbs
+its inputs up to the last labeled one, a pass each, into one run, their
+digits in increasing order, each value carrying the sign of the sort:
+the Levi-Civita sign is antisymmetric, so its table then applies to the
+sorted block, and the state holds one entry per set of absorbed digits
+where it held one per order.  The producing side uses the same
+antisymmetry: from n = 4, when one later vertex takes all of a vertex's
+outputs, in order and through identity wires and labels only, and they
+are at least four if labeled, that taker has them written as one run.
+It takes such a run at the front of its inputs, with no label on it, as
+its sorted prefix; it opens any other one by moving each wire it absorbs
+to the front of the run's rest, with the sign of the move; and a run it
+does not open is scaled at the end by the number of its orders.  A
+vertex's table holds only the blocks whose digits increase within each
+run of its input block and of its output block.  A cap takes its two
+wires' matrices P and Q as one table, of P^T Q.  At the top boundary
+each pending matrix scatters every nonzero through the matrix column its
 digit selects.
 Every other piece is a table from its input block to its nonzero (output
 block, coefficient) pairs, applied to the state's nonzeros only.  The
@@ -95,102 +98,119 @@ def check_bindings(names, n: int, bindings: Bindings):
 
 # -- Layered evaluator ------------------------------------------------------
 #
-# The state is sparse: a dict from the flat row-major index of an entry
-# (output axes, then input axes) to its nonzero value.  Cross and Perm are
-# key maps: _relabel moves every key by the sum of two shift-table lookups,
-# one per half of the moved digits, so their tables have n^ceil(m/2)
-# entries for m wires whatever the state's size.  A Mat piece forms no
-# state pass: _oriented reads the rows it applies upward and _fuse
-# multiplies them into its wire's pending matrix.  A vertex takes its
-# inputs' pending matrices in by _absorb, whose _absorb_table passes sort
-# the digits of the inputs it has absorbed; a cap by one _cap_table; the
-# top boundary by _apply_mat.  A vertex whose input block is then sorted
-# reads its sorted_in _vertex_table, and one whose outputs _grouped finds
-# going together to one later vertex writes them sorted, by its
-# sorted_out table; Id and Mat carry the group's position as they
-# carry pending matrices, and _absorb's _extraction_table passes open the
-# group up one wire at a time.  Every other piece but Id is a table from
-# the flat index of its input block to the list of (output block index,
-# nonzero coefficient) it maps that block to, and _apply multiplies it
-# into the state.
+# The fold walks the slices once, in _passes, and writes the state passes
+# in order; eval_layered then runs them over the sparse state, a dict
+# from the flat row-major index of an entry (output axes, then input
+# axes) to its nonzero value.  Cross and Perm are key maps: _relabel moves
+# every key by the sum of two shift-table lookups, one per half of the
+# moved digits, so their tables have n^ceil(m/2) entries for m wires
+# whatever the state's size.  A Mat piece forms no pass: _oriented reads
+# the rows it applies upward and _fuse multiplies them into its wire's
+# pending matrix, which the piece that ends the wire takes in: a vertex
+# by _absorb's passes, a cap by one _cap_table, the top boundary by
+# _apply_mat.  A run is consecutive wires whose digits the state holds in
+# increasing order only, each entry standing for the block antisymmetric
+# in them: the prefix of a vertex's inputs that _absorb sorts, or the
+# outputs of a vertex written as one run because a later vertex takes
+# all of them, having met only Id and Mat; that taker decides it.  A
+# vertex's _vertex_table holds the blocks whose digits increase within
+# each run of its input block, and of its output block.  Every other
+# piece but Id is a table from the flat index of its input block to the
+# list of (output block index, nonzero coefficient) it maps that block
+# to, and _apply multiplies it into the state.
 
-# (n, the piece's table fields) -> table or shift tables, for every piece
-# but Id and Mat
+# (n, the piece's table fields) -> table or shift tables, of a Cross, Perm,
+# Cup or Cap
 _piece_table_cache: dict[tuple, dict | tuple] = {}
 
 
-def _lexicographic_signs(n: int) -> list:
-    """The signs of the permutations of range(n) in the lexicographic order
-    of itertools.permutations.  A permutation that starts with the f-th
-    smallest digit is f transpositions away from the one that starts with
-    the smallest, followed by its rest in the same order, so the signs of
-    m digits are those of m - 1 repeated m times, negated for odd f."""
-    signs = [1]
-    for m in range(2, n + 1):
-        signs = [-x if f & 1 else x for f in range(m) for x in signs]
+def _run_signs(runs: tuple) -> list:
+    """The sign of the order of each of _run_blocks' deals to runs of the
+    given sizes, in its order: the first run's digits, at the positions
+    picked, each pass the others before them, sum(picked) - C(r, 2) in
+    all.  A deal's sign depends on the positions dealt only."""
+    if len(runs) < 2:
+        return [1]
+    r = runs[0]
+    tail = _run_signs(runs[1:])
+    negated = [-x for x in tail]
+    signs = []
+    for picked in combinations(range(sum(runs)), r):
+        signs += negated if (sum(picked) - r * (r - 1) // 2) & 1 else tail
     return signs
 
 
-def _order_blocks(digits: tuple, n: int, memo: dict) -> list:
-    """The row-major blocks of every order of the increasing digits, in
-    the order of itertools.permutations: each digit in turn, times its
-    weight, before the blocks of the others' orders.  memo holds the
-    lists already built, by digits, and maps () to [0]; one table's build
-    asks for a set of n - 1 or n digits once, so those are not kept."""
-    blocks = memo.get(digits)
-    if blocks is None:
-        w = n ** (len(digits) - 1)
-        blocks = [
-            d * w + b for i, d in enumerate(digits)
-            for b in _order_blocks(digits[:i] + digits[i + 1:], n, memo)]
+def _run_blocks(digits: tuple, runs: tuple, n: int, memo: dict) -> list:
+    """The row-major block of each way to deal the increasing digits out
+    to consecutive runs of the given sizes, each run increasing: each
+    combination of digits for the first run in turn, before the deals of
+    the rest to the other runs.  Runs of one digit each give every order,
+    in the order of itertools.permutations.  memo holds the lists already
+    built, by digits and runs; one table's build asks for n - 1 or n
+    digits once, so those are not kept."""
+    if len(runs) < 2:           # one run: the increasing block itself
+        return [_block(digits, n)]
+    found = memo.get((digits, runs))
+    if found is None:
+        w = n ** (len(digits) - runs[0])
+        found = []
+        # the complements of combinations in lexicographic order come in
+        # the reverse of their own
+        rests = list(combinations(digits, len(digits) - runs[0]))[::-1]
+        for head, rest in zip(combinations(digits, runs[0]), rests):
+            block = _block(head, n) * w
+            found += [block + b
+                      for b in _run_blocks(rest, runs[1:], n, memo)]
         if len(digits) < n - 1:
-            memo[digits] = blocks
-    return blocks
+            memo[digits, runs] = found
+    return found
 
 
-# (n, in_count, ciliation parity, sorted_in, sorted_out) -> _vertex_table
+# (n, ciliation or its parity, input runs, output runs) -> _vertex_table
 _vertex_cache: dict[tuple, dict] = {}
 
 
-def _vertex_table(n: int, in_count: int, ciliation, sorted_in: bool,
-                  sorted_out: bool) -> dict:
+def _vertex_table(n: int, ciliation, in_runs: tuple,
+                  out_runs: tuple) -> dict:
     """The nonzeros of a vertex piece, keyed by input block: the ε sign of
     the slots' digits read in ciliation order.  Slots 1..j are the bottom
     (the input block), j+1..n the top (the output block).  That sign is
     the ciliation's times the sign of the digits in slot order, and slots
     holding a j-set S of digits, then the rest, each part increasing,
     have the sign (-1)^(ΣS - C(j,2)): each digit of S is greater than
-    ΣS - C(j,2) digits of the rest in all.  The orders of each part
-    multiply that by their own lexicographic signs.  sorted_in keeps only
-    the increasing input blocks, one per j-set, and sorted_out only the
-    increasing output block of each row.  The ciliation changes only the
-    sign, so the ciliations of one parity share a table, cached by it."""
-    odd = sum(a > b for a, b in combinations(ciliation, 2)) & 1
-    key = (n, in_count, odd, sorted_in, sorted_out)
-    table = _vertex_cache.get(key)
+    ΣS - C(j,2) digits of the rest in all.  The table holds the input
+    blocks whose digits increase within each of in_runs, the lengths of
+    the input block's runs, and each row the output blocks that do within
+    each of out_runs, each block's order multiplying the sign by its own
+    (_run_blocks, _run_signs); runs of one wire keep every block.  The
+    ciliation changes only the sign, so the ciliations of one parity
+    share a table, cached by it as well as by the ciliation itself."""
+    table = _vertex_cache.get((n, ciliation, in_runs, out_runs))
     if table is not None:
         return table
-    in_signs = _lexicographic_signs(in_count)
-    out_signs = _lexicographic_signs(n - in_count)
+    odd = sum(a > b for a, b in combinations(ciliation, 2)) & 1
+    key = (n, odd, in_runs, out_runs)
+    table = _vertex_cache.get(key)
+    if table is not None:
+        _vertex_cache[n, ciliation, in_runs, out_runs] = table
+        return table
+    j = sum(in_runs)
     cil_sign = -1 if odd else 1
-    pairs = in_count * (in_count - 1) // 2
-    memo: dict[tuple, list] = {(): [0]}
+    pairs = j * (j - 1) // 2
+    in_signs = _run_signs(in_runs)
+    out_signs = _run_signs(out_runs)
+    memo: dict[tuple, list] = {}
     table = {}
-    for chosen in combinations(range(n), in_count):
-        rest = tuple(d for d in range(n) if d not in chosen)
+    # each j-set's complement, as in _run_blocks
+    rests = list(combinations(range(n), n - j))[::-1]
+    for chosen, rest in zip(combinations(range(n), j), rests):
         sign = -cil_sign if (sum(chosen) - pairs) & 1 else cil_sign
-        if sorted_out:
-            row = [(_block(rest, n), sign)]
-        else:
-            row = [(out, sign * x) for out, x in
-                   zip(_order_blocks(rest, n, memo), out_signs)]
-        if sorted_in:
-            table[_block(chosen, n)] = row
-            continue
+        row = [(out, sign * x) for out, x in
+               zip(_run_blocks(rest, out_runs, n, memo), out_signs)]
         negated = [(out, -c) for out, c in row]
-        for block, x in zip(_order_blocks(chosen, n, memo), in_signs):
+        for block, x in zip(_run_blocks(chosen, in_runs, n, memo), in_signs):
             table[block] = row if x > 0 else negated
-    _vertex_cache[key] = table
+    _vertex_cache[key] = _vertex_cache[n, ciliation, in_runs, out_runs] = table
     return table
 
 
@@ -214,22 +234,11 @@ def _perm_shifts(n: int, images) -> tuple[list, list]:
     return tuple(halves)
 
 
-def _piece_table(piece, n: int, sorted_in: bool = False,
-                 sorted_out: bool = False) -> dict | tuple:
-    """The table, or for Cross and Perm the shift tables, of a piece other
-    than Id and Mat, cached by n and the fields the table depends on; a
-    vertex's by _vertex_table's flags too, sorted_in counting only from
-    two inputs, below which every input block is increasing."""
+def _piece_table(piece, n: int) -> dict | tuple:
+    """The table of a Cup or Cap, or the shift tables of a Cross or Perm,
+    cached by n and the fields the table depends on."""
     kind = type(piece)
-    if kind is NVertex:
-        sorted_in = sorted_in and piece.in_count > 1
-        key = (n, piece.in_count, piece.ciliation, sorted_in, sorted_out)
-    elif kind is Perm:
-        key = (n, piece.images)
-    elif kind is Cross:
-        key = (n, (2, 1))
-    else:
-        key = (n, kind)
+    key = (n, piece.images) if kind is Perm else (n, kind)
     table = _piece_table_cache.get(key)
     if table is None:
         match piece:
@@ -241,8 +250,6 @@ def _piece_table(piece, n: int, sorted_in: bool = False,
                 table = {0: [(d * (n + 1), 1) for d in range(n)]}
             case Cap():
                 table = {d * (n + 1): [(0, 1)] for d in range(n)}
-            case NVertex(in_count=j, ciliation=cil):
-                table = _vertex_table(n, j, cil, sorted_in, sorted_out)
             case _:
                 raise TypeError(f"unknown piece: {piece!r}")
         _piece_table_cache[key] = table
@@ -322,32 +329,6 @@ def _extraction_table(n: int, r: int) -> dict:
                  -1 if j & 1 else 1) for j, x in enumerate(digits)]
         _extraction_cache[(n, r)] = table
     return table
-
-
-def _grouped(layers, li: int, n: int, g: int, m: int) -> bool:
-    """Whether the m wires at [g, g + m) above slice li meet nothing but
-    Id and Mat pieces before one vertex takes all of them as inputs, and
-    are at least 4 if a Mat meets any of them.  The taking vertex must
-    extract a labeled group wire, and for fewer than 4 wires those passes
-    cost about what the sorted birth saves."""
-    labeled = False
-    for layer in layers[li + 1:]:
-        pos_old = pos_new = 0
-        for i, piece in enumerate(layer):
-            j_in, j_out = piece_step(piece, n, (), 0, check=False)[:2]
-            if pos_old + j_in > g:          # the first piece on the group
-                if type(piece) is NVertex:
-                    return pos_old <= g and g + m <= pos_old + j_in and (
-                        m > 3 or not labeled)
-                carriers = [type(p) for p in layer[i:i + m]]
-                if not all(t is Id or t is Mat for t in carriers):
-                    return False
-                labeled = labeled or Mat in carriers
-                g = pos_new
-                break
-            pos_old += j_in
-            pos_new += j_out
-    return False
 
 
 def _cap_table(n: int, p, q) -> tuple[dict, int]:
@@ -444,40 +425,53 @@ def _apply(state: dict, n: int, arity: int, offset: int, j_in: int,
 
 
 def _absorb(state: dict, n: int, arity: int, offset: int, wires: list,
-            groups=()) -> tuple[dict, int, int]:
+            runs: dict) -> tuple[dict, int, int, tuple]:
     """Absorb the input wires of a vertex at [offset, ...) up to the last
-    one with pending rows; wires holds each input's rows, or None.  After
-    s wires the block's first s axes hold their digits in increasing
-    order and each value carries the sign of the sort, which is the ε
-    sign's change, so the vertex table still applies: every sorted block
-    is one of its keys.  groups holds a (first input, r) pair for each
-    group of r inputs, the outputs of one earlier vertex, that the state
-    holds at increasing digits only: it stands for the block antisymmetric
-    in them.  A wire of a group is first moved to the front of the group's
-    rest by an _extraction_table pass.  The r' wires of a group left past
-    the last absorbed input stay sorted: the vertex table is antisymmetric
-    in them too, so on the sorted block it gives its sum over all their
-    orders divided by r'!.  Returns the new state, the products formed
-    and the product of those r'!, by which the fold scales its result."""
+    one with pending rows; wires holds each input's rows, or None, and
+    runs maps the first input of each group, the outputs of one earlier
+    vertex that the state holds at increasing digits only, to its length.
+    Each group is a run, and so is each other wire.  After s wires the
+    block's first s axes hold their digits in increasing order and each
+    value carries the sign of the sort, which is the ε sign's change, so
+    the vertex table still applies.  The first run, when none of its
+    wires is labeled, already is that sorted prefix, and absorbing starts
+    after it.  A wire of a later group is first moved to the front of the
+    group's rest by an _extraction_table pass.  A group's r wires that no
+    pass opens hold one entry per digit set where the state they stand
+    for holds the r! signed orders, which the absorbed prefix sums: the
+    vertex table is antisymmetric in them too, so on the sorted block it
+    gives their sum divided by r!.  Returns the new state, the products
+    formed, the product of those r!, by which the fold scales its result,
+    and the runs of the absorbed input block, the lengths that key the
+    vertex table."""
+    if not runs and not any(wires):
+        return state, 0, 1, (1,) * len(wires)
+    ends = list(range(1, len(wires) + 1))
+    for g, r in runs.items():
+        ends[g:g + r] = [g + r] * r
     labeled = [s for s, rows in enumerate(wires) if rows is not None]
     last = labeled[-1] + 1 if labeled else 0
+    front = ends[0] if not any(wires[:ends[0]]) else 0
     terms = 0
-    for s in range(last):
-        for g, r in groups:
-            if g <= s < g + r - 1:      # r - (s - g) group wires from s on
-                left = r - s + g
-                state, t = _apply(state, n, arity, offset + s, left, left,
-                                  _extraction_table(n, left))
-                terms += t
+    for s in range(front, last):
+        left = ends[s] - s
+        if left > 1:            # s is the first of a group's left wires
+            state, t = _apply(state, n, arity, offset + s, left, left,
+                              _extraction_table(n, left))
+            terms += t
         rows = wires[s]
         if s or rows is not None:       # one digit is sorted already
             state, t = _apply(state, n, arity, offset, s + 1, s + 1,
                               _absorb_table(n, s, rows))
             terms += t
-    scale = 1
-    for g, r in groups:
-        scale *= factorial(max(0, min(r, g + r - last)))
-    return state, terms, scale
+    s = max(front, last)
+    block = (s,) if s else ()
+    scale = factorial(front)
+    while s < len(wires):
+        block += (ends[s] - s,)
+        scale *= factorial(ends[s] - s)
+        s = ends[s]
+    return state, terms, scale, block
 
 
 def _relabel(state: dict, n: int, arity: int, offset: int, m: int,
@@ -495,6 +489,95 @@ def _relabel(state: dict, n: int, arity: int, offset: int, m: int,
             for key, val in state.items()}
 
 
+def _passes(d: LayeredDiagram, bindings: Bindings) -> tuple:
+    """The state passes of the fold of d, in order, from one walk over its
+    slices: each is (offset, wires in, wires out, table), with wires out
+    None for a Cross or Perm, whose table is its shift tables.  A
+    vertex's table is the list [ciliation, its inputs' pending rows, the
+    groups it takes, its output runs], from which eval_layered absorbs
+    its inputs and builds its table: a later vertex may still set the
+    output runs.  A vertex takes the outputs of an earlier one as a
+    group, and has them written as one run, when it takes all of them, in
+    order, and they have met only Id and Mat pieces on the way, and when
+    they are at least four if one of them is labeled: the taker extracts
+    a labeled group wire, and for fewer than four wires those passes cost
+    about what the sorted birth saves.  Returns the passes, the rows
+    still pending at the top boundary by position, and the terms of
+    fusing labels and forming caps' P^T Q."""
+    n = d.n
+    polarities = list(d.inputs)
+    pending: dict = {}   # wire position -> the rows its labels await
+    # wire position -> (its vertex's pass index, output, outputs) of a
+    # vertex output that has met only Id and Mat since.  Below n = 4 only
+    # unlabeled groups of two or three wires could form: on the fuzz
+    # corpora at n = 2 and 3 they saved 1% of the terms, and tracking
+    # them cost more time than that, so there no output is tracked
+    groups: dict = {}
+    passes: list = []
+    terms = 0
+    for layer in d.layers:
+        pos_old = 0          # position in the pre-slice wire profile
+        offset = 0           # position in the partially rebuilt profile
+        new_polarities = []
+        held, pending = pending, {}
+        held_groups, groups = groups, {}
+        for piece in layer:
+            kind = type(piece)
+            if kind is Id or kind is Mat:
+                polarity = polarities[pos_old]
+                if kind is Mat:
+                    rows = _oriented(piece, polarity, bindings)
+                    if pos_old in held:
+                        rows = _fuse(rows, held[pos_old])
+                        terms += n ** 3
+                    pending[offset] = rows
+                elif pos_old in held:
+                    pending[offset] = held[pos_old]
+                if pos_old in held_groups:
+                    groups[offset] = held_groups[pos_old]
+                new_polarities.append(polarity)
+                pos_old += 1
+                offset += 1
+                continue
+            j_in, j_out, outs, _ = piece_step(piece, n, polarities, pos_old,
+                                              check=False)
+            wires = [held.get(pos_old + s) for s in range(j_in)] if held \
+                else [None] * j_in
+            if kind is Cross or kind is Perm:
+                passes.append((offset, j_in, None, _piece_table(piece, n)))
+                if held:
+                    images = piece.images if kind is Perm else (2, 1)
+                    for s, t in enumerate(images):
+                        if wires[s] is not None:
+                            pending[offset + t - 1] = wires[s]
+            elif kind is NVertex:
+                runs = {}   # first input -> length, of each group taken
+                for pos, (p, u, m) in held_groups.items():
+                    s = pos - pos_old
+                    if u == 0 and 0 <= s <= j_in - m and all(
+                            held_groups.get(pos + t) == (p, t, m)
+                            for t in range(m)) and (
+                            m > 3 or not any(wires[s:s + m])):
+                        runs[s] = m
+                        passes[p][3][3] = (m,)      # vertex p's output runs
+                if n > 3:
+                    groups.update((offset + u, (len(passes), u, j_out))
+                                  for u in range(j_out))
+                passes.append((offset, j_in, j_out,
+                               [piece.ciliation, wires, runs, (1,) * j_out]))
+            else:
+                table = _piece_table(piece, n)
+                if any(wires):          # a cap's pending rows
+                    table, t = _cap_table(n, *wires)
+                    terms += t
+                passes.append((offset, j_in, j_out, table))
+            new_polarities.extend(outs)
+            pos_old += j_in
+            offset += j_out
+        polarities = new_polarities
+    return passes, pending, terms
+
+
 def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
                  columns=None, validated: bool = False) -> EvalResult:
     """Fold the slices of d over a sparse state, starting from the identity
@@ -504,18 +587,20 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
     pass per input up to its last labeled one (an unlabeled input between
     labeled ones by the identity), before its table; a cap applies one
     table of P^T Q; the top boundary makes one pass per wire.  From n = 4,
-    a vertex's outputs that go through Id and Mat pieces only to one later
-    vertex, all of them, are born as one sorted group (see _grouped and
-    _absorb).  A vertex's table holds only the blocks the fold reads: its
-    increasing input blocks when every input is absorbed or the inputs
-    are one unlabeled group, each row's increasing output block when it
-    starts a group.
+    a vertex's outputs that one later vertex takes all of, through Id and
+    Mat pieces only, are written as one run, at increasing digits only,
+    when the taker decides so (see _passes); a run at the front of the
+    taker's inputs, none of them labeled, is its sorted prefix, and the
+    taker opens any other run one absorbed wire at a time (see _absorb).
+    A vertex's table holds only the blocks the fold reads: those whose
+    digits increase within each run of its input block and of its output
+    block.
     terms counts one product per (state nonzero, table or matrix
     coefficient) pair, an extraction pass's (entry, digit moved to the
     front) pairs included, and n^3 for each product of two matrices, two
     labels fused on a wire or a cap's P^T Q; relabelling by Cross and Perm
-    counts none, and so does scaling the result by the r! orders of group
-    wires that no vertex extracted.
+    counts none, and so does scaling the result by the r! orders of the
+    runs that no pass opened.
 
     columns, an iterable of flat 0-based input indices (row-major over the
     k inputs, the input half of a nonzeros key), starts the fold from the
@@ -540,91 +625,23 @@ def eval_layered(d: LayeredDiagram, bindings: Bindings, *,
                 raise ValueError(f"input column {c} is outside "
                                  f"range({size})")
             state[c * (size + 1)] = 1
+    passes, pending, terms = _passes(d, bindings)
     arity = 2 * k
-    polarities = list(d.inputs)
-    pending: dict = {}   # wire position -> the rows its labels await
-    # first wire position -> r, of each sorted group.  Below n = 4 only
-    # unlabeled groups of two or three wires could form, and on the fuzz
-    # corpora at n = 2 and 3 they saved 0.5% of the terms, too little for
-    # the walks: there no group forms and no walk runs
-    grouping = n > 3
-    held_groups = groups = {}
-    scale = 1            # the orders of the group wires no vertex extracted
-    terms = 0
-
-    for li, layer in enumerate(d.layers):
-        pos_old = 0          # position in the pre-slice wire profile
-        offset = 0           # position in the partially rebuilt profile
-        new_polarities = []
-        held, pending = pending, {}
-        if grouping:
-            held_groups, groups = groups, {}
-        for piece in layer:
-            kind = type(piece)
-            if kind is Id or kind is Mat:
-                polarity = polarities[pos_old]
-                if kind is Mat:
-                    rows = _oriented(piece, polarity, bindings)
-                    if pos_old in held:
-                        rows = _fuse(rows, held[pos_old])
-                        terms += n ** 3
-                    pending[offset] = rows
-                elif pos_old in held:
-                    pending[offset] = held[pos_old]
-                if pos_old in held_groups:
-                    groups[offset] = held_groups[pos_old]
-                new_polarities.append(polarity)
-                pos_old += 1
-                offset += 1
-                continue
-            j_in, j_out, outs, _ = piece_step(piece, n, polarities, pos_old,
-                                              check=False)
-            if kind is Cross or kind is Perm:
-                state = _relabel(state, n, arity, offset, j_in,
-                                 _piece_table(piece, n))
-                if held:
-                    images = piece.images if kind is Perm else (2, 1)
-                    for s, t in enumerate(images):
-                        rows = held.get(pos_old + s)
-                        if rows is not None:
-                            pending[offset + t - 1] = rows
-            else:
-                if kind is NVertex:
-                    taken = held_groups and [
-                        (g - pos_old, r) for g, r in held_groups.items()
-                        if pos_old <= g < pos_old + j_in]
-                    # the input block is increasing once every input is
-                    # absorbed, or when the inputs are one unlabeled group
-                    sorted_in = False
-                    if held and j_in or taken:
-                        wires = [held.get(pos_old + s) for s in range(j_in)]
-                        state, t, orders = _absorb(state, n, arity, offset,
-                                                   wires, taken)
-                        terms += t
-                        scale *= orders
-                        sorted_in = wires[-1] is not None or (
-                            taken == [(0, j_in)] and wires == [None] * j_in)
-                    sorted_out = grouping and j_out > 1 and \
-                        _grouped(d.layers, li, n, offset, j_out)
-                    if sorted_out:
-                        groups[offset] = j_out
-                    table = _piece_table(piece, n, sorted_in, sorted_out)
-                else:
-                    table = _piece_table(piece, n)
-                    if held and j_in:
-                        wires = [held.get(pos_old + s) for s in range(j_in)]
-                        if wires != [None, None]:     # a cap
-                            table, t = _cap_table(n, *wires)
-                            terms += t
-                state, t = _apply(state, n, arity, offset, j_in, j_out,
-                                  table)
-                terms += t
-                arity += j_out - j_in
-            new_polarities.extend(outs)
-            pos_old += j_in
-            offset += j_out
-        polarities = new_polarities
-
+    scale = 1            # the orders of the group wires no pass opened
+    for offset, j_in, j_out, table in passes:
+        if j_out is None:
+            state = _relabel(state, n, arity, offset, j_in, table)
+            continue
+        if type(table) is list:         # a vertex's, its runs now known
+            ciliation, wires, runs, out_runs = table
+            state, t, orders, block = _absorb(state, n, arity, offset,
+                                              wires, runs)
+            terms += t
+            scale *= orders
+            table = _vertex_table(n, ciliation, block, out_runs)
+        state, t = _apply(state, n, arity, offset, j_in, j_out, table)
+        terms += t
+        arity += j_out - j_in
     for pos, rows in pending.items():
         state, t = _apply_mat(state, n, arity, pos, rows)
         terms += t

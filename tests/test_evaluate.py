@@ -21,7 +21,7 @@ from tracediagrams.diagrams import (COVECTOR, SINK, SOURCE, VECTOR, Cap,
 from tracediagrams.evaluate import (CrossCheckMismatch, eval_checked,
                                     eval_contraction, eval_layered)
 from tracediagrams.fuzz import random_bindings, random_layered_diagram
-from tracediagrams.identities import random_matrix
+from tracediagrams.identities import random_matrix, run_check
 from tracediagrams.linalg import (Matrix, det_oracle, levi_civita,
                                   reversal_sign)
 from tracediagrams.tensor import Tensor
@@ -247,13 +247,39 @@ def _flat(digits, n):
     return idx
 
 
+def _compositions(j):
+    """Every tuple of positive run lengths that sums to j."""
+    if j == 0:
+        return [()]
+    return [(r,) + rest for r in range(1, j + 1)
+            for rest in _compositions(j - r)]
+
+
+def _increasing_in_runs(digits, runs):
+    at = 0
+    for r in runs:
+        if list(digits[at:at + r]) != sorted(digits[at:at + r]):
+            return False
+        at += r
+    return True
+
+
+def _full_table(piece, n):
+    """A vertex's table keyed by every input block, every row holding
+    every output block: each wire a run of its own."""
+    j = piece.in_count
+    return evaluate_module._vertex_table(n, piece.ciliation, (1,) * j,
+                                         (1,) * (n - j))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_vertex_tensor_matches_entrywise_definition(n):
     # a vertex piece's table must hold exactly the nonzero Levi-Civita
     # signs of every entry's digits read in ciliation order, keyed by
-    # input block; sorted_in keeps the rows of the increasing input blocks
-    # only, and sorted_out the increasing output blocks of each row, with
-    # the same signs
+    # input block, for every composition of its input block and of its
+    # output block into runs: the keys whose digits increase within each
+    # input run, and in each row the output blocks whose digits increase
+    # within each output run, with the signs of the entries
     rng = random.Random(100 + n)
     for j in range(n + 1):
         ciliations = [canonical_ciliation(n, j)]
@@ -265,17 +291,18 @@ def test_vertex_tensor_matches_entrywise_definition(n):
                 if sign:
                     full.setdefault(by_slot[:j], []).append(
                         (by_slot[j:], sign))
-            for sorted_in, sorted_out in product((False, True), repeat=2):
-                want = {}
-                for ins, row in full.items():
-                    if sorted_in and list(ins) != sorted(ins):
-                        continue
-                    want[_flat(ins, n)] = sorted(
+            for in_runs, out_runs in product(_compositions(j),
+                                             _compositions(n - j)):
+                want = {
+                    _flat(ins, n): sorted(
                         (_flat(outs, n), sign) for outs, sign in row
-                        if not sorted_out or list(outs) == sorted(outs))
-                got = evaluate_module._vertex_table(n, j, cil, sorted_in,
-                                                    sorted_out)
-                assert {b: sorted(row) for b, row in got.items()} == want
+                        if _increasing_in_runs(outs, out_runs))
+                    for ins, row in full.items()
+                    if _increasing_in_runs(ins, in_runs)}
+                got = evaluate_module._vertex_table(n, cil, in_runs,
+                                                    out_runs)
+                assert {b: sorted(row) for b, row in got.items()} == want, \
+                    (cil, in_runs, out_runs)
                 assert all(type(c) is int
                            for row in got.values() for _, c in row)
 
@@ -283,7 +310,7 @@ def test_vertex_tensor_matches_entrywise_definition(n):
 def test_ciliations_of_one_parity_share_a_vertex_table():
     # a ciliation only signs the table, so the 24 ciliations at n = 4
     # read two tables
-    tables = {id(evaluate_module._vertex_table(4, 2, cil, False, False))
+    tables = {id(evaluate_module._vertex_table(4, cil, (1, 1), (1, 1)))
               for cil in permutations(range(1, 5))}
     assert len(tables) == 2
 
@@ -356,7 +383,9 @@ def test_fold_matches_entrywise_definition():
                                                           n))), None)]
         for piece, pol in pieces:
             j_in, j_out = piece_step(piece, n, (), 0)[:2]
-            if not isinstance(piece, Mat):
+            if isinstance(piece, NVertex):
+                table = _full_table(piece, n)
+            elif not isinstance(piece, Mat):
                 table = evaluate_module._piece_table(piece, n)
             entry = _piece_entry(piece, n, pol, b)
             for arity in range(j_in, j_in + 3):
@@ -433,11 +462,12 @@ def test_fuse_matches_matrix_product():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_absorbed_inputs_match_a_pass_per_wire(n):
     """A vertex that absorbs its inputs' pending matrices into sorted
-    digits before its table, and a cap's one table of P^T Q, give the
-    state of an _apply_mat pass per labeled wire followed by the piece's
-    table: on random sparse states, for every in_count from the source
-    (0) to the sink (n), canonical and shuffled ciliations and every
-    subset of labeled inputs."""
+    digits before its table, keyed by the runs of the absorbed block, and
+    a cap's one table of P^T Q, give the state of an _apply_mat pass per
+    labeled wire followed by the piece's full table: on random sparse
+    states, for every in_count from the source (0) to the sink (n),
+    canonical and shuffled ciliations and every subset of labeled
+    inputs."""
     ev = evaluate_module
     rng = random.Random(300 + n)
     values = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
@@ -447,7 +477,10 @@ def test_absorbed_inputs_match_a_pass_per_wire(n):
                    NVertex(SINK, j, tuple(rng.sample(range(1, n + 1), n)))]
     for piece in pieces:
         j_in, j_out = piece_step(piece, n, (), 0)[:2]
-        table = ev._piece_table(piece, n)
+        if isinstance(piece, NVertex):
+            table = _full_table(piece, n)
+        else:
+            table = ev._piece_table(piece, n)
         for labeled in product((False, True), repeat=j_in):
             wires = [_random_rational_matrix(n, rng).rows if on else None
                      for on in labeled]
@@ -462,39 +495,39 @@ def test_absorbed_inputs_match_a_pass_per_wire(n):
             want = ev._apply(want, n, arity, offset, j_in, j_out, table)[0]
             got, last = state, table
             if isinstance(piece, NVertex):
-                got, _, scale = ev._absorb(state, n, arity, offset, wires)
+                got, _, scale, runs = ev._absorb(state, n, arity, offset,
+                                                 wires, {})
                 assert scale == 1       # no input is in a sorted group
+                last = ev._vertex_table(n, piece.ciliation, runs,
+                                        (1,) * j_out)
             elif any(labeled):
                 last = ev._cap_table(n, *wires)[0]
             got = ev._apply(got, n, arity, offset, j_in, j_out, last)[0]
             assert got == want, (piece, labeled, arity, offset)
 
 
-def _sorted_groups(j):
-    """Every placement of one or two disjoint groups of at least two
-    wires among j inputs, as (first input, size) pairs."""
-    ones = [((g, r),) for r in range(2, j + 1) for g in range(j - r + 1)]
-    return ones + [a + b for a in ones for b in ones
-                   if a[0][0] + a[0][1] <= b[0][0]]
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_extracted_groups_match_the_expanded_state(n):
     """A state held at increasing digits only on each group of a vertex's
-    inputs, absorbed with the groups' extraction passes and then the vertex
-    table, times the returned scale, gives what the state expanded into all
-    the orderings of each group, with the sign of each, gives without
-    groups: for every in_count, every group size and placement, canonical
-    and shuffled ciliations, no label, every label and random subsets."""
+    inputs, absorbed by _absorb and then the vertex table keyed by the
+    runs it leaves, times the returned scale, gives what the
+    state expanded into all the orderings of each group, with the sign of
+    each, gives without groups: for every in_count, every composition of
+    the inputs into groups and single wires (a group at the front of the
+    inputs is the sorted prefix when it holds no label), canonical and
+    shuffled ciliations, no label, every label and random subsets."""
     ev = evaluate_module
     rng = random.Random(400 + n)
     values = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
     for j in range(2, n + 1):
         for cil in (canonical_ciliation(n, j),
                     tuple(rng.sample(range(1, n + 1), n))):
-            piece = NVertex(SINK, j, cil)
-            table = ev._piece_table(piece, n)
-            for groups in _sorted_groups(j):
+            table = _full_table(NVertex(SINK, j, cil), n)
+            for composition in _compositions(j):
+                groups = {}
+                for at, r in enumerate(composition):
+                    if r > 1:
+                        groups[sum(composition[:at])] = r
                 subsets = [(False,) * j, (True,) * j]
                 subsets += [tuple(rng.random() < 0.5 for _ in range(j))
                             for _ in range(2)]
@@ -506,33 +539,35 @@ def test_extracted_groups_match_the_expanded_state(n):
                     stored, expanded = {}, {}
                     for _ in range(6):
                         digits = [rng.randrange(n) for _ in range(arity)]
-                        for g, r in groups:
+                        for g, r in groups.items():
                             at = offset + g
-                            digits[at:at + r] = rng.sample(range(n), r)
-                            digits[at:at + r] = sorted(digits[at:at + r])
+                            digits[at:at + r] = sorted(rng.sample(range(n),
+                                                                  r))
                         value = rng.choice(values)
                         stored[_flat(digits, n)] = value
-                        orders = [permutations(range(r)) for _, r in groups]
+                        orders = [permutations(range(r))
+                                  for r in groups.values()]
                         for sigmas in product(*orders):
                             moved, sign = list(digits), value
-                            for (g, r), sigma in zip(groups, sigmas):
+                            for (g, r), sigma in zip(groups.items(), sigmas):
                                 at = offset + g
                                 moved[at:at + r] = [digits[at + i]
                                                     for i in sigma]
                                 sign *= levi_civita(tuple(i + 1
                                                           for i in sigma))
                             expanded[_flat(moved, n)] = sign
-                    want, _, one = ev._absorb(expanded, n, arity, offset,
-                                              wires)
+                    want, _, one, _ = ev._absorb(expanded, n, arity, offset,
+                                                 wires, {})
                     assert one == 1
                     want = ev._apply(want, n, arity, offset, j, n - j,
                                      table)[0]
-                    got, _, scale = ev._absorb(stored, n, arity, offset,
-                                               wires, groups)
+                    got, _, scale, runs = ev._absorb(stored, n, arity, offset,
+                                                     wires, groups)
                     got = ev._apply(got, n, arity, offset, j, n - j,
-                                    table)[0]
+                                    ev._vertex_table(n, cil, runs,
+                                                     (1,) * (n - j)))[0]
                     assert {k: v * scale for k, v in got.items()} == want, \
-                        (j, cil, groups, labeled)
+                        (j, cil, composition, labeled)
 
 
 def _mutant(old, new):
@@ -659,7 +694,12 @@ def _first_group_mismatch(module, count=150):
     return None
 
 
-_KEPT = "t is Id or t is Mat"
+# a group's wires carried on by a piece other than Id and Mat, at the
+# piece's first output positions, as if it were a row of Id pieces
+_CARRY = ("groups.update((offset + s, held_groups[pos_old + s]) for s in "
+          "range(j_in) if {}pos_old + s in held_groups); ")
+_RELABEL = "passes.append((offset, j_in, None, _piece_table(piece, n)))"
+_TABLE = "table = _piece_table(piece, n)"
 
 
 @pytest.mark.parametrize("old, new", [
@@ -667,26 +707,37 @@ _KEPT = "t is Id or t is Mat"
     ("-1 if j & 1 else 1", "1"),
     # the r! orderings of a group's wires past the last labeled input
     # not counted
-    ("scale *= factorial(max(0, min(r, g + r - last)))", "scale *= 1"),
-    # a group kept while a crossing, a cup or a cap meets its wires
-    (_KEPT, "t in (Id, Mat, Cross)"),
-    (_KEPT, "t in (Id, Mat, Cup)"),
-    (_KEPT, "t in (Id, Mat, Cap)"),
+    ("scale *= factorial(ends[s] - s)", "scale *= 1"),
+    # a group kept while a crossing meets its wires, while a cup's wires
+    # sit among them, or while a cap takes one of them
+    (_RELABEL, _CARRY.format("kind is Cross and ") + _RELABEL),
+    ("held_groups.get(pos + t) == (p, t, m)",
+     "held_groups.get(pos + t, (p, t, m)) == (p, t, m)"),
+    (_TABLE, _CARRY.format("") + _TABLE),
     # a group kept for a vertex that takes only some of its wires
-    ("return pos_old <= g and g + m <= pos_old + j_in and (",
-     "return ("),
+    ("0 <= s <= j_in - m", "0 <= s < j_in"),
     # a vertex writing its decreasing output blocks where the extraction
     # passes read increasing ones
-    ("row = [(_block(rest, n), sign)]",
-     "row = [(_block(rest[::-1], n), sign)]"),
+    ("_run_blocks(rest, out_runs, n, memo)",
+     "_run_blocks(rest[::-1], out_runs, n, memo)"),
     # a vertex whose inputs the state holds sorted reading its rows at the
     # decreasing input blocks, or without the sign of its digit set
-    ("table[_block(chosen, n)] = row",
-     "table[_block(chosen[::-1], n)] = row"),
+    ("_run_blocks(chosen, in_runs, n, memo)",
+     "_run_blocks(chosen[::-1], in_runs, n, memo)"),
     ("sign = -cil_sign if (sum(chosen) - pairs) & 1 else cil_sign",
      "sign = cil_sign"),
-    # a group's position dropped by the Id and Mat pieces that carry it
-    ("groups[offset] = held_groups[pos_old]", "pass"),
+    # a group's position left where it was by the Id and Mat pieces that
+    # carry it, past a cup, a cap or a vertex beside it
+    ("groups[offset] = held_groups[pos_old]",
+     "groups[pos_old] = held_groups[pos_old]"),
+    # the r! orderings of an unlabeled group at the front of a vertex's
+    # inputs, taken as its sorted prefix, not counted
+    ("scale = factorial(front)", "scale = 1"),
+    # a group at the front of a vertex's inputs taken as its sorted prefix
+    # though a wire of it is labeled
+    ("not any(wires[:ends[0]])", "(ends[0] > 1 or not any(wires[:ends[0]]))"),
+    # a table keyed by runs that signs each block by its first run only
+    ("tail = _run_signs(runs[1:])", "tail = [1] * len(_run_signs(runs[1:]))"),
 ])
 def test_group_mutants_fail_the_cross_check(old, new):
     assert _first_group_mismatch(_mutant(old, new)) is not None
@@ -694,37 +745,52 @@ def test_group_mutants_fail_the_cross_check(old, new):
 
 def test_group_beside_an_unlabeled_input_is_not_sorted_input():
     # a vertex whose inputs are an unlabeled group of two and one more
-    # unlabeled wire holds blocks that do not increase, so it must read
-    # its full table; the group corpus has no such vertex
+    # unlabeled wire holds blocks that increase on the group only, so its
+    # table is keyed by the runs (2, 1); read as one run, it drops every
+    # entry whose third digit is not the greatest
     d = LayeredDiagram(4, (VECTOR, VECTOR, COVECTOR, COVECTOR), [
         (NVertex(SINK, 2, canonical_ciliation(4, 2)), Id(), Id()),
         (NVertex(SOURCE, 3, canonical_ciliation(4, 3)), Id())])
     eval_checked(d, {})
-    module = _mutant("taken == [(0, j_in)] and wires == [None] * j_in",
-                     "taken and wires == [None] * j_in")
+    module = _mutant("block += (ends[s] - s,)",
+                     "block = (block[0] + ends[s] - s,)")
+    with pytest.raises(module.CrossCheckMismatch):
+        module.eval_checked(d, {})
+
+
+def test_group_after_an_unlabeled_input_is_scaled_by_its_orders():
+    # a group of two after an unlabeled input wire is a run past the
+    # sorted prefix, which no pass opens: the fold scales the result by
+    # its 2! orders (288 terms, 576 without the group); the group corpus
+    # first meets such a run at diagram 130
+    d = LayeredDiagram(4, (VECTOR, COVECTOR, COVECTOR, VECTOR), [
+        (Id(), NVertex(SOURCE, 2, canonical_ciliation(4, 2)), Id()),
+        (NVertex(SINK, 3, canonical_ciliation(4, 3)), Id())])
+    eval_checked(d, {})
+    assert eval_layered(d, {}).term_count == 288
+    module = _mutant("scale *= factorial(ends[s] - s)", "scale *= 1")
     with pytest.raises(module.CrossCheckMismatch):
         module.eval_checked(d, {})
 
 
 def test_unmutated_copy_passes_the_cross_check():
-    # the harness of the mutant tests: the same corpora, the same code;
-    # 18 of the group corpus's vertices start a group, and 75 with two or
-    # more inputs read the table of increasing input blocks only
+    # the harness of the mutant tests: the same corpora, the same code.
+    # Of the group corpus's vertex tables, 18 write a group, 75 with two
+    # or more inputs read one run of increasing input blocks, and 39 are
+    # keyed by two or more runs, one of them a group
     module = _mutant(_TOP, _TOP)
     assert _first_mismatch(module) is None
-    walk, kept = module._grouped, []
-    module._grouped = lambda *args: kept.append(walk(*args)) or kept[-1]
-    table, sorted_in = module._piece_table, []
+    table, keys = module._vertex_table, []
 
-    def counted(piece, n, *flags):
-        if flags and flags[0] and piece.in_count > 1:
-            sorted_in.append(piece)
-        return table(piece, n, *flags)
+    def counted(n, ciliation, in_runs, out_runs):
+        keys.append((in_runs, out_runs))
+        return table(n, ciliation, in_runs, out_runs)
 
-    module._piece_table = counted
+    module._vertex_table = counted
     assert _first_group_mismatch(module) is None
-    assert sum(kept) == 18
-    assert len(sorted_in) == 75
+    assert sum(len(out) == 1 and out[0] > 1 for _, out in keys) == 18
+    assert sum(len(ins) == 1 and ins[0] > 1 for ins, _ in keys) == 75
+    assert sum(len(ins) > 1 and max(ins) > 1 for ins, _ in keys) == 39
 
 
 def test_fold_drops_cancelled_entries():
@@ -773,27 +839,66 @@ def test_layered_det_circle_term_count(n, terms):
 def test_det_circle_reads_one_entry_vertex_tables(monkeypatch, n):
     """The source writes its outputs as one sorted group and the sink
     absorbs every input, labeled or, in the unlabeled circle, taken as one
-    sorted group: the two circles share two tables, each the one entry
-    that the fold reads of a vertex's n!."""
+    sorted group at the front of its inputs: the two circles share two
+    tables, each the one entry that the fold reads of a vertex's n!."""
     cache = {}
-    monkeypatch.setattr(evaluate_module, "_piece_table_cache", cache)
+    monkeypatch.setattr(evaluate_module, "_vertex_cache", cache)
     a = _dense_matrix(n, 1)
     for labels, bindings in (([["A"]] * n, {"A": a}), ([[]] * n, {})):
         res = eval_layered(vertex_pair(n, labels), bindings)
         value = det_oracle(a) if bindings else 1
         assert res.tensor.as_scalar() == \
             reversal_sign(n) * factorial(n) * value
-    vertex_tables = [t for key, t in cache.items() if len(key) == 5]
-    assert len(vertex_tables) == 2
-    assert all(sum(map(len, t.values())) == 1 for t in vertex_tables)
+    tables = {id(t): t for t in cache.values()}
+    assert len(tables) == 2
+    assert all(sum(map(len, t.values())) == 1 for t in tables.values())
+
+
+def test_char_coefficients_reads_run_keyed_tables(monkeypatch):
+    """char_coefficients' sinks take labeled inputs and then an unlabeled
+    group of a source's outputs: two increasing runs, so a sink's table
+    holds C(n, s) keys for s labeled inputs where all n! orders of its
+    inputs were keys before.  At n = 6 no table holds more than
+    C(6, 3) = 20."""
+    cache = {}
+    monkeypatch.setattr(evaluate_module, "_vertex_cache", cache)
+    assert run_check("char_coefficients", n=6, trials=1,
+                     seed=7).outcome == "pass"
+    assert cache and max(len(t) for t in cache.values()) <= 20
+
+
+def _width5_n4_corpus():
+    """The width-5 n = 4 fuzz corpus: diagram i, then its bindings, from
+    one random.Random(4)."""
+    rng = random.Random(4)
+    for _ in range(200):
+        d = random_layered_diagram(4, rng)
+        yield d, random_bindings(d, rng)
+
+
+def test_front_group_is_the_sorted_prefix():
+    """In diagrams 85 and 192 of the width-5 n = 4 corpus a source's three
+    outputs, unlabeled, are a sink's first three inputs and a labeled
+    wire its fourth.  That group is the sorted prefix, which absorbing
+    starts after, scaled by 3!: diagram 192 does 473 terms, where
+    extracting each group wire before absorbing it did 1,625 and the
+    source's outputs in all their orders 1,369, and diagram 85 does
+    67,280, where extracting did 68,432 and no group 68,176."""
+    terms = {}
+    for i, (d, b) in enumerate(_width5_n4_corpus()):
+        if i in (85, 192):
+            res = eval_layered(d, b)
+            assert res.tensor == eval_contraction(to_graph(d), b).tensor
+            terms[i] = res.term_count
+    assert terms == {85: 67280, 192: 473}
 
 
 def test_layered_nodepair_term_count():
     """The sink's outputs are one sorted group, which the source takes
-    past its last labeled input (it has none): the sink writes one entry
-    per output set where it wrote one per order, and the source's table
-    applies to it, the result scaled by r!.  Before groups the counts
-    were 72 and 360, and at n = 3, below the group rule, 18 is
+    as the sorted prefix of its inputs (none is labeled): the sink writes
+    one entry per output set where it wrote one per order, and the
+    source's table applies to it, the result scaled by r!.  Before groups
+    the counts were 72 and 360, and at n = 3, below the group rule, 18 is
     unchanged."""
     assert eval_layered(antisym_nodepair(2, 3), {}).term_count == 18
     assert eval_layered(antisym_nodepair(2, 4), {}).term_count == 36
@@ -989,9 +1094,8 @@ def test_contraction_path_calls_no_layered_kernel(monkeypatch):
         monkeypatch.setattr(kernels, name, forbidden)
     for name in ("_apply", "_apply_mat", "_oriented", "_fuse", "_relabel",
                  "_absorb", "_absorb_table", "_insertions", "_cap_table",
-                 "_block", "_piece_table", "_vertex_table",
-                 "_order_blocks", "_lexicographic_signs", "_perm_shifts",
-                 "_grouped", "_extraction_table"):
+                 "_block", "_piece_table", "_vertex_table", "_run_blocks",
+                 "_perm_shifts", "_passes", "_extraction_table"):
         monkeypatch.setattr(evaluate_module, name, forbidden)
     assert [graph_eval(d, b) for d, b in cases] == want
 

@@ -393,10 +393,12 @@ def test_deliberate_convention_break_is_caught():
 
 
 def test_every_registry_diagram_cross_checks(monkeypatch):
-    """Each layered diagram the registry evaluates at n <= 4, directly or
+    """Each layered diagram the registry evaluates at n <= 5, directly or
     through a builder, goes through both evaluators, which must agree
     entry for entry: a mismatch raises inside its check and turns that
-    report into an error."""
+    report into an error.  From n = 4 the layered fold writes groups of
+    vertex outputs and keys vertex tables by runs, so the registry's own
+    diagrams cross-check those rules too."""
     from tracediagrams.evaluate import EvalResult, eval_checked
     from tracediagrams.tensor import Tensor
 
@@ -421,6 +423,6 @@ def test_every_registry_diagram_cross_checks(monkeypatch):
     monkeypatch.setattr(identities, "eval_graph", through_both)
     for module in (identities, builders):
         monkeypatch.setattr(module, "eval_layered", layered)
-    reports = run_all(max_n=4, trials=1, seed=7)
+    reports = run_all(max_n=5, trials=1, seed=7)
     assert [r.line() for r in reports if r.outcome != "pass"] == []
-    assert len(reports) == 69 and len(checked) == 357
+    assert len(reports) == 91 and len(checked) == 764
