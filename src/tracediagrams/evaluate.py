@@ -34,13 +34,22 @@ final state is the result's nonzeros.
 eval_contraction works on the graph form: it assigns one index variable to
 each unlabeled edge and one to each end of a labeled edge, with a
 Levi-Civita factor per vertex and an integer matrix factor per labeled
-edge, and sums the internal variables out of those
-factors one at a time.  Each bound matrix is read
-once per call as integers over the lcm of its denominators, and an edge's
-factor is the integer product of its labels over the product of their
-denominators; the common divisor is applied to the result's nonzeros at
-the end.  The two paths share no semantic code, which is what makes
-eval_checked a meaningful cross-check.
+edge, and sums the internal variables out of those factors one at a time.
+Each bound matrix is read once per call as integers over the lcm of its
+denominators, and an edge's factor is the integer product of its labels
+over the product of their denominators; the common divisor is applied to
+the result's nonzeros at the end.  Edges between two vertices may form
+bundles, k >= 2 edges with one label word from the same source U to the
+same sink V, which the path contracts by matrix minors: summed over the
+orders of its digits at both ends, a labeled bundle is one factor
+sgn(pi) k! det M[Y, X] over its head digits Y and tail digits X, each
+increasing in its vertex's slot order, and its vertices' Levi-Civita
+factors hold only the entries whose digits increase on the bundle's
+slots; an unlabeled bundle restricts U's factor and scales by k!.  The
+minors are expanded here, along the first row over memoized smaller
+minors; the Levi-Civita sign of a sorted block here is a table's entry,
+never an insertion pass.  The two paths share no semantic code, which is
+what makes eval_checked a meaningful cross-check.
 
 Both evaluators return an EvalResult wrapping the tensor together with the
 number of multiply-accumulate terms.
@@ -691,6 +700,131 @@ def _edge_factor(labels, bindings: Bindings, n: int,
     return factor
 
 
+def _sends_twice(d: Diagram, nodes: list) -> bool:
+    """Whether some source sends two edges to one vertex: only then may
+    edges form bundles."""
+    for v in nodes:
+        ends = v.ciliation
+        if ends[0][1] == "tail" and \
+                len({d.edges[eid].head for eid, _ in ends}) < len(ends):
+            return True
+    return False
+
+
+def _minor_table(flat: list, n: int, k: int) -> tuple[dict, int]:
+    """Every nonzero k x k minor det M[Y, X] of the flat n x n integer
+    matrix M, over the k-sets Y of rows and X of columns, each increasing,
+    keyed by Y's digits then X's as one mixed-radix integer; and the
+    number of products formed.  Each minor is expanded along its first
+    row, and the minors of the rows after it are memoized by (rows,
+    columns), so one n x n determinant forms at most n * 2^(n-1)
+    products; a zero entry or minor forms none."""
+    memo: dict[tuple, int] = {}
+    terms = 0
+
+    def minor(rows: tuple, cols: tuple) -> int:
+        nonlocal terms
+        if not rows:
+            return 1
+        value = memo.get((rows, cols))
+        if value is None:
+            value = 0
+            first = rows[0] * n
+            for j, c in enumerate(cols):
+                entry = flat[first + c]
+                if entry:
+                    sub = minor(rows[1:], cols[:j] + cols[j + 1:])
+                    if sub:
+                        terms += 1
+                        value += -entry * sub if j & 1 else entry * sub
+            memo[rows, cols] = value
+        return value
+
+    sets = list(combinations(range(n), k))
+    keys = [sum(d * n ** (k - 1 - i) for i, d in enumerate(s)) for s in sets]
+    table = {}
+    for rows, row_key in zip(sets, keys):
+        for cols, col_key in zip(sets, keys):
+            value = minor(rows, cols)
+            if value:
+                table[row_key * n ** k + col_key] = value
+    return table, terms
+
+
+def _bundles(d: Diagram, nodes: list, scopes: list, n: int, end_var: dict,
+             chains: dict) -> tuple[list, list, set, int, int]:
+    """The factors of a diagram some of whose edges form bundles: k >= 2
+    edges with one label word, each from the same source U to the same
+    sink V.  Summed over the orders of its digits at both ends, a labeled
+    bundle is sgn(pi) k! det M[Y, X], M its edges' integer factor, Y its
+    head digits increasing in V's slot order, X its tail digits increasing
+    in U's, and pi the order of V's bundle slots read in U's slot order;
+    an unlabeled bundle's one variable per edge is summed over its k!
+    orders at U.  So U's Levi-Civita factor holds only the entries whose
+    digits increase on each bundle's slots, and so does V's for a labeled
+    bundle, which becomes one factor of its minors (_minor_table).
+    scopes holds each vertex's end variables, in the order of nodes.
+    Returns the ε factors of the vertices at no bundle, the restricted ε
+    and minor factors, the tail variables of the labeled bundles (whose
+    matrix factors they replace), the scale sgn(pi) k! of every bundle
+    and the products the minors formed."""
+    tail_var, head_var = end_var["tail"], end_var["head"]
+    runs: dict[int, list] = {}      # id of a vertex -> its bundles' slots
+    sparse_factors = []
+    bundled = set()
+    minors: dict[tuple, dict] = {}
+    scale = 1
+    terms = 0
+    for source in nodes:
+        if source.ciliation[0][1] != "tail":
+            continue
+        # U's slots and edges by the edges' (head vertex, label word)
+        groups: dict[tuple, list] = {}
+        for i, (eid, _) in enumerate(source.ciliation):
+            e = d.edges[eid]
+            key = e.head[1], e.labels
+            if key in groups:
+                groups[key].append((i, eid))
+            else:
+                groups[key] = [(i, eid)]
+        for (v, labels), at_u in groups.items():
+            k = len(at_u)
+            if k < 2:
+                continue
+            runs.setdefault(id(source), []).append(
+                tuple([i for i, _ in at_u]))
+            scale *= factorial(k)
+            if not labels:
+                continue
+            sink = d.vertices[v]
+            by_u = [eid for _, eid in at_u]
+            at_v = [(i, eid) for i, (eid, _) in enumerate(sink.ciliation)
+                    if eid in by_u]
+            runs.setdefault(id(sink), []).append(tuple([i for i, _ in at_v]))
+            by_v = [eid for _, eid in at_v]
+            pi = [by_v.index(eid) for eid in by_u]
+            if sum(a > b for i, a in enumerate(pi) for b in pi[i + 1:]) & 1:
+                scale = -scale
+            table = minors.get((labels, k))
+            if table is None:
+                table, t = _minor_table(chains[labels][0], n, k)
+                minors[labels, k] = table
+                terms += t
+            sparse_factors.append((tuple([head_var[eid] for eid in by_v])
+                                   + tuple([tail_var[eid] for eid in by_u]),
+                                   table))
+            bundled.update(tail_var[eid] for eid in by_u)
+    eps_factors = []
+    for v, scope in zip(nodes, scopes):
+        slots = runs.get(id(v))
+        if slots:
+            sparse_factors.append(
+                (scope, kernels.sign_table(n, n, tuple(sorted(slots)))))
+        else:
+            eps_factors.append(scope)
+    return eps_factors, sparse_factors, bundled, scale, terms
+
+
 def eval_contraction(d: Diagram, bindings: Bindings,
                      probe: tuple | None = None, *,
                      validated: bool = False) -> EvalResult:
@@ -702,8 +836,16 @@ def eval_contraction(d: Diagram, bindings: Bindings,
     Levi-Civita sign of its ciliation-ordered end variables.  Each
     boundary position reads the variable of its edge's end, so a straight
     wire or a cup's two outputs read one variable twice and form no
-    product.  kernels.epsilon_network sums the internal variables out by
-    sparse variable elimination.
+    product.  When some edges between two vertices form bundles
+    (_bundles), a labeled bundle's matrix factors become one factor of
+    its minors and its vertices' Levi-Civita factors hold only the entries
+    whose digits increase on its slots; an unlabeled bundle restricts its
+    source's factor.  Only a diagram with two vertices or more, one of
+    them a source that sends two edges to one vertex, is searched for
+    bundles; any other has one plain Levi-Civita factor per vertex.
+    kernels.epsilon_network sums the internal variables out by sparse
+    variable elimination, the bundles' signs and k! scaling its result;
+    the term count adds the minors' products.
 
     probe=(outs, ins) restricts evaluation to a single entry (returned as a
     (0,0)-tensor); both tuples are 1-based.  validated=True skips
@@ -757,6 +899,14 @@ def eval_contraction(d: Diagram, bindings: Bindings,
 
     eps_factors = [tuple([end_var[end][eid] for eid, end in v.ciliation])
                    for v in nodes]
+    scale = 1
+    terms = 0
+    sparse_factors: list = []
+    if len(nodes) > 1 and _sends_twice(d, nodes):
+        eps_factors, sparse_factors, bundled, scale, terms = _bundles(
+            d, nodes, eps_factors, n, end_var, chains)
+        if bundled:
+            mat_factors = [f for f in mat_factors if f[1] not in bundled]
     # outputs by position, then inputs by position; an unlabeled edge
     # between two boundary vertices puts its variable here twice
     boundary = [vertex_var[outputs[p]] for p in range(1, len(outputs) + 1)]
@@ -777,8 +927,10 @@ def eval_contraction(d: Diagram, bindings: Bindings,
         out_vars = []
         fixed = [(v, idx - 1) for v, idx in zip(boundary, indices)]
 
-    nonzeros, terms = kernels.epsilon_network(
-        n, nvars, out_vars, fixed, eps_factors, mat_factors)
+    nonzeros, network_terms = kernels.epsilon_network(
+        n, nvars, out_vars, fixed, eps_factors, mat_factors, sparse_factors,
+        scale)
+    terms += network_terms
 
     if divisor != 1:
         nonzeros = {i: _divided(v, divisor) for i, v in nonzeros.items()}

@@ -6,13 +6,20 @@ variables out of sparse factors, one variable at a time (bucket
 elimination).  A factor is a dict from the mixed-radix integer of its
 variables' digits, first variable most significant, to a nonzero value; ε
 factors read theirs from a table per (n, arity) of the n!/(n-m)! keys of
-distinct digits, and matrix factors their nonzero entries.  There are no
-δ factors: two ends that must carry one digit share one variable, an
-output listed twice is read where its two digits agree, and a variable
-pinned to two different digits makes the network zero.  Every product of
-two factors is a join (`_join`): the restriction to pinned digits, each
-bucket, and the factors left after elimination, whose last join keys the
-product by the result's flat index.
+distinct digits, matrix factors their nonzero entries, and sparse factors
+come ready-made.  `sign_table` also builds restricted ε tables, cached
+alike: only the keys whose digits increase along given runs of positions,
+as combinations on the runs and permutations on the other positions, so
+a vertex whose edges form bundles holds one entry per set of a bundle's
+digits where it held one per order.  The variables stay digits in
+range(n), and no join or plan knows of the restriction: a factor simply
+has no entry for any other order.  There are no δ factors: two ends that
+must carry one digit share one variable, an output listed twice is read
+where its two digits agree, and a variable pinned to two different
+digits makes the network zero.  Every product of two factors is a join
+(`_join`): the restriction to pinned digits, each bucket, and the
+factors left after elimination, whose last join keys the product by the
+result's flat index.
 A join reads the shared-variable digits and the kept digits of each key as
 sums of table lookups, one per run of digits (`_runs`); runs are cut so
 that no table exceeds max(the factor's nonzero count, n^3) entries.
@@ -41,7 +48,7 @@ the number of multiply-accumulate operations actually performed (zero
 factors prune eagerly).
 """
 
-from itertools import permutations, repeat
+from itertools import combinations, permutations, repeat
 
 
 def _strides(n, naxes):
@@ -124,25 +131,52 @@ def permute_axes(n, vals, naxes, perm):
     return out
 
 
-# (n, arity) -> {mixed-radix key of m distinct digits: its Levi-Civita sign}
-_eps_sign_cache: dict[tuple[int, int], dict[int, int]] = {}
+# (n, arity, increasing) -> {mixed-radix key of m distinct digits: its
+# Levi-Civita sign}
+_eps_sign_cache: dict[tuple, dict[int, int]] = {}
 
 
-def _sign_table(n, m):
-    """Every tuple of m distinct digits in range(n), n!/(n-m)! of them,
-    keyed by its mixed-radix integer (first digit most significant) and
-    mapped to the parity sign of its order.  Any other tuple (a repeated
-    digit, or m > n) is absent: its ε is 0."""
-    table = _eps_sign_cache.get((n, m))
+def sign_table(n, m, increasing=()):
+    """Every tuple of m distinct digits in range(n) whose digits increase
+    along each tuple of positions in increasing (disjoint, each in
+    increasing order), keyed by its mixed-radix integer (first digit most
+    significant) and mapped to the parity sign of its order.  Any other
+    tuple (a repeated digit, a decrease along a run, or m > n) is absent:
+    its ε is 0, or the factor restricted to increasing runs leaves it out.
+    Without runs that is n!/(n-m)! keys; each run of r positions takes an
+    r-combination of the digits left where it took r! orders."""
+    table = _eps_sign_cache.get((n, m, increasing))
     if table is None:
+        if increasing:
+            fills = [([None] * m, range(n))]
+            for run in increasing:      # combinations on each run's slots
+                grown = []
+                for digits, free in fills:
+                    for chosen in combinations(free, len(run)):
+                        placed = digits[:]
+                        for p, d in zip(run, chosen):
+                            placed[p] = d
+                        grown.append((placed, [d for d in free
+                                               if d not in chosen]))
+                fills = grown
+            rest = [p for p in range(m) if all(p not in run
+                                               for run in increasing)]
+            tuples = []
+            for digits, free in fills:  # permutations on the other slots
+                for chosen in permutations(free, len(rest)):
+                    for p, d in zip(rest, chosen):
+                        digits[p] = d
+                    tuples.append(tuple(digits))
+        else:
+            tuples = permutations(range(n), m)
         table = {}
-        for p in permutations(range(n), m):
+        for p in tuples:
             inv = sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
             key = 0
             for d in p:
                 key = key * n + d
             table[key] = -1 if inv & 1 else 1
-        _eps_sign_cache[(n, m)] = table
+        _eps_sign_cache[(n, m, increasing)] = table
     return table
 
 
@@ -336,14 +370,18 @@ def _join(n, a, b, drop, weights=None):
 _UNIT = ((), {0: 1})
 
 
-def epsilon_network(n, nvars, out_vars, fixed, eps_factors, mat_factors):
-    """Sum factor products over all assignments of `nvars` index variables.
+def epsilon_network(n, nvars, out_vars, fixed, eps_factors, mat_factors,
+                    sparse_factors=(), scale=1):
+    """Sum factor products over all assignments of `nvars` index variables,
+    times scale.
 
     Variables take 0-based digits in range(n); `fixed` pairs (var, digit)
     pin some of them, and a variable pinned to two different digits makes
     the network zero.  Factors reference variables by id:
       eps_factors: tuples of var ids -> Levi-Civita sign of their digits
       mat_factors: (head, tail, flat n*n vals) -> vals[digit(head)*n+digit(tail)]
+      sparse_factors: (distinct var ids, {mixed-radix key of their digits:
+        nonzero value}), used as given; a key absent is a zero entry
     out_vars selects the digits forming the result's mixed-radix index (most
     significant first) and may repeat a variable, whose entries then lie
     where its digits agree; returns ({flat index: nonzero value}, terms).
@@ -351,27 +389,29 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, mat_factors):
     Sparse variable elimination.  Each factor is a dict from the
     mixed-radix integer of its variables' digits (first variable most
     significant) to a nonzero value: an ε factor is the table of
-    `_sign_table` (a repeated variable, or more variables than n, makes the
+    `sign_table` (a repeated variable, or more variables than n, makes the
     network zero), a matrix factor the nonzeros of its flat vals keyed by
-    their own index (the diagonal, over one variable, when head == tail).
-    There is no equality (δ) factor: ends that carry one digit are one
-    variable.  Fixed variables restrict their factors first: each is
-    joined with the one entry of its pinned digits, which are dropped.
-    Then the variables that are neither fixed nor outputs are summed out,
-    one at a time in greedy min-degree order: fewest other variables
-    sharing a factor with it, ties to the lower id.  The factors mentioning the variable are joined, smallest first,
-    and each variable that only they mention is summed out at the last
-    join where it appears; a join that sums nothing out forms each key
-    once, so only the others add and drop zeros.  A join reads each key's
+    their own index (the diagonal, over one variable, when head == tail),
+    and a sparse factor its own table.  There is no equality (δ) factor:
+    ends that carry one digit are one variable.  Fixed variables restrict
+    their factors first: each is joined with the one entry of its pinned
+    digits, which are dropped.  Then the variables that are neither fixed
+    nor outputs are summed out, one at a time in greedy min-degree order:
+    fewest other variables sharing a factor with it, ties to the lower id.
+    The factors mentioning the variable are joined, smallest first, and
+    each variable that only they mention is summed out at the last join
+    where it appears; a join that sums nothing out forms each key once,
+    so only the others add and drop zeros.  A join reads each key's
     shared-variable digits and its kept digits with a lookup per run of
     digits, from the plan `_plan_cache` holds for the join's shape.  A
     summed variable that no factor mentions contributes a factor n.  The
     factors left, all over output variables, are joined smallest first,
     the last join keyed by the result's flat index (a lone factor is
-    re-keyed by `_digit_sums`).  An output variable they do not mention
-    is broadcast over its n digits; one that out_vars repeats is read with
-    the sum of its place values, so a variable that is only an output,
-    twice (a straight wire), is an identity formed with no product.
+    re-keyed by `_digit_sums`), and the smallest of them carries the
+    scale.  An output variable they do not mention is broadcast over its
+    n digits; one that out_vars repeats is read with the sum of its place
+    values, so a variable that is only an output, twice (a straight
+    wire), is an identity formed with no product.
 
     terms counts the multiply-adds performed: one per product formed in a
     join other than a restriction (a variable summed out of a lone factor
@@ -388,15 +428,15 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, mat_factors):
             continue
         if len(set(f)) < len(f) or len(f) > n:
             return {}, 0
-        factors.append((tuple(f), _sign_table(n, len(f))))
+        factors.append((tuple(f), sign_table(n, len(f))))
     for h, t, vals in mat_factors:
         if h == t:
             factors.append(((h,), {d: e for d in range(n)
                                    if (e := vals[d * (n + 1)])}))
         else:
             factors.append(((h, t), {i: e for i, e in enumerate(vals) if e}))
+    factors += sparse_factors
 
-    scale = 1
     if pinned:
         restricted = []
         for f in factors:
@@ -473,6 +513,8 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, mat_factors):
         stride *= n
     factors.sort(key=lambda f: len(f[1]))
     acc = factors[0] if factors else _UNIT
+    if scale != 1:          # on the smallest factor, not on the result
+        acc = acc[0], {k: v * scale for k, v in acc[1].items()}
     last = len(factors) - 1
     for i in range(1, last + 1):
         # the last join keys the product by the result's flat index
@@ -488,7 +530,6 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, mat_factors):
         if v not in mentioned:
             spread = [s + d * w for s in spread for d in range(n)]
     terms += len(table) * len(spread)
-    if spread != [0] or scale != 1:
-        table = {k + s: v * scale if scale != 1 else v
-                 for k, v in table.items() for s in spread}
+    if spread != [0]:
+        table = {k + s: v for k, v in table.items() for s in spread}
     return table, terms

@@ -82,18 +82,21 @@ def permute_axes_oracle(n, vals, naxes, perm):
     return out
 
 
-def epsilon_network_oracle(n, nvars, out_vars, fixed, eps, mats):
+def epsilon_network_oracle(n, nvars, out_vars, fixed, eps, mats, sparse=(),
+                           scale=1):
     """Every factor is applied at the leaf of a full enumeration; every
     (var, digit) pair of fixed must hold there."""
     out, terms = [0] * n ** len(out_vars), 0
     for digits in product(range(n), repeat=nvars):
         if any(digits[v] != d for v, d in fixed):
             continue
-        value = 1
+        value = scale
         for f in eps:
             value *= sign([digits[v] for v in f])
         for h, t, m in mats:
             value *= m[digits[h] * n + digits[t]]
+        for scope, table in sparse:
+            value *= table.get(flat(n, [digits[v] for v in scope]), 0)
         if value:
             out[flat(n, [digits[v] for v in out_vars])] += value
             terms += 1
@@ -157,6 +160,48 @@ def test_epsilon_network_matches_definition():
                 mats.append((rng.randrange(nvars), rng.randrange(nvars),
                              [rand_val(rng) for _ in range(n * n)]))
         args = (n, nvars, out_vars, fixed, eps, mats)
+        assert kernels.epsilon_network(*args)[0] == \
+            nonzeros(epsilon_network_oracle(*args)[0])
+
+
+def test_sign_table_keeps_the_entries_increasing_on_its_runs():
+    rng = random.Random(27)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = rng.randint(0, n + 1)
+        slots = rng.sample(range(m), rng.randint(0, m))
+        runs = []
+        while slots:
+            cut = rng.randint(1, len(slots))
+            runs.append(tuple(sorted(slots[:cut])))
+            slots = slots[cut:]
+        runs = tuple(sorted(runs))
+        want = {flat(n, d): sign(d) for d in product(range(n), repeat=m)
+                if len(set(d)) == m and all(d[a] < d[b] for run in runs
+                                            for a, b in zip(run, run[1:]))}
+        assert kernels.sign_table(n, m, runs) == want
+
+
+def test_epsilon_network_with_sparse_factors_and_a_scale():
+    """Sparse factors are joined as given, a key they lack being a zero
+    entry, and the scale multiplies the result."""
+    rng = random.Random(28)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        nvars = rng.randint(1, 5)
+        out_vars = rng.sample(range(nvars), rng.randint(0, min(2, nvars)))
+        fixed = [(v, rng.randrange(n)) for v in range(nvars)
+                 if rng.random() < 0.2]
+        eps = [tuple(rng.sample(range(nvars), rng.randint(1, min(nvars,
+                                                                 n))))]
+        sparse = []
+        for _ in range(rng.randint(1, 2)):
+            scope = tuple(rng.sample(range(nvars), rng.randint(1, nvars)))
+            table = {k: rand_val(rng) for k in range(n ** len(scope))
+                     if rng.random() < 0.5}
+            sparse.append((scope, {k: v for k, v in table.items() if v}))
+        scale = rng.choice((1, 2, -6, 24))
+        args = (n, nvars, out_vars, fixed, eps, [], sparse, scale)
         assert kernels.epsilon_network(*args)[0] == \
             nonzeros(epsilon_network_oracle(*args)[0])
 

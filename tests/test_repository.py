@@ -48,6 +48,26 @@ def test_linalg_imports_nothing_from_the_package():
                        for name in names), ast.unparse(node)
 
 
+def test_evaluators_take_nothing_from_the_oracles_but_rat():
+    """evaluate.py computes its minors itself: of linalg, which holds the
+    oracles the checks compare against, it imports the Rat type alone and
+    names no linalg attribute."""
+    source = Path(tracediagrams.__file__).with_name("evaluate.py").read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "linalg":
+            assert [alias.name for alias in node.names] == ["Rat"], \
+                ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            assert "linalg" not in [alias.name for alias in node.names], \
+                ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.endswith("linalg")
+                           for alias in node.names), ast.unparse(node)
+        elif isinstance(node, ast.Attribute):
+            assert not (isinstance(node.value, ast.Name)
+                        and node.value.id == "linalg"), ast.unparse(node)
+
+
 def test_every_private_helper_is_named_outside_its_definition():
     """A module-level _-prefixed function or class that nothing in the
     package names, outside its own definition, is dead code.  Decorated
