@@ -38,18 +38,24 @@ edge, and sums the internal variables out of those factors one at a time.
 Each bound matrix is read once per call as integers over the lcm of its
 denominators, and an edge's factor is the integer product of its labels
 over the product of their denominators; the common divisor is applied to
-the result's nonzeros at the end.  Edges between two vertices may form
-bundles, k >= 2 edges with one label word from the same source U to the
-same sink V, which the path contracts by matrix minors: summed over the
-orders of its digits at both ends, a labeled bundle is one factor
-sgn(pi) k! det M[Y, X] over its head digits Y and tail digits X, each
-increasing in its vertex's slot order, and its vertices' Levi-Civita
-factors hold only the entries whose digits increase on the bundle's
-slots; an unlabeled bundle restricts U's factor and scales by k!.  The
-minors are expanded here, along the first row over memoized smaller
-minors; the Levi-Civita sign of a sorted block here is a table's entry,
-never an insertion pass.  The two paths share no semantic code, which is
-what makes eval_checked a meaningful cross-check.
+the result's nonzeros at the end.  Edges may form bundles, which the
+path contracts by matrix minors.  Between two vertices, a bundle is
+k >= 2 edges with one label word from the same source U to the same sink
+V: summed over the orders of its digits at both ends, a labeled bundle
+is one factor sgn(pi) k! det M[Y, X] over its head digits Y and tail
+digits X, each increasing in its vertex's slot order, and its vertices'
+Levi-Civita factors hold only the entries whose digits increase on the
+bundle's slots; an unlabeled bundle restricts U's factor and scales by
+k!.  From n = 4, k >= 2 labeled edges with one word at one vertex whose
+far ends are all inputs or outputs form a boundary bundle: summed over
+the vertex's digits it is det M[Y, X] with Y and X both in the vertex's
+slot order and no k!, so its factor holds the boundary digits
+increasing only, and the network writes each entry of its result at
+every order of them, with the sign of the order.  The minors are
+expanded here, along the first row over memoized smaller minors; the
+Levi-Civita sign of a sorted block here is a table's entry, never an
+insertion pass.  The two paths share no semantic code, which is what
+makes eval_checked a meaningful cross-check.
 
 Both evaluators return an EvalResult wrapping the tensor together with the
 number of multiply-accumulate terms.
@@ -700,15 +706,9 @@ def _edge_factor(labels, bindings: Bindings, n: int,
     return factor
 
 
-def _sends_twice(d: Diagram, nodes: list) -> bool:
-    """Whether some source sends two edges to one vertex: only then may
-    edges form bundles."""
-    for v in nodes:
-        ends = v.ciliation
-        if ends[0][1] == "tail" and \
-                len({d.edges[eid].head for eid, _ in ends}) < len(ends):
-            return True
-    return False
+def _inversions(digits) -> int:
+    """The number of pairs of digits out of order."""
+    return sum(a > b for i, a in enumerate(digits) for b in digits[i + 1:])
 
 
 def _minor_table(flat: list, n: int, k: int) -> tuple[dict, int]:
@@ -751,69 +751,116 @@ def _minor_table(flat: list, n: int, k: int) -> tuple[dict, int]:
     return table, terms
 
 
-def _bundles(d: Diagram, nodes: list, scopes: list, n: int, end_var: dict,
-             chains: dict) -> tuple[list, list, set, int, int]:
-    """The factors of a diagram some of whose edges form bundles: k >= 2
-    edges with one label word, each from the same source U to the same
-    sink V.  Summed over the orders of its digits at both ends, a labeled
-    bundle is sgn(pi) k! det M[Y, X], M its edges' integer factor, Y its
-    head digits increasing in V's slot order, X its tail digits increasing
-    in U's, and pi the order of V's bundle slots read in U's slot order;
-    an unlabeled bundle's one variable per edge is summed over its k!
-    orders at U.  So U's Levi-Civita factor holds only the entries whose
-    digits increase on each bundle's slots, and so does V's for a labeled
-    bundle, which becomes one factor of its minors (_minor_table).
-    scopes holds each vertex's end variables, in the order of nodes.
-    Returns the ε factors of the vertices at no bundle, the restricted ε
-    and minor factors, the tail variables of the labeled bundles (whose
-    matrix factors they replace), the scale sgn(pi) k! of every bundle
-    and the products the minors formed."""
-    tail_var, head_var = end_var["tail"], end_var["head"]
-    runs: dict[int, list] = {}      # id of a vertex -> its bundles' slots
-    sparse_factors = []
-    bundled = set()
-    minors: dict[tuple, dict] = {}
-    scale = 1
-    terms = 0
-    for source in nodes:
-        if source.ciliation[0][1] != "tail":
+def _bundles(d: Diagram, nodes: list, n: int) -> list:
+    """The bundles among a diagram's edges, found in one pass over each
+    vertex U's ends that groups them by far end and label word.  A
+    source's ends are grouped by the vertex each edge goes to; from n = 4,
+    the labeled ends of any vertex whose edges come from or go to an
+    input or an output are grouped as ending at the boundary.  Below
+    n = 4, only a source that sends two edges to one vertex is grouped.
+    Returns (U, whether U is a source, its groups) for each U with a group
+    of two ends or more; each group maps (far vertex id, None for the
+    boundary; label word) to U's (slot, edge id) pairs in slot order."""
+    edges = d.edges
+    found = []
+    for u in nodes:
+        ends = u.ciliation
+        source = ends[0][1] == "tail"
+        if n < 4 and not (source and len({edges[eid].head[1]
+                                          for eid, _ in ends}) < n):
             continue
-        # U's slots and edges by the edges' (head vertex, label word)
         groups: dict[tuple, list] = {}
-        for i, (eid, _) in enumerate(source.ciliation):
-            e = d.edges[eid]
-            key = e.head[1], e.labels
+        twice = False
+        for i, (eid, _) in enumerate(ends):
+            e = edges[eid]
+            if source:
+                v = e.head[1]
+                if n > 3 and e.labels and type(d.vertices[v]) is not GNode:
+                    v = None
+            elif e.labels and type(d.vertices[e.tail[1]]) is not GNode:
+                v = None
+            else:
+                continue
+            key = v, e.labels
             if key in groups:
                 groups[key].append((i, eid))
+                twice = True
             else:
                 groups[key] = [(i, eid)]
+        if twice:
+            found.append((u, source, groups))
+    return found
+
+
+def _bundle_factors(d: Diagram, nodes: list, scopes: list, n: int,
+                    end_var: dict, chains: dict, found: list) -> tuple:
+    """The factors of a diagram whose edges form the bundles found by
+    _bundles, each k >= 2 edges of one group.
+    Between vertices, U is the source and V the sink.  Summed over the
+    orders of its digits at both ends, a labeled bundle is sgn(pi) k!
+    det M[Y, X], M its edges' integer factor, Y its head digits
+    increasing in V's slot order, X its tail digits increasing in U's,
+    and pi the order of V's bundle slots read in U's slot order; an
+    unlabeled bundle's one variable per edge is summed over its k! orders
+    at U.
+    To the boundary, summed over U's digits, a bundle is det M[Y, X] with
+    Y and X both in U's slot order and no k! factor; the boundary digits
+    are one of them, and the factor holds them increasing only, so the
+    network writes each of its entries at every order of those digits,
+    with the sign of the order.
+    So U's Levi-Civita factor holds only the entries whose digits increase
+    on each bundle's slots, and so does V's for a labeled bundle, which
+    becomes one factor of its minors (_minor_table).  scopes holds each
+    vertex's end variables, in the order of nodes.  Returns the ε factors
+    of the vertices at no bundle, the restricted ε and minor factors, the
+    tail variables of the labeled bundles (whose matrix factors they
+    replace), the scale sgn(pi) k! of the bundles between vertices, the
+    boundary variables of each boundary bundle in U's slot order, and the
+    products the minors formed."""
+    tail_var, head_var = end_var["tail"], end_var["head"]
+    runs: dict[int, list] = {}      # id of a vertex -> its bundles' slots
+    labeled = []        # (labels, V's edges, U's edges) of labeled bundles
+    orders = []
+    scale = 1
+    for u, source, groups in found:
         for (v, labels), at_u in groups.items():
             k = len(at_u)
             if k < 2:
                 continue
-            runs.setdefault(id(source), []).append(
-                tuple([i for i, _ in at_u]))
+            runs.setdefault(id(u), []).append(tuple([i for i, _ in at_u]))
+            by_u = [eid for _, eid in at_u]
+            if v is None:
+                far_var = head_var if source else tail_var
+                orders.append(tuple([far_var[eid] for eid in by_u]))
+                labeled.append((labels, by_u, by_u))
+                continue
             scale *= factorial(k)
             if not labels:
                 continue
             sink = d.vertices[v]
-            by_u = [eid for _, eid in at_u]
             at_v = [(i, eid) for i, (eid, _) in enumerate(sink.ciliation)
                     if eid in by_u]
             runs.setdefault(id(sink), []).append(tuple([i for i, _ in at_v]))
             by_v = [eid for _, eid in at_v]
             pi = [by_v.index(eid) for eid in by_u]
-            if sum(a > b for i, a in enumerate(pi) for b in pi[i + 1:]) & 1:
+            if _inversions(pi) & 1:
                 scale = -scale
-            table = minors.get((labels, k))
-            if table is None:
-                table, t = _minor_table(chains[labels][0], n, k)
-                minors[labels, k] = table
-                terms += t
-            sparse_factors.append((tuple([head_var[eid] for eid in by_v])
-                                   + tuple([tail_var[eid] for eid in by_u]),
-                                   table))
-            bundled.update(tail_var[eid] for eid in by_u)
+            labeled.append((labels, by_v, by_u))
+    sparse_factors = []
+    bundled = set()
+    minors: dict[tuple, dict] = {}      # (word, k) -> its minors' table
+    terms = 0
+    for labels, by_v, by_u in labeled:
+        k = len(by_u)
+        table = minors.get((labels, k))
+        if table is None:
+            table, t = _minor_table(chains[labels][0], n, k)
+            minors[labels, k] = table
+            terms += t
+        sparse_factors.append((tuple([head_var[eid] for eid in by_v])
+                               + tuple([tail_var[eid] for eid in by_u]),
+                               table))
+        bundled.update(tail_var[eid] for eid in by_u)
     eps_factors = []
     for v, scope in zip(nodes, scopes):
         slots = runs.get(id(v))
@@ -822,7 +869,7 @@ def _bundles(d: Diagram, nodes: list, scopes: list, n: int, end_var: dict,
                 (scope, kernels.sign_table(n, n, tuple(sorted(slots)))))
         else:
             eps_factors.append(scope)
-    return eps_factors, sparse_factors, bundled, scale, terms
+    return eps_factors, sparse_factors, bundled, scale, orders, terms
 
 
 def eval_contraction(d: Diagram, bindings: Bindings,
@@ -836,20 +883,24 @@ def eval_contraction(d: Diagram, bindings: Bindings,
     Levi-Civita sign of its ciliation-ordered end variables.  Each
     boundary position reads the variable of its edge's end, so a straight
     wire or a cup's two outputs read one variable twice and form no
-    product.  When some edges between two vertices form bundles
-    (_bundles), a labeled bundle's matrix factors become one factor of
-    its minors and its vertices' Levi-Civita factors hold only the entries
-    whose digits increase on its slots; an unlabeled bundle restricts its
-    source's factor.  Only a diagram with two vertices or more, one of
-    them a source that sends two edges to one vertex, is searched for
-    bundles; any other has one plain Levi-Civita factor per vertex.
-    kernels.epsilon_network sums the internal variables out by sparse
-    variable elimination, the bundles' signs and k! scaling its result;
-    the term count adds the minors' products.
+    product.  When some edges form bundles (_bundles, _bundle_factors),
+    a labeled bundle's matrix factors become one factor of its minors and
+    its vertices' Levi-Civita factors hold only the entries whose digits
+    increase on its slots; an unlabeled bundle restricts its source's
+    factor.  A diagram with two vertices or more, below n = 4, is
+    searched for bundles between vertices; from n = 4 every diagram is
+    also searched for boundary bundles.  kernels.epsilon_network sums the
+    internal variables out by sparse variable elimination, the bundles'
+    signs and k! scaling its result, and writes each entry at every
+    order of each boundary bundle's digits; the common divisor is applied
+    to the entries written, once per distinct value.  The term count adds
+    the minors' products.
 
     probe=(outs, ins) restricts evaluation to a single entry (returned as a
-    (0,0)-tensor); both tuples are 1-based.  validated=True skips
-    validating d, for a graph that to_graph has just built and checked.
+    (0,0)-tensor); both tuples are 1-based.  A boundary bundle's probed
+    digits are pinned sorted, with the sign of the sort, and a repeated
+    one makes the entry zero.  validated=True skips validating d, for a
+    graph that to_graph has just built and checked.
     """
     if not validated:
         problems = validate_graph(d)
@@ -902,9 +953,11 @@ def eval_contraction(d: Diagram, bindings: Bindings,
     scale = 1
     terms = 0
     sparse_factors: list = []
-    if len(nodes) > 1 and _sends_twice(d, nodes):
-        eps_factors, sparse_factors, bundled, scale, terms = _bundles(
-            d, nodes, eps_factors, n, end_var, chains)
+    orders: list = []       # each boundary bundle's boundary variables
+    found = (len(nodes) > 1 or n > 3) and _bundles(d, nodes, n)
+    if found:
+        eps_factors, sparse_factors, bundled, scale, orders, terms = \
+            _bundle_factors(d, nodes, eps_factors, n, end_var, chains, found)
         if bundled:
             mat_factors = [f for f in mat_factors if f[1] not in bundled]
     # outputs by position, then inputs by position; an unlabeled edge
@@ -926,14 +979,29 @@ def eval_contraction(d: Diagram, bindings: Bindings,
             raise ValueError(f"probe index out of range 1..{n}")
         out_vars = []
         fixed = [(v, idx - 1) for v, idx in zip(boundary, indices)]
+        if orders:
+            # a boundary bundle's factor holds its digits increasing only:
+            # pin them sorted, with the sign of the sort
+            pins = dict(fixed)
+            moved = {}
+            for far in orders:
+                digits = [pins[v] for v in far]
+                if len(set(digits)) < len(digits):
+                    return EvalResult(Tensor._owning(n, 0, 0, {}), terms)
+                scale *= -1 if _inversions(digits) & 1 else 1
+                moved.update(zip(far, sorted(digits)))
+            fixed = [(v, moved.get(v, x)) for v, x in fixed]
+            orders = []
 
     nonzeros, network_terms = kernels.epsilon_network(
         n, nvars, out_vars, fixed, eps_factors, mat_factors, sparse_factors,
-        scale)
+        scale, orders)
     terms += network_terms
 
     if divisor != 1:
-        nonzeros = {i: _divided(v, divisor) for i, v in nonzeros.items()}
+        # a boundary bundle writes each value at k! places, either sign
+        quotients = {v: _divided(v, divisor) for v in set(nonzeros.values())}
+        nonzeros = {i: quotients[v] for i, v in nonzeros.items()}
     if probe is None:
         tensor = Tensor._owning(n, out_count, in_count, nonzeros)
     else:

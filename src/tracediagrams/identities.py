@@ -443,7 +443,8 @@ def _check_node_antisymmetry(ctx: CheckContext):
 
 
 @_register("matrix_invariance",
-           "a matrix on every strand of a vertex cancels to a determinant")
+           "a matrix on every strand of a vertex cancels to a determinant",
+           n_range=(2, 7))
 def _check_matrix_invariance(ctx: CheckContext):
     n = ctx.n
     for trial in range(ctx.trials):
@@ -643,7 +644,7 @@ def _check_cramer(ctx: CheckContext):
 
 @_register("crossout_lemma",
            "column substitution is invisible behind the nullified strand",
-           n_range=(2, 6))
+           n_range=(2, 9))
 def _check_crossout(ctx: CheckContext):
     n = ctx.n
     bare_vertex = eval_graph(complemental_node(n, n), {})

@@ -13,13 +13,17 @@ as combinations on the runs and permutations on the other positions, so
 a vertex whose edges form bundles holds one entry per set of a bundle's
 digits where it held one per order.  The variables stay digits in
 range(n), and no join or plan knows of the restriction: a factor simply
-has no entry for any other order.  There are no δ factors: two ends that
-must carry one digit share one variable, an output listed twice is read
-where its two digits agree, and a variable pinned to two different
-digits makes the network zero.  Every product of two factors is a join
-(`_join`): the restriction to pinned digits, each bucket, and the
-factors left after elimination, whose last join keys the product by the
-result's flat index.
+has no entry for any other order.  When the factors hold some output
+variables' digits increasing only (a boundary bundle's minors), the
+network writes each entry of its result at every order of those digits,
+with the sign of the order read from sign_table(k, k), as it writes an
+entry at every digit of an output that no factor mentions.  There are no
+δ factors: two ends that must carry one digit share one variable, an
+output listed twice is read where its two digits agree, and a variable
+pinned to two different digits makes the network zero.  Every product of
+two factors is a join (`_join`): the restriction to pinned digits, each
+bucket, and the factors left after elimination, whose last join keys the
+product by the result's flat index.
 A join reads the shared-variable digits and the kept digits of each key as
 sums of table lookups, one per run of digits (`_runs`); runs are cut so
 that no table exceeds max(the factor's nonzero count, n^3) entries.
@@ -49,6 +53,7 @@ factors prune eagerly).
 """
 
 from itertools import combinations, permutations, repeat
+from operator import mul
 
 
 def _strides(n, naxes):
@@ -370,8 +375,34 @@ def _join(n, a, b, drop, weights=None):
 _UNIT = ((), {0: 1})
 
 
+def _all_orders(table, n, weights):
+    """table, whose digits at the given weights increase, with each entry
+    also written at every other order of those digits, times the sign of
+    the order: sign_table(k, k) lists the k! signs in the order of
+    itertools.permutations.  The index shifts of each set of digits are
+    formed once."""
+    signs = sign_table(len(weights), len(weights)).values()
+    shifts = {}         # digits -> (shifts of even orders, of odd orders)
+    out = {}
+    for key, value in table.items():
+        digits = tuple([key // w % n for w in weights])
+        at = shifts.get(digits)
+        if at is None:
+            at = shifts[digits] = ([], [])
+            base = sum(map(mul, digits, weights))
+            for order, sign in zip(permutations(digits), signs):
+                at[sign < 0].append(sum(map(mul, order, weights)) - base)
+        even, odd = at
+        for s in even:
+            out[key + s] = value
+        value = -value
+        for s in odd:
+            out[key + s] = value
+    return out
+
+
 def epsilon_network(n, nvars, out_vars, fixed, eps_factors, mat_factors,
-                    sparse_factors=(), scale=1):
+                    sparse_factors=(), scale=1, orders=()):
     """Sum factor products over all assignments of `nvars` index variables,
     times scale.
 
@@ -384,7 +415,11 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, mat_factors,
         nonzero value}), used as given; a key absent is a zero entry
     out_vars selects the digits forming the result's mixed-radix index (most
     significant first) and may repeat a variable, whose entries then lie
-    where its digits agree; returns ({flat index: nonzero value}, terms).
+    where its digits agree; each tuple of orders names output variables,
+    each in out_vars once, whose digits the factors hold increasing only,
+    and each entry of the result is also written at every other order of
+    their digits, times the sign of that order.  Returns ({flat index:
+    nonzero value}, terms).
 
     Sparse variable elimination.  Each factor is a dict from the
     mixed-radix integer of its variables' digits (first variable most
@@ -408,10 +443,12 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, mat_factors,
     factors left, all over output variables, are joined smallest first,
     the last join keyed by the result's flat index (a lone factor is
     re-keyed by `_digit_sums`), and the smallest of them carries the
-    scale.  An output variable they do not mention is broadcast over its
-    n digits; one that out_vars repeats is read with the sum of its place
-    values, so a variable that is only an output, twice (a straight
-    wire), is an identity formed with no product.
+    scale.  Each entry is then written at every order of the digits of
+    each tuple of orders (`_all_orders`), and an output variable they do
+    not mention is broadcast over its n digits; one that out_vars repeats
+    is read with the sum of its place values, so a variable that is only
+    an output, twice (a straight wire), is an identity formed with no
+    product.
 
     terms counts the multiply-adds performed: one per product formed in a
     join other than a restriction (a variable summed out of a lone factor
@@ -525,6 +562,8 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, mat_factors,
         table = dict(zip(_digit_sums(table, n, [weight[v] for v in scope]),
                          table.values()))
 
+    for far in orders:
+        table = _all_orders(table, n, [weight[v] for v in far])
     spread = [base]
     for v, w in weight.items():
         if v not in mentioned:

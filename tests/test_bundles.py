@@ -1,20 +1,28 @@
-"""Vertex-to-vertex bundles on the contraction path, judged by the signed
-graph colorings oracle, which shares no idea with either evaluator."""
+"""Bundles on the contraction path, vertex to vertex and vertex to
+boundary, judged by the signed graph colorings oracle, which shares no
+idea with either evaluator."""
 
+import inspect
 import random
+import types
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from time import perf_counter
 
 import pytest
 
-from tracediagrams.builders import adjugate_diagram, antisym_nodepair
-from tracediagrams.diagrams import (COVECTOR, SINK, SOURCE, VECTOR, Id,
-                                    LayeredDiagram, Mat, NVertex, to_graph)
+from tracediagrams import kernels
+from tracediagrams.builders import (adjugate_diagram, antisym_nodepair,
+                                    complemental_node)
+from tracediagrams.diagrams import (COVECTOR, SINK, SOURCE, VECTOR, GNode,
+                                    Id, LayeredDiagram, Mat, NVertex,
+                                    canonical_ciliation, to_graph)
 from tracediagrams.evaluate import eval_contraction, eval_layered
-from tracediagrams.linalg import Matrix
+from tracediagrams.linalg import Matrix, det_oracle
 
 from signed_colorings import signed_colorings
-from test_evaluate import _mutant
+from test_evaluate import _dense_matrix, _mutant
 
 WORDS = ((), (Mat("A"),), (Mat("B", True),), (Mat("A"), Mat("B")))
 
@@ -85,10 +93,10 @@ def test_both_evaluators_equal_signed_colorings_on_bundles():
         (4, True, 2): 11, (4, True, 3): 3, (4, True, 4): 2}
 
 
-def _first_bundle_mismatch(module):
-    """The index of the first corpus diagram on which module's
-    eval_checked raises, or None."""
-    for i, (d, bindings) in enumerate(_bundle_corpus()):
+def _first_bundle_mismatch(module, corpus=None):
+    """The index of the first diagram of corpus (the bundle corpus by
+    default) on which module's eval_checked raises, or None."""
+    for i, (d, bindings) in enumerate(corpus or _bundle_corpus()):
         try:
             module.eval_checked(d, bindings)
         except module.CrossCheckMismatch:
@@ -136,3 +144,176 @@ def test_one_end_restriction_of_a_labeled_bundle_changes_only_the_work():
     terms = [sum(m.eval_contraction(to_graph(d), b).term_count
                  for d, b in corpus) for m in (plain, one_end)]
     assert terms[0] < terms[1]
+
+
+# -- Boundary bundles --------------------------------------------------------
+
+def _rows(strands):
+    """The layers that put each strand's word on its wire, Id beside a
+    shorter word."""
+    return [tuple(w[i] if i < len(w) else Id() for w in strands)
+            for i in range(max(map(len, strands), default=0))]
+
+
+def _dressed_vertex(n, rng):
+    """A sink or a source with a random ciliation, k of its n wires inputs
+    and n - k outputs, each wire carrying a word drawn from one or two of
+    WORDS, so that boundary wires often share a word."""
+    k = rng.randint(0, n)
+    direction = rng.choice((SINK, SOURCE))
+    words = rng.sample(WORDS, rng.randint(1, 2))
+    below = [rng.choice(words) for _ in range(k)]
+    above = [rng.choice(words) for _ in range(n - k)]
+    cil = tuple(rng.sample(range(1, n + 1), n))
+    layers = _rows(below) + [(NVertex(direction, k, cil),)] + _rows(above)
+    return LayeredDiagram(n, (VECTOR if direction == SINK else COVECTOR,) * k,
+                          layers)
+
+
+def _boundary_corpus():
+    """Seeded diagrams at n = 4 and 5: 20 and 5 dressed vertices, a sink
+    with two words, each on one input and one output, and a source with a
+    bundle to a sink beside a bundle to the outputs, each with A and B
+    bound."""
+    rng = random.Random(287)
+    corpus = [_dressed_vertex(n, rng) for n in (4,) * 20 + (5,) * 5]
+    a, bt = Mat("A"), Mat("B", True)
+    corpus.append(LayeredDiagram(4, (VECTOR,) * 2, [
+        (a, bt), (NVertex(SINK, 2, (3, 1, 4, 2)),), (bt, a)]))
+    corpus.append(LayeredDiagram(4, (), [
+        (NVertex(SOURCE, 0, (2, 4, 1, 3)),), (a, a, bt, bt),
+        (Id(), Id(), NVertex(SINK, 2, (4, 1, 3, 2)))]))
+    return [(d, {"A": _matrix(d.n, rng), "B": _matrix(d.n, rng)})
+            for d in corpus]
+
+
+def _boundary_bundles_formed(graph):
+    """k for each set of k >= 2 labeled edges with one label word at one
+    vertex whose far ends are all boundary vertices."""
+    formed = []
+    for v in graph.vertices:
+        if type(v) is GNode:
+            words = Counter()
+            for eid, end in v.ciliation:
+                e = graph.edges[eid]
+                far = e.tail if end == "head" else e.head
+                if e.labels and type(graph.vertices[far[1]]) is not GNode:
+                    words[e.labels] += 1
+            formed += [k for k in words.values() if k > 1]
+    return formed
+
+
+def test_both_evaluators_equal_signed_colorings_on_boundary_bundles():
+    """The corpus forms boundary bundles of every size k = 2..n, on
+    inputs, on outputs and on both; each evaluator's tensor equals the
+    colorings' sum."""
+    formed = Counter()
+    for d, bindings in _boundary_corpus():
+        graph = to_graph(d)
+        formed.update((d.n, k) for k in _boundary_bundles_formed(graph))
+        want = signed_colorings(graph, bindings)
+        assert eval_contraction(graph, bindings).tensor.nonzeros == want
+        assert eval_layered(d, bindings).tensor.nonzeros == want
+    # (n, k): count
+    assert formed == {(4, 2): 9, (4, 3): 5, (4, 4): 4,
+                      (5, 2): 1, (5, 3): 1, (5, 4): 1, (5, 5): 1}
+
+
+def test_probe_sorts_a_boundary_bundles_digits():
+    """A probe pins a boundary bundle's digits sorted, with the sign of the
+    sort, or is zero where a digit repeats: every entry of the corpus's
+    n = 4 diagrams, probed, equals the full tensor's."""
+    for d, bindings in _boundary_corpus():
+        if d.n > 4:
+            continue
+        graph = to_graph(d)
+        full = eval_contraction(graph, bindings).tensor
+        for flat, index in enumerate(product(range(1, d.n + 1),
+                                             repeat=full.out_arity
+                                             + full.in_arity)):
+            outs, ins = index[:full.out_arity], index[full.out_arity:]
+            probe = eval_contraction(graph, bindings, probe=(outs, ins))
+            assert probe.tensor.as_scalar() == full.nonzeros.get(flat, 0)
+
+
+def _kernels_mutant(old, new):
+    """A fresh copy of the evaluate module whose kernels module is a copy
+    built from its source with the one occurrence of old replaced by
+    new."""
+    source = inspect.getsource(kernels)
+    assert source.count(old) == 1, old
+    copy = types.ModuleType(kernels.__name__)
+    exec(compile(source.replace(old, new), kernels.__file__, "exec"),
+         vars(copy))
+    module = _mutant("from . import kernels\n", "from . import kernels\n")
+    module.kernels = copy
+    return module
+
+
+_BOUNDARY = ("            if v is None:\n"
+             "                far_var = head_var if source else tail_var")
+
+
+@pytest.mark.parametrize("old, new", [
+    # the sign of each order dropped
+    ("        value = -value\n", ""),
+    # only the increasing order written
+    ("zip(permutations(digits), signs)", "zip([digits], signs)"),
+])
+def test_boundary_expansion_mutants_fail_the_cross_check(old, new):
+    corpus = _boundary_corpus()
+    assert _first_bundle_mismatch(_kernels_mutant(old, new), corpus) \
+        is not None
+
+
+@pytest.mark.parametrize("old, new", [
+    # the boundary digits keyed in boundary-position order, outputs then
+    # inputs, instead of U's slot order
+    (_BOUNDARY, _BOUNDARY + "\n                by_u.sort(key=lambda e: ("
+     "lambda w: (type(w) is GInput, w.position))(d.vertices[(d.edges[e]"
+     ".head if source else d.edges[e].tail)[1]]))"),
+    # a stray k! on a boundary bundle
+    (_BOUNDARY, _BOUNDARY + "\n                scale *= factorial(k)"),
+])
+def test_boundary_bundle_mutants_fail_the_cross_check(old, new):
+    corpus = _boundary_corpus()
+    assert _first_bundle_mismatch(_mutant(old, new), corpus) is not None
+
+
+def test_unrestricted_vertex_of_a_boundary_bundle_changes_only_the_work():
+    """The minors' factor holds no entry whose digits at U decrease in
+    U's slot order, so U's ε restricted or not gives the same tensor: the
+    restriction only cuts the work.  A copy that leaves U's ε whole passes
+    the cross-check with more terms."""
+    plain = _mutant(_BOUNDARY, _BOUNDARY)
+    whole = _mutant(_BOUNDARY, _BOUNDARY.replace(
+        "far_var =", "runs[id(u)].pop()\n                far_var ="))
+    corpus = _boundary_corpus()
+    assert _first_bundle_mismatch(plain, corpus) is None
+    assert _first_bundle_mismatch(whole, corpus) is None
+    terms = [sum(m.eval_contraction(to_graph(d), b).term_count
+                 for d, b in corpus) for m in (plain, whole)]
+    assert terms[0] < terms[1]
+
+
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_contraction_path_reaches_the_dressed_vertex_frontier(k):
+    """The n = 7 vertex with A on every wire, k of them inputs, is one
+    boundary bundle: under a second on the contraction path (about 15 ms
+    on a 2-core x86-64 host, where summing the ε factor against one matrix
+    at a time took 1.1-1.4 s and 4,477,872 terms), and det(A) times the
+    bare vertex."""
+    n = 7
+    a = _dense_matrix(n, 7)
+    layers = _rows([(Mat("A"),)] * k) + [
+        (NVertex(SINK, k, canonical_ciliation(n, k)),)] + _rows(
+        [(Mat("A"),)] * (n - k))
+    graph = to_graph(LayeredDiagram(n, (VECTOR,) * k, layers))
+    start = perf_counter()
+    res = eval_contraction(graph, {"A": a})
+    assert perf_counter() - start < 1
+    bare = eval_contraction(to_graph(complemental_node(k, n)), {}).tensor
+    assert res.tensor == bare.scale(det_oracle(a))
+    # the minors' one n x n determinant (448 products), the one join of
+    # the ε entry with it and the n! = 5040 entries written
+    assert res.term_count == 5489

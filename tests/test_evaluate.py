@@ -1135,11 +1135,18 @@ def test_contraction_path_calls_no_layered_kernel(monkeypatch):
         (NVertex(SOURCE, 0, tuple(rng.sample(range(1, 6), 5))),),
         (Mat("A", True), Id(), Mat("A", True), Id(), Id()),
         (NVertex(SINK, 5, tuple(rng.sample(range(1, 6), 5))),)])
+    # a sink with A on two inputs and two outputs, a boundary bundle of
+    # four, and B^T on its fifth wire
+    dressed = LayeredDiagram(5, (VECTOR,) * 3, [
+        (Mat("A"), Mat("B", True), Mat("A")),
+        (NVertex(SINK, 3, tuple(rng.sample(range(1, 6), 5))),),
+        (Mat("A"), Mat("A"))])
     cases = [(vertex_pair(4, [["A"]] * 4), {"A": M4}),
              (adjugate_diagram(3, "A"), {"A": Matrix.identity(3)}),
              (antisym_nodepair(2, 3), {}),
              (bundles, {"A": _dense_matrix(5, 2)}),
-             (pair, {"A": _dense_matrix(5, 3)})]
+             (pair, {"A": _dense_matrix(5, 3)}),
+             (dressed, {"A": _dense_matrix(5, 4), "B": _dense_matrix(5, 5)})]
     for _ in range(20):
         d = random_layered_diagram(rng.choice((2, 3)), rng)
         cases.append((d, random_bindings(d, rng)))
@@ -1181,7 +1188,8 @@ def test_layered_path_calls_no_contraction_kernel(monkeypatch):
     for name in names:
         monkeypatch.setattr(kernels, name, forbidden)
     for name in ("_edge_factor", "_int_label", "_int_matmul", "_divided",
-                 "_bundles", "_minor_table"):
+                 "_bundles", "_bundle_factors", "_minor_table",
+                 "_inversions"):
         monkeypatch.setattr(evaluate_module, name, forbidden)
     assert [eval_layered(d, b).tensor for d, b in cases] == want
 

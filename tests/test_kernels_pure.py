@@ -206,6 +206,44 @@ def test_epsilon_network_with_sparse_factors_and_a_scale():
             nonzeros(epsilon_network_oracle(*args)[0])
 
 
+def test_epsilon_network_writes_every_order_of_increasing_outputs():
+    """A sparse factor that holds some output variables' digits increasing
+    only, named in orders, has each entry of the result also written at
+    every other order of those digits, with the sign of the order: the
+    entry at any index is the sign of sorting those digits times the
+    unexpanded entry at the sorted index, and 0 where a digit repeats."""
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        nvars = rng.randint(2, 6)
+        out_vars = rng.sample(range(nvars), rng.randint(2, min(4, nvars)))
+        held = rng.sample(out_vars, rng.randint(2, min(n, len(out_vars))))
+        scope = tuple(rng.sample(range(nvars), rng.randint(1, 2)))
+        scope = tuple(held) + tuple(v for v in scope if v not in held)
+        table = {}
+        for digits in product(range(n), repeat=len(scope)):
+            if all(a < b for a, b in zip(digits, digits[1:len(held)])) \
+                    and rng.random() < 0.7:
+                table[flat(n, digits)] = rng.choice((-3, -1, 2, 5))
+        eps = [tuple(rng.sample(range(nvars), rng.randint(1, min(nvars,
+                                                                 n))))]
+        args = (n, nvars, out_vars, [], eps, [], [(scope, table)])
+        base = epsilon_network_oracle(*args)[0]
+        at = [out_vars.index(v) for v in held]
+        want = {}
+        for i, index in enumerate(product(range(n), repeat=len(out_vars))):
+            digits = [index[p] for p in at]
+            if len(set(digits)) < len(digits):
+                continue
+            ordered = list(index)
+            for p, d in zip(at, sorted(digits)):
+                ordered[p] = d
+            value = sign(digits) * base[flat(n, ordered)]
+            if value:
+                want[i] = value
+        assert kernels.epsilon_network(*args, 1, [tuple(held)])[0] == want
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_epsilon_network_levi_civita(n):
     # one ε factor on n free output variables is the Levi-Civita tensor
