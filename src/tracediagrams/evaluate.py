@@ -52,7 +52,8 @@ the vertex's digits it is det M[Y, X] with Y and X both in the vertex's
 slot order and no k!, so its factor holds the boundary digits
 increasing only, and the network writes each entry of its result at
 every order of them, with the sign of the order.  The minors are
-expanded here, along the first row over memoized smaller minors; the
+expanded here, along the first row, bottom up over the minors of the
+rows after it, by a plan built once per matrix size and minor size; the
 Levi-Civita sign of a sorted block here is a table's entry, never an
 insertion pass.  The two paths share no semantic code, which is what
 makes eval_checked a meaningful cross-check.
@@ -66,9 +67,10 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import (chain, combinations, compress, count, cycle,
+                       repeat)
 from math import factorial, lcm
-from operator import mul
+from operator import add, mul
 
 from . import kernels
 from .diagrams import (COVECTOR, Cap, Cross, Cup, Diagram, GInput, GNode,
@@ -711,44 +713,109 @@ def _inversions(digits) -> int:
     return sum(a > b for i, a in enumerate(digits) for b in digits[i + 1:])
 
 
+# (n, s) -> _minor_columns(n, s); (n, k) -> _minor_plan(n, k)
+_minor_columns_cache: dict[tuple, tuple] = {}
+_minor_plan_cache: dict[tuple, tuple] = {}
+
+
+def _minor_columns(n: int, s: int) -> tuple:
+    """How the first row's expansion reads each s-set C of columns, the
+    sets in combinations order: for C's column c at position j, the
+    index c + n^2 (j odd) or c (j even) into a flat matrix followed by
+    its negation, which carries the sign (-1)^j of that term, and the
+    index of C less c among the (s - 1)-sets.  Returns the number of
+    (s - 1)-sets and both kinds of index as two flat lists, s per set:
+    sum_s C(n, s) * s <= n * 2^(n-1) pairs over all s, 2,304 at n = 9."""
+    found = _minor_columns_cache.get((n, s))
+    if found is None:
+        index = dict(zip(combinations(range(n), s - 1), count()))
+        sets = list(combinations(range(n), s))
+        # combinations(c, s - 1) drops c's last column first
+        signs = [n * n if j & 1 else 0 for j in reversed(range(s))]
+        found = _minor_columns_cache[n, s] = (
+            len(index),
+            list(map(add, chain.from_iterable(map(reversed, sets)),
+                     cycle(signs))),
+            list(map(index.__getitem__, chain.from_iterable(
+                map(combinations, sets, repeat(s - 1))))))
+    return found
+
+
+def _minor_plan(n: int, k: int) -> tuple:
+    """The plan of the k x k minors of an n x n matrix, expanded along the
+    first row, bottom up.  Level s = 1..k holds the minors at positions
+    (R, C), R over the s-sets of rows whose least row is at least k - s
+    (the row suffixes of the k-sets) and C over the s-sets of columns,
+    row-major, each in combinations order; and, s per position, the
+    reads of its terms by _minor_columns(n, s): the index of an entry of
+    R's first row, signed, and the position of the minor of R's rest at
+    level s - 1.  Returns the levels as (positions, entry reads, minor
+    reads) and each top position's key, Y's digits then X's as one
+    mixed-radix integer.  There is one pair of reads per product a word
+    with no zero entry forms: sum_s C(n - k + s, s) * C(n, s) * s, which
+    is n * 2^(n-1) at k = n and 26,360 at n = 8, k = 4."""
+    plan = _minor_plan_cache.get((n, k))
+    if plan is None:
+        levels = []
+        index = {(): 0}
+        for s in range(1, k + 1):
+            below, cols, subs = _minor_columns(n, s)
+            suffixes = list(combinations(range(k - s, n), s))
+            entries, minors = [], []
+            for r in suffixes:
+                entries += map((r[0] * n).__add__, cols)
+                minors += map((index[r[1:]] * below).__add__, subs)
+            levels.append((len(entries) // s, entries, minors))
+            index = dict(zip(suffixes, count()))
+        weights = [n ** (k - 1 - i) for i in range(k)]
+        keys = [sum(map(mul, c, weights)) for c in combinations(range(n), k)]
+        plan = _minor_plan_cache[n, k] = (
+            levels, [y * n ** k + x for y in keys for x in keys])
+    return plan
+
+
 def _minor_table(flat: list, n: int, k: int) -> tuple[dict, int]:
     """Every nonzero k x k minor det M[Y, X] of the flat n x n integer
     matrix M, over the k-sets Y of rows and X of columns, each increasing,
     keyed by Y's digits then X's as one mixed-radix integer; and the
     number of products formed.  Each minor is expanded along its first
-    row, and the minors of the rows after it are memoized by (rows,
-    columns), so one n x n determinant forms at most n * 2^(n-1)
-    products; a zero entry or minor forms none."""
-    memo: dict[tuple, int] = {}
+    row over the minors of the rows after it, bottom up, one level at a
+    time, by _minor_plan(n, k): at most n * 2^(n-1) products for one
+    n x n determinant.  A product with a zero entry or minor is not
+    counted, and a minor that only zero entries lead to is not expanded:
+    when M has a zero entry, the positions each level needs are narrowed
+    first, top down."""
+    levels, keys = _minor_plan(n, k)
+    signed = flat + [-x for x in flat]
+    # per level, when narrowed: (the positions needed, their reads)
+    narrowed = [None] * k
+    if 0 in flat:
+        for s in range(k, 1, -1):
+            _, entries, minors = narrowed[s - 1] or levels[s - 1]
+            need = set(compress(minors, map(signed.__getitem__, entries)))
+            size, entries, minors = levels[s - 2]
+            if len(need) < size:
+                need = sorted(need)
+                reads = [q for p in need
+                         for q in range(p * (s - 1), (p + 1) * (s - 1))]
+                narrowed[s - 2] = (need,
+                                   list(map(entries.__getitem__, reads)),
+                                   list(map(minors.__getitem__, reads)))
+    values = [1]
     terms = 0
-
-    def minor(rows: tuple, cols: tuple) -> int:
-        nonlocal terms
-        if not rows:
-            return 1
-        value = memo.get((rows, cols))
-        if value is None:
-            value = 0
-            first = rows[0] * n
-            for j, c in enumerate(cols):
-                entry = flat[first + c]
-                if entry:
-                    sub = minor(rows[1:], cols[:j] + cols[j + 1:])
-                    if sub:
-                        terms += 1
-                        value += -entry * sub if j & 1 else entry * sub
-            memo[rows, cols] = value
-        return value
-
-    sets = list(combinations(range(n), k))
-    keys = [sum(d * n ** (k - 1 - i) for i, d in enumerate(s)) for s in sets]
-    table = {}
-    for rows, row_key in zip(sets, keys):
-        for cols, col_key in zip(sets, keys):
-            value = minor(rows, cols)
-            if value:
-                table[row_key * n ** k + col_key] = value
-    return table, terms
+    for s, (level, narrow) in enumerate(zip(levels, narrowed), 1):
+        _, entries, minors = narrow or level
+        products = list(map(mul, map(signed.__getitem__, entries),
+                            map(values.__getitem__, minors)))
+        terms += len(products) - products.count(0)
+        sums = map(sum, zip(*[iter(products)] * s))
+        if narrow is None:
+            values = list(sums)
+        else:
+            values = [0] * level[0]
+            for p, v in zip(narrow[0], sums):
+                values[p] = v
+    return dict(compress(zip(keys, values), values)), terms
 
 
 def _bundles(d: Diagram, nodes: list, n: int) -> list:
@@ -810,13 +877,14 @@ def _bundle_factors(d: Diagram, nodes: list, scopes: list, n: int,
     with the sign of the order.
     So U's Levi-Civita factor holds only the entries whose digits increase
     on each bundle's slots, and so does V's for a labeled bundle, which
-    becomes one factor of its minors (_minor_table).  scopes holds each
-    vertex's end variables, in the order of nodes.  Returns the ε factors
-    of the vertices at no bundle, the restricted ε and minor factors, the
-    tail variables of the labeled bundles (whose matrix factors they
-    replace), the scale sgn(pi) k! of the bundles between vertices, the
-    boundary variables of each boundary bundle in U's slot order, and the
-    products the minors formed."""
+    becomes one factor of its minors (_minor_table, by the plan of its
+    (n, k), built once and cached); bundles with one word and one k
+    share the table.  scopes holds each vertex's end variables, in the
+    order of nodes.  Returns the ε factors of the vertices at no bundle,
+    the restricted ε and minor factors, the tail variables of the labeled
+    bundles (whose matrix factors they replace), the scale sgn(pi) k! of
+    the bundles between vertices, the boundary variables of each boundary
+    bundle in U's slot order, and the products the minors formed."""
     tail_var, head_var = end_var["tail"], end_var["head"]
     runs: dict[int, list] = {}      # id of a vertex -> its bundles' slots
     labeled = []        # (labels, V's edges, U's edges) of labeled bundles

@@ -7,12 +7,12 @@ import random
 import types
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from time import perf_counter
 
 import pytest
 
-from tracediagrams import kernels
+from tracediagrams import evaluate as evaluate_module, kernels
 from tracediagrams.builders import (adjugate_diagram, antisym_nodepair,
                                     complemental_node)
 from tracediagrams.diagrams import (COVECTOR, SINK, SOURCE, VECTOR, GNode,
@@ -113,8 +113,12 @@ _V_RUN = "runs.setdefault(id(sink), []).append(tuple([i for i, _ in at_v]))"
     # the k! orders of a bundle's digits
     ("scale *= factorial(k)", "scale *= 1"),
     # a minor's expansion along its first row with its signs flipped
-    ("value += -entry * sub if j & 1 else entry * sub",
-     "value += entry * sub if j & 1 else -entry * sub"),
+    ("n * n if j & 1 else 0", "0 if j & 1 else n * n"),
+    # each term reading the minor of the column set less another column
+    # than its own
+    ("map(reversed, sets)", "iter(sets)"),
+    # the zero-entry narrowing dropping the first minor a level needs
+    ("need = sorted(need)", "need = sorted(need)[1:]"),
     # U's restriction read in V's slot order: the minors' columns keyed
     # by the tail variables in V's order, U's ε sorted in U's
     ("+ tuple([tail_var[eid] for eid in by_u])",
@@ -144,6 +148,76 @@ def test_one_end_restriction_of_a_labeled_bundle_changes_only_the_work():
     terms = [sum(m.eval_contraction(to_graph(d), b).term_count
                  for d, b in corpus) for m in (plain, one_end)]
     assert terms[0] < terms[1]
+
+
+# -- The minors' expansion ---------------------------------------------------
+
+def _recursive_minor_table(flat, n, k):
+    """The minors table as a memoized recursion formed it: each minor
+    expanded along its first row over the minors of the rows after it,
+    memoized by (rows, columns), a sub-minor expanded only when its entry
+    is nonzero and a product counted only when both factors are.  A
+    reference for evaluate._minor_table, used by the tests only."""
+    memo = {}
+    terms = 0
+
+    def minor(rows, cols):
+        nonlocal terms
+        if not rows:
+            return 1
+        value = memo.get((rows, cols))
+        if value is None:
+            value = 0
+            first = rows[0] * n
+            for j, c in enumerate(cols):
+                entry = flat[first + c]
+                if entry:
+                    sub = minor(rows[1:], cols[:j] + cols[j + 1:])
+                    if sub:
+                        terms += 1
+                        value += -entry * sub if j & 1 else entry * sub
+            memo[rows, cols] = value
+        return value
+
+    sets = list(combinations(range(n), k))
+    keys = [sum(d * n ** (k - 1 - i) for i, d in enumerate(s)) for s in sets]
+    table = {}
+    for rows, row_key in zip(sets, keys):
+        for cols, col_key in zip(sets, keys):
+            value = minor(rows, cols)
+            if value:
+                table[row_key * n ** k + col_key] = value
+    return table, terms
+
+
+def _integer_matrices(n, rng):
+    """A dense, a zero-heavy and a rank-deficient flat n x n integer
+    matrix: entries in [-9, 9], entries in [-1, 1], and the product of an
+    n x r and an r x n matrix with entries in [-3, 3], r < n."""
+    dense = [rng.randint(-9, 9) for _ in range(n * n)]
+    sparse = [rng.randint(-1, 1) for _ in range(n * n)]
+    r = rng.randrange(n)
+    u = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+    w = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+    low = [sum(u[i][t] * w[t][j] for t in range(r))
+           for i in range(n) for j in range(n)]
+    return dense, sparse, low
+
+
+def test_minor_table_equals_the_recursive_expansion():
+    """The planned bottom-up expansion forms the recursion's table, in
+    the same order, and exactly its products: every 1 <= k <= n <= 6 on
+    seeded dense, zero-heavy and rank-deficient matrices, and k = 4 and 8
+    at n = 8."""
+    rng = random.Random(29)
+    shapes = [(n, k) for n in range(1, 7) for k in range(1, n + 1)]
+    for n, k in shapes + [(8, 4), (8, 8)]:
+        for _ in range(3 if n < 7 else 1):
+            for flat in _integer_matrices(n, rng):
+                want = _recursive_minor_table(flat, n, k)
+                got = evaluate_module._minor_table(flat, n, k)
+                assert got == want, (n, k, flat)
+                assert list(got[0]) == list(want[0]), (n, k, flat)
 
 
 # -- Boundary bundles --------------------------------------------------------

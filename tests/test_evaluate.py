@@ -841,11 +841,12 @@ def test_layered_det_circle_term_count(n, terms):
 def test_contraction_det_circle_term_count(n, terms):
     """The circle's n labeled edges are one bundle: each vertex's ε holds
     the one entry whose digits increase in its slot order, and the minors'
-    factor the one n x n determinant, expanded along its first row over
-    memoized (row suffix, column subset) pairs: at most n * 2^(n-1)
-    products, fewer where a smaller minor is zero (11 of 12 at n = 3, 77
-    of 80 at n = 5, 1020 of 1024 at n = 8, 2297 of 2304 at n = 9).  Three
-    more terms join the three one-entry factors and write the result.
+    factor the one n x n determinant, expanded along its first row,
+    bottom up, once per (row suffix, column subset) pair: at most
+    n * 2^(n-1) products, fewer where a smaller minor is zero (11 of 12
+    at n = 3, 77 of 80 at n = 5, 1020 of 1024 at n = 8, 2297 of 2304 at
+    n = 9).  Three more terms join the three one-entry factors and write
+    the result.
     Summed against one matrix at a time, the circle took 13, 97, 1169,
     16166, 250021 and 4257506 terms at n = 2..7."""
     a = _dense_matrix(n, 1)
@@ -1189,7 +1190,7 @@ def test_layered_path_calls_no_contraction_kernel(monkeypatch):
         monkeypatch.setattr(kernels, name, forbidden)
     for name in ("_edge_factor", "_int_label", "_int_matmul", "_divided",
                  "_bundles", "_bundle_factors", "_minor_table",
-                 "_inversions"):
+                 "_minor_plan", "_minor_columns", "_inversions"):
         monkeypatch.setattr(evaluate_module, name, forbidden)
     assert [eval_layered(d, b).tensor for d, b in cases] == want
 

@@ -3,8 +3,11 @@ package exports only names it defines, and the oracles stand apart from the
 engine they judge."""
 
 import ast
+import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +97,48 @@ def test_every_private_helper_is_named_outside_its_definition():
         if all(id(use) in own for use in uses.get(helper.name, ())):
             unused.append(f"{module}: {helper.name}")
     assert unused == []
+
+
+_FILLED_DICTS = """
+import importlib, json, pkgutil, random, sys
+import tracediagrams
+from tracediagrams.evaluate import eval_checked
+from tracediagrams.fuzz import random_bindings, random_layered_diagram
+from test_acceptance import _builder_catalog
+
+for info in pkgutil.iter_modules(tracediagrams.__path__):
+    if info.name != "__main__":
+        importlib.import_module("tracediagrams." + info.name)
+modules = {name: module for name, module in sys.modules.items()
+           if name.split(".")[0] == "tracediagrams"}
+empty = [(name, attr) for name, module in modules.items()
+         for attr, value in vars(module).items()
+         if type(value) is dict and not value]
+for n in (2, 3, 4):
+    for d, bindings in _builder_catalog(n):
+        eval_checked(d, bindings)
+rng = random.Random(29)
+for _ in range(100):
+    d = random_layered_diagram(rng.choice((2, 3, 4, 5)), rng, max_width=4)
+    eval_checked(d, random_bindings(d, rng))
+print(json.dumps(sorted(name + "." + attr for name, attr in empty
+                        if vars(modules[name])[attr])))
+"""
+
+
+def test_every_dict_evaluation_fills_is_a_cache():
+    """A module-level dict that evaluation fills is a memo, and its name
+    ends in _cache, so that perfbench empties it before every pass and a
+    pass pays for what it builds.  In a fresh process, after the builder
+    catalog at n = 2..4 and a seeded fuzz corpus at n = 2..5, both
+    evaluators each, every dict that was empty on import and is not now
+    is named so; the minors' plans are among them."""
+    out = subprocess.run(
+        [sys.executable, "-c", _FILLED_DICTS], cwd=ROOT,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT / "tests")])})
+    assert out.returncode == 0, out.stderr
+    filled = json.loads(out.stdout)
+    assert "tracediagrams.evaluate._minor_plan_cache" in filled
+    assert [name for name in filled if not name.endswith("_cache")] == []
