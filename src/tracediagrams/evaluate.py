@@ -38,18 +38,18 @@ edge, and sums the internal variables out of those factors one at a time.
 Each bound matrix is read once per call as integers over the lcm of its
 denominators, and an edge's factor is the integer product of its labels
 over the product of their denominators; the common divisor is applied to
-the result's nonzeros at the end.  Edges may form bundles, which the
-path contracts by matrix minors.  Between two vertices, a bundle is
-k >= 2 edges with one label word from the same source U to the same sink
-V: summed over the orders of its digits at both ends, a labeled bundle
-is one factor sgn(pi) k! det M[Y, X] over its head digits Y and tail
-digits X, each increasing in its vertex's slot order, and its vertices'
-Levi-Civita factors hold only the entries whose digits increase on the
-bundle's slots; an unlabeled bundle restricts U's factor and scales by
-k!.  From n = 4, k >= 2 labeled edges with one word at one vertex whose
-far ends are all inputs or outputs form a boundary bundle: summed over
-the vertex's digits it is det M[Y, X] with Y and X both in the vertex's
-slot order and no k!, so its factor holds the boundary digits
+the result's nonzeros at the end.  From n = 4, edges may form bundles,
+which the path contracts by matrix minors.  Between two vertices, a
+bundle is k >= 2 edges with one label word from the same source U to the
+same sink V: summed over the orders of its digits at both ends, a
+labeled bundle is one factor sgn(pi) k! det M[Y, X] over its head digits
+Y and tail digits X, each increasing in its vertex's slot order, and its
+vertices' Levi-Civita factors hold only the entries whose digits
+increase on the bundle's slots; an unlabeled bundle restricts U's factor
+and scales by k!.  And k >= 2 labeled edges with one word at one vertex
+whose far ends are all inputs or outputs form a boundary bundle: summed
+over the vertex's digits it is det M[Y, X] with Y and X both in the
+vertex's slot order and no k!, so its factor holds the boundary digits
 increasing only, and the network writes each entry of its result at
 every order of them, with the sign of the order.  The minors are
 expanded here, along the first row, bottom up over the minors of the
@@ -67,6 +67,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import (chain, combinations, compress, count, cycle,
                        repeat)
 from math import factorial, lcm
@@ -134,11 +135,9 @@ def check_bindings(names, n: int, bindings: Bindings):
 # each run of its input block, and of its output block.  Every other
 # piece but Id is a table from the flat index of its input block to the
 # list of (output block index, nonzero coefficient) it maps that block
-# to, and _apply multiplies it into the state.
-
-# (n, the piece's table fields) -> table or shift tables, of a Cross, Perm,
-# Cup or Cap
-_piece_table_cache: dict[tuple, dict | tuple] = {}
+# to, and _apply multiplies it into the state.  The tables are built once
+# per shape, by builders cached on n and the piece's fields, never on a
+# piece instance: a frozen dataclass hashes and compares in Python.
 
 
 def _run_signs(runs: tuple) -> list:
@@ -183,34 +182,30 @@ def _run_blocks(digits: tuple, runs: tuple, n: int, memo: dict) -> list:
     return found
 
 
-# (n, ciliation or its parity, input runs, output runs) -> _vertex_table
-_vertex_cache: dict[tuple, dict] = {}
-
-
-def _vertex_table(n: int, ciliation, in_runs: tuple,
+@cache
+def _vertex_table(n: int, ciliation: tuple, in_runs: tuple,
                   out_runs: tuple) -> dict:
     """The nonzeros of a vertex piece, keyed by input block: the ε sign of
     the slots' digits read in ciliation order.  Slots 1..j are the bottom
-    (the input block), j+1..n the top (the output block).  That sign is
-    the ciliation's times the sign of the digits in slot order, and slots
-    holding a j-set S of digits, then the rest, each part increasing,
-    have the sign (-1)^(ΣS - C(j,2)): each digit of S is greater than
-    ΣS - C(j,2) digits of the rest in all.  The table holds the input
-    blocks whose digits increase within each of in_runs, the lengths of
-    the input block's runs, and each row the output blocks that do within
-    each of out_runs, each block's order multiplying the sign by its own
-    (_run_blocks, _run_signs); runs of one wire keep every block.  The
-    ciliation changes only the sign, so the ciliations of one parity
-    share a table, cached by it as well as by the ciliation itself."""
-    table = _vertex_cache.get((n, ciliation, in_runs, out_runs))
-    if table is not None:
-        return table
+    (the input block), j+1..n the top (the output block).  The table
+    holds the input blocks whose digits increase within each of in_runs,
+    the lengths of the input block's runs, and each row the output blocks
+    that do within each of out_runs; runs of one wire keep every block.
+    The ciliation changes only the sign, so the ciliations of one parity
+    share _parity_table's table."""
     odd = sum(a > b for a, b in combinations(ciliation, 2)) & 1
-    key = (n, odd, in_runs, out_runs)
-    table = _vertex_cache.get(key)
-    if table is not None:
-        _vertex_cache[n, ciliation, in_runs, out_runs] = table
-        return table
+    return _parity_table(n, odd, in_runs, out_runs)
+
+
+@cache
+def _parity_table(n: int, odd: int, in_runs: tuple, out_runs: tuple) -> dict:
+    """_vertex_table for every ciliation of the given parity.  The ε sign
+    is the ciliation's times the sign of the digits in slot order, and
+    slots holding a j-set S of digits, then the rest, each part
+    increasing, have the sign (-1)^(ΣS - C(j,2)): each digit of S is
+    greater than ΣS - C(j,2) digits of the rest in all.  Each block's
+    order within its runs multiplies that by its own sign (_run_blocks,
+    _run_signs)."""
     j = sum(in_runs)
     cil_sign = -1 if odd else 1
     pairs = j * (j - 1) // 2
@@ -227,7 +222,6 @@ def _vertex_table(n: int, ciliation, in_runs: tuple,
         negated = [(out, -c) for out, c in row]
         for block, x in zip(_run_blocks(chosen, in_runs, n, memo), in_signs):
             table[block] = row if x > 0 else negated
-    _vertex_cache[key] = _vertex_cache[n, ciliation, in_runs, out_runs] = table
     return table
 
 
@@ -251,26 +245,16 @@ def _perm_shifts(n: int, images) -> tuple[list, list]:
     return tuple(halves)
 
 
-def _piece_table(piece, n: int) -> dict | tuple:
-    """The table of a Cup or Cap, or the shift tables of a Cross or Perm,
-    cached by n and the fields the table depends on."""
-    kind = type(piece)
-    key = (n, piece.images) if kind is Perm else (n, kind)
-    table = _piece_table_cache.get(key)
-    if table is None:
-        match piece:
-            case Cross():
-                table = _perm_shifts(n, (2, 1))
-            case Perm(images=images):
-                table = _perm_shifts(n, images)
-            case Cup():
-                table = {0: [(d * (n + 1), 1) for d in range(n)]}
-            case Cap():
-                table = {d * (n + 1): [(0, 1)] for d in range(n)}
-            case _:
-                raise TypeError(f"unknown piece: {piece!r}")
-        _piece_table_cache[key] = table
-    return table
+@cache
+def _piece_table(n: int, kind: type, images: tuple) -> dict | tuple:
+    """The table of a Cup or Cap, or the shift tables of a Cross or of a
+    Perm whose wire at position s moves to images[s-1]; images is () for
+    the others."""
+    if kind is Cup:
+        return {0: [(d * (n + 1), 1) for d in range(n)]}
+    if kind is Cap:
+        return {d * (n + 1): [(0, 1)] for d in range(n)}
+    return _perm_shifts(n, (2, 1) if kind is Cross else images)
 
 
 def _block(digits, n: int) -> int:
@@ -281,29 +265,23 @@ def _block(digits, n: int) -> int:
     return block
 
 
-# (n, s) -> _insertions(n, s)
-_insertion_cache: dict[tuple, list] = {}
-
-
+@cache
 def _insertions(n: int, s: int) -> list:
     """How a digit joins each increasing s-digit prefix: one (prefix block,
     inserts) pair per prefix, where inserts holds, for each digit e not in
     the prefix, e, the block of the increasing (s + 1)-digit tuple it
     makes, and the sign of sorting the prefix followed by e: (-1)^g for
     the g prefix digits greater than e."""
-    found = _insertion_cache.get((n, s))
-    if found is None:
-        found = []
-        for prefix in combinations(range(n), s):
-            inserts = []
-            for e in range(n):
-                if e not in prefix:
-                    i = bisect(prefix, e)
-                    digits = prefix[:i] + (e,) + prefix[i:]
-                    inserts.append((e, _block(digits, n),
-                                    -1 if (s - i) & 1 else 1))
-            found.append((_block(prefix, n), inserts))
-        _insertion_cache[(n, s)] = found
+    found = []
+    for prefix in combinations(range(n), s):
+        inserts = []
+        for e in range(n):
+            if e not in prefix:
+                i = bisect(prefix, e)
+                digits = prefix[:i] + (e,) + prefix[i:]
+                inserts.append((e, _block(digits, n),
+                                -1 if (s - i) & 1 else 1))
+        found.append((_block(prefix, n), inserts))
     return found
 
 
@@ -328,23 +306,17 @@ def _absorb_table(n: int, s: int, rows) -> dict:
     return table
 
 
-# (n, r) -> _extraction_table(n, r)
-_extraction_cache: dict[tuple, dict] = {}
-
-
+@cache
 def _extraction_table(n: int, r: int) -> dict:
     """The table that moves each digit of an increasing r-digit block to
     the front: the block x_1 < ... < x_r maps to (x_j, the rest in
     increasing order) with the sign (-1)^(j-1) of that move, for each j.
     Its keys are the increasing blocks."""
-    table = _extraction_cache.get((n, r))
-    if table is None:
-        table = {}
-        for digits in combinations(range(n), r):
-            table[_block(digits, n)] = [
-                (_block((x,) + digits[:j] + digits[j + 1:], n),
-                 -1 if j & 1 else 1) for j, x in enumerate(digits)]
-        _extraction_cache[(n, r)] = table
+    table = {}
+    for digits in combinations(range(n), r):
+        table[_block(digits, n)] = [
+            (_block((x,) + digits[:j] + digits[j + 1:], n),
+             -1 if j & 1 else 1) for j, x in enumerate(digits)]
     return table
 
 
@@ -561,7 +533,9 @@ def _passes(d: LayeredDiagram, bindings: Bindings) -> tuple:
             wires = [held.get(pos_old + s) for s in range(j_in)] if held \
                 else [None] * j_in
             if kind is Cross or kind is Perm:
-                passes.append((offset, j_in, None, _piece_table(piece, n)))
+                table = _piece_table(n, kind, piece.images if kind is Perm
+                                     else ())
+                passes.append((offset, j_in, None, table))
                 if held:
                     images = piece.images if kind is Perm else (2, 1)
                     for s, t in enumerate(images):
@@ -583,7 +557,7 @@ def _passes(d: LayeredDiagram, bindings: Bindings) -> tuple:
                 passes.append((offset, j_in, j_out,
                                [piece.ciliation, wires, runs, (1,) * j_out]))
             else:
-                table = _piece_table(piece, n)
+                table = _piece_table(n, kind, ())
                 if any(wires):          # a cap's pending rows
                     table, t = _cap_table(n, *wires)
                     terms += t
@@ -713,11 +687,7 @@ def _inversions(digits) -> int:
     return sum(a > b for i, a in enumerate(digits) for b in digits[i + 1:])
 
 
-# (n, s) -> _minor_columns(n, s); (n, k) -> _minor_plan(n, k)
-_minor_columns_cache: dict[tuple, tuple] = {}
-_minor_plan_cache: dict[tuple, tuple] = {}
-
-
+@cache
 def _minor_columns(n: int, s: int) -> tuple:
     """How the first row's expansion reads each s-set C of columns, the
     sets in combinations order: for C's column c at position j, the
@@ -726,21 +696,18 @@ def _minor_columns(n: int, s: int) -> tuple:
     index of C less c among the (s - 1)-sets.  Returns the number of
     (s - 1)-sets and both kinds of index as two flat lists, s per set:
     sum_s C(n, s) * s <= n * 2^(n-1) pairs over all s, 2,304 at n = 9."""
-    found = _minor_columns_cache.get((n, s))
-    if found is None:
-        index = dict(zip(combinations(range(n), s - 1), count()))
-        sets = list(combinations(range(n), s))
-        # combinations(c, s - 1) drops c's last column first
-        signs = [n * n if j & 1 else 0 for j in reversed(range(s))]
-        found = _minor_columns_cache[n, s] = (
-            len(index),
+    index = dict(zip(combinations(range(n), s - 1), count()))
+    sets = list(combinations(range(n), s))
+    # combinations(c, s - 1) drops c's last column first
+    signs = [n * n if j & 1 else 0 for j in reversed(range(s))]
+    return (len(index),
             list(map(add, chain.from_iterable(map(reversed, sets)),
                      cycle(signs))),
             list(map(index.__getitem__, chain.from_iterable(
                 map(combinations, sets, repeat(s - 1))))))
-    return found
 
 
+@cache
 def _minor_plan(n: int, k: int) -> tuple:
     """The plan of the k x k minors of an n x n matrix, expanded along the
     first row, bottom up.  Level s = 1..k holds the minors at positions
@@ -754,24 +721,20 @@ def _minor_plan(n: int, k: int) -> tuple:
     mixed-radix integer.  There is one pair of reads per product a word
     with no zero entry forms: sum_s C(n - k + s, s) * C(n, s) * s, which
     is n * 2^(n-1) at k = n and 26,360 at n = 8, k = 4."""
-    plan = _minor_plan_cache.get((n, k))
-    if plan is None:
-        levels = []
-        index = {(): 0}
-        for s in range(1, k + 1):
-            below, cols, subs = _minor_columns(n, s)
-            suffixes = list(combinations(range(k - s, n), s))
-            entries, minors = [], []
-            for r in suffixes:
-                entries += map((r[0] * n).__add__, cols)
-                minors += map((index[r[1:]] * below).__add__, subs)
-            levels.append((len(entries) // s, entries, minors))
-            index = dict(zip(suffixes, count()))
-        weights = [n ** (k - 1 - i) for i in range(k)]
-        keys = [sum(map(mul, c, weights)) for c in combinations(range(n), k)]
-        plan = _minor_plan_cache[n, k] = (
-            levels, [y * n ** k + x for y in keys for x in keys])
-    return plan
+    levels = []
+    index = {(): 0}
+    for s in range(1, k + 1):
+        below, cols, subs = _minor_columns(n, s)
+        suffixes = list(combinations(range(k - s, n), s))
+        entries, minors = [], []
+        for r in suffixes:
+            entries += map((r[0] * n).__add__, cols)
+            minors += map((index[r[1:]] * below).__add__, subs)
+        levels.append((len(entries) // s, entries, minors))
+        index = dict(zip(suffixes, count()))
+    weights = [n ** (k - 1 - i) for i in range(k)]
+    keys = [sum(map(mul, c, weights)) for c in combinations(range(n), k)]
+    return levels, [y * n ** k + x for y in keys for x in keys]
 
 
 def _minor_table(flat: list, n: int, k: int) -> tuple[dict, int]:
@@ -818,31 +781,27 @@ def _minor_table(flat: list, n: int, k: int) -> tuple[dict, int]:
     return dict(compress(zip(keys, values), values)), terms
 
 
-def _bundles(d: Diagram, nodes: list, n: int) -> list:
+def _bundles(d: Diagram, nodes: list) -> list:
     """The bundles among a diagram's edges, found in one pass over each
     vertex U's ends that groups them by far end and label word.  A
-    source's ends are grouped by the vertex each edge goes to; from n = 4,
-    the labeled ends of any vertex whose edges come from or go to an
-    input or an output are grouped as ending at the boundary.  Below
-    n = 4, only a source that sends two edges to one vertex is grouped.
-    Returns (U, whether U is a source, its groups) for each U with a group
-    of two ends or more; each group maps (far vertex id, None for the
-    boundary; label word) to U's (slot, edge id) pairs in slot order."""
+    source's ends are grouped by the vertex each edge goes to, and the
+    labeled ends of any vertex whose edges come from or go to an input or
+    an output are grouped as ending at the boundary.  Returns (U, whether
+    U is a source, its groups) for each U with a group of two ends or
+    more; each group maps (far vertex id, None for the boundary; label
+    word) to U's (slot, edge id) pairs in slot order."""
     edges = d.edges
     found = []
     for u in nodes:
         ends = u.ciliation
         source = ends[0][1] == "tail"
-        if n < 4 and not (source and len({edges[eid].head[1]
-                                          for eid, _ in ends}) < n):
-            continue
         groups: dict[tuple, list] = {}
         twice = False
         for i, (eid, _) in enumerate(ends):
             e = edges[eid]
             if source:
                 v = e.head[1]
-                if n > 3 and e.labels and type(d.vertices[v]) is not GNode:
+                if e.labels and type(d.vertices[v]) is not GNode:
                     v = None
             elif e.labels and type(d.vertices[e.tail[1]]) is not GNode:
                 v = None
@@ -955,14 +914,13 @@ def eval_contraction(d: Diagram, bindings: Bindings,
     a labeled bundle's matrix factors become one factor of its minors and
     its vertices' Levi-Civita factors hold only the entries whose digits
     increase on its slots; an unlabeled bundle restricts its source's
-    factor.  A diagram with two vertices or more, below n = 4, is
-    searched for bundles between vertices; from n = 4 every diagram is
-    also searched for boundary bundles.  kernels.epsilon_network sums the
-    internal variables out by sparse variable elimination, the bundles'
-    signs and k! scaling its result, and writes each entry at every
-    order of each boundary bundle's digits; the common divisor is applied
-    to the entries written, once per distinct value.  The term count adds
-    the minors' products.
+    factor.  Bundles are searched for from n = 4 only: below it they are
+    small, and the search costs more than they save.
+    kernels.epsilon_network sums the internal variables out by sparse
+    variable elimination, the bundles' signs and k! scaling its result,
+    and writes each entry at every order of each boundary bundle's
+    digits; the common divisor is applied to the entries written, once
+    per distinct value.  The term count adds the minors' products.
 
     probe=(outs, ins) restricts evaluation to a single entry (returned as a
     (0,0)-tensor); both tuples are 1-based.  A boundary bundle's probed
@@ -1022,7 +980,7 @@ def eval_contraction(d: Diagram, bindings: Bindings,
     terms = 0
     sparse_factors: list = []
     orders: list = []       # each boundary bundle's boundary variables
-    found = (len(nodes) > 1 or n > 3) and _bundles(d, nodes, n)
+    found = n > 3 and _bundles(d, nodes)
     if found:
         eps_factors, sparse_factors, bundled, scale, orders, terms = \
             _bundle_factors(d, nodes, eps_factors, n, end_var, chains, found)

@@ -28,12 +28,13 @@ A join reads the shared-variable digits and the kept digits of each key as
 sums of table lookups, one per run of digits (`_runs`); runs are cut so
 that no table exceeds max(the factor's nonzero count, n^3) entries.
 
-The tables are planned once per shape, not once per call: `_plan_cache`
-maps a join's shape (n, the positions of its variables relabelled by
-first occurrence, the dropped positions, the two run lengths and the
-weights of its kept digits, if given) to its readers, and the weights of
-a lone reading to its runs.  A join makes one lookup, and a network
-renumbered or rebound reuses every plan.
+The tables are planned once per shape, not once per call: `_join_plan`
+is cached by a join's shape (n, the positions of its variables
+relabelled by first occurrence, the dropped positions, the two run
+lengths and the weights of its kept digits, if given), and `_runs` by
+the weights of a reading.  A join makes one lookup.  No key holds a
+variable id or a value, so a network renumbered or rebound reuses every
+plan.
 
 The dense kernels, `pair_contract` and `permute_axes`, have no caller in
 the package: tensors are combined by composing diagrams, and the layered
@@ -52,6 +53,7 @@ the number of multiply-accumulate operations actually performed (zero
 factors prune eagerly).
 """
 
+from functools import cache
 from itertools import combinations, permutations, repeat
 from operator import mul
 
@@ -136,11 +138,7 @@ def permute_axes(n, vals, naxes, perm):
     return out
 
 
-# (n, arity, increasing) -> {mixed-radix key of m distinct digits: its
-# Levi-Civita sign}
-_eps_sign_cache: dict[tuple, dict[int, int]] = {}
-
-
+@cache
 def sign_table(n, m, increasing=()):
     """Every tuple of m distinct digits in range(n) whose digits increase
     along each tuple of positions in increasing (disjoint, each in
@@ -149,48 +147,38 @@ def sign_table(n, m, increasing=()):
     tuple (a repeated digit, a decrease along a run, or m > n) is absent:
     its ε is 0, or the factor restricted to increasing runs leaves it out.
     Without runs that is n!/(n-m)! keys; each run of r positions takes an
-    r-combination of the digits left where it took r! orders."""
-    table = _eps_sign_cache.get((n, m, increasing))
-    if table is None:
-        if increasing:
-            fills = [([None] * m, range(n))]
-            for run in increasing:      # combinations on each run's slots
-                grown = []
-                for digits, free in fills:
-                    for chosen in combinations(free, len(run)):
-                        placed = digits[:]
-                        for p, d in zip(run, chosen):
-                            placed[p] = d
-                        grown.append((placed, [d for d in free
-                                               if d not in chosen]))
-                fills = grown
-            rest = [p for p in range(m) if all(p not in run
-                                               for run in increasing)]
-            tuples = []
-            for digits, free in fills:  # permutations on the other slots
-                for chosen in permutations(free, len(rest)):
-                    for p, d in zip(rest, chosen):
-                        digits[p] = d
-                    tuples.append(tuple(digits))
-        else:
-            tuples = permutations(range(n), m)
-        table = {}
-        for p in tuples:
-            inv = sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
-            key = 0
-            for d in p:
-                key = key * n + d
-            table[key] = -1 if inv & 1 else 1
-        _eps_sign_cache[(n, m, increasing)] = table
+    r-combination of the digits left where it took r! orders.  Cached by
+    (n, m, increasing)."""
+    if increasing:
+        fills = [([None] * m, range(n))]
+        for run in increasing:      # combinations on each run's slots
+            grown = []
+            for digits, free in fills:
+                for chosen in combinations(free, len(run)):
+                    placed = digits[:]
+                    for p, d in zip(run, chosen):
+                        placed[p] = d
+                    grown.append((placed, [d for d in free
+                                           if d not in chosen]))
+            fills = grown
+        rest = [p for p in range(m) if all(p not in run
+                                           for run in increasing)]
+        tuples = []
+        for digits, free in fills:  # permutations on the other slots
+            for chosen in permutations(free, len(rest)):
+                for p, d in zip(rest, chosen):
+                    digits[p] = d
+                tuples.append(tuple(digits))
+    else:
+        tuples = permutations(range(n), m)
+    table = {}
+    for p in tuples:
+        inv = sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
+        key = 0
+        for d in p:
+            key = key * n + d
+        table[key] = -1 if inv & 1 else 1
     return table
-
-
-# Shape -> plan, so that each shape is planned once per process:
-#   (n, weights, run length)             -> _digit_sums' runs (_runs);
-#   a join's shape (see _join)           -> its readers and kept positions.
-# No key holds a variable id or a value, so a network with its variables
-# renumbered, or bound to other matrices, reuses every plan.
-_plan_cache: dict[tuple, tuple | list | None] = {}
 
 
 def _run_length(n, p, size):
@@ -206,14 +194,15 @@ def _run_length(n, p, size):
     return g
 
 
+@cache
 def _runs(n, weights, g):
     """Lookup tables for the map from a key of p = len(weights) base-n
     digits, digit 0 most significant, to the sum of digit i times
-    weights[i], in runs of at most g digits, as even as possible.  Returns
-    (div, mod, table) per run that has a nonzero weight, where the key's
-    sum is that of table[key // div % mod] (mod is None for the most
-    significant run), or None when the weights are the key's own place
-    values."""
+    weights[i] (a tuple), in runs of at most g digits, as even as
+    possible.  Returns (div, mod, table) per run that has a nonzero
+    weight, where the key's sum is that of table[key // div % mod] (mod
+    is None for the most significant run), or None when the weights are
+    the key's own place values."""
     p = len(weights)
     if list(weights) == [n ** (p - 1 - i) for i in range(p)]:
         return None
@@ -230,7 +219,6 @@ def _runs(n, weights, g):
                            n ** (stop - start) if start else None, table))
         stop = start
     return tables
-
 
 
 def _read(keys, tables):
@@ -253,12 +241,9 @@ def _read(keys, tables):
 
 def _digit_sums(keys, n, weights):
     """[sum of digit i times weights[i] over the digits of key] for each
-    key in keys, by the runs the plan cache holds for the weights."""
-    key = (n, tuple(weights), _run_length(n, len(weights), len(keys)))
-    tables = _plan_cache.get(key, False)
-    if tables is False:
-        tables = _plan_cache[key] = _runs(n, weights, key[2])
-    return _read(keys, tables)
+    key in keys, by the cached runs of the weights, a tuple."""
+    return _read(keys, _runs(n, weights,
+                             _run_length(n, len(weights), len(keys))))
 
 
 def _place(n, scope, chosen, scale=1):
@@ -266,8 +251,8 @@ def _place(n, scope, chosen, scale=1):
     chosen variables as a mixed-radix integer in chosen's order (first
     most significant) times scale; the other variables weigh 0."""
     top = len(chosen) - 1
-    return [scale * n ** (top - chosen.index(v)) if v in chosen else 0
-            for v in scope]
+    return tuple([scale * n ** (top - chosen.index(v)) if v in chosen else 0
+                  for v in scope])
 
 
 def _pairs(a, a_out, b, b_out, match, summing):
@@ -312,6 +297,7 @@ def _pairs(a, a_out, b, b_out, match, summing):
     return {k: v for k, v in out.items() if v}, terms
 
 
+@cache
 def _join_plan(n, p, b_at, dropped, a_run, b_run, weights):
     """The plan of a join of the shape _join keys it by: the match readers
     (None when no variable is shared), a's and b's out readers, and the
@@ -335,7 +321,8 @@ def _join_plan(n, p, b_at, dropped, a_run, b_run, weights):
         b_out = _place(n, b_vars, [b_vars[i - p] for i in b_keep])
     else:
         a_out = weights[:p]
-        b_out = [0 if i >= 0 else w for i, w in zip(b_at, weights[p:])]
+        b_out = tuple([0 if i >= 0 else w
+                       for i, w in zip(b_at, weights[p:])])
     return (match, _runs(n, a_out, a_run), _runs(n, b_out, b_run),
             keep + b_keep, any(dropped))
 
@@ -348,8 +335,8 @@ def _join(n, a, b, drop, weights=None):
     its kept digits as a mixed-radix integer, or, given weights (a dict
     over the variables), by the sum of each kept digit times its weight.
 
-    The plan is looked up once by the join's shape: n, a's variable count,
-    the position in a of each of b's variables (-1 if none), which of a's
+    The plan is cached by the join's shape: n, a's variable count, the
+    position in a of each of b's variables (-1 if none), which of a's
     then b's variables are dropped, the run length of each side and the
     weights of a's then b's variables, if any."""
     if len(b[1]) > len(a[1]):
@@ -357,17 +344,13 @@ def _join(n, a, b, drop, weights=None):
     a_scope, a_table = a
     b_scope, b_table = b
     both = a_scope + b_scope
-    shape = (n, len(a_scope),
-             tuple([a_scope.index(v) if v in a_scope else -1
-                    for v in b_scope]),
-             tuple([v in drop for v in both]),
-             _run_length(n, len(a_scope), len(a_table)),
-             _run_length(n, len(b_scope), len(b_table)),
-             None if weights is None else tuple([weights[v] for v in both]))
-    plan = _plan_cache.get(shape)
-    if plan is None:
-        plan = _plan_cache[shape] = _join_plan(*shape)
-    match, a_out, b_out, keep, summing = plan
+    match, a_out, b_out, keep, summing = _join_plan(
+        n, len(a_scope),
+        tuple([a_scope.index(v) if v in a_scope else -1 for v in b_scope]),
+        tuple([v in drop for v in both]),
+        _run_length(n, len(a_scope), len(a_table)),
+        _run_length(n, len(b_scope), len(b_table)),
+        None if weights is None else tuple([weights[v] for v in both]))
     table, terms = _pairs(a_table, a_out, b_table, b_out, match, summing)
     return (tuple([both[i] for i in keep]), table), terms
 
@@ -438,7 +421,7 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, mat_factors,
     where it appears; a join that sums nothing out forms each key once,
     so only the others add and drop zeros.  A join reads each key's
     shared-variable digits and its kept digits with a lookup per run of
-    digits, from the plan `_plan_cache` holds for the join's shape.  A
+    digits, from the plan `_join_plan` caches for the join's shape.  A
     summed variable that no factor mentions contributes a factor n.  The
     factors left, all over output variables, are joined smallest first,
     the last join keyed by the result's flat index (a lone factor is
@@ -559,7 +542,8 @@ def epsilon_network(n, nvars, out_vars, fixed, eps_factors, mat_factors,
         terms += t
     scope, table = acc
     if last < 1:                # a lone factor is re-keyed by flat index
-        table = dict(zip(_digit_sums(table, n, [weight[v] for v in scope]),
+        table = dict(zip(_digit_sums(table, n,
+                                     tuple([weight[v] for v in scope])),
                          table.values()))
 
     for far in orders:

@@ -71,17 +71,26 @@ def test_evaluators_take_nothing_from_the_oracles_but_rat():
                         and node.value.id == "linalg"), ast.unparse(node)
 
 
+def _registered(node):
+    """Whether a definition carries a registering decorator, a call of
+    _register, which names it in a registry."""
+    return any(isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name)
+               and dec.func.id == "_register" for dec in node.decorator_list)
+
+
 def test_every_private_helper_is_named_outside_its_definition():
     """A module-level _-prefixed function or class that nothing in the
-    package names, outside its own definition, is dead code.  Decorated
-    ones are exempt: the decorator registers them."""
+    package names, outside its own definition, is dead code.  Only
+    registered ones are exempt: the decorator names them.  A helper under
+    any other decorator, such as functools.cache, is checked as if it
+    had none."""
     package = Path(tracediagrams.__file__).parent
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(package.glob("*.py"))}
     helpers = [(module, node) for module, tree in trees.items()
                for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not node.decorator_list]
+               and node.name.startswith("_") and not _registered(node)]
     uses = {}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -99,7 +108,7 @@ def test_every_private_helper_is_named_outside_its_definition():
     assert unused == []
 
 
-_FILLED_DICTS = """
+_MEMOS = """
 import importlib, json, pkgutil, random, sys
 import tracediagrams
 from tracediagrams.evaluate import eval_checked
@@ -111,9 +120,9 @@ for info in pkgutil.iter_modules(tracediagrams.__path__):
         importlib.import_module("tracediagrams." + info.name)
 modules = {name: module for name, module in sys.modules.items()
            if name.split(".")[0] == "tracediagrams"}
-empty = [(name, attr) for name, module in modules.items()
+dicts = {(name, attr): set(value) for name, module in modules.items()
          for attr, value in vars(module).items()
-         if type(value) is dict and not value]
+         if isinstance(value, dict) and not attr.startswith("__")}
 for n in (2, 3, 4):
     for d, bindings in _builder_catalog(n):
         eval_checked(d, bindings)
@@ -121,24 +130,36 @@ rng = random.Random(29)
 for _ in range(100):
     d = random_layered_diagram(rng.choice((2, 3, 4, 5)), rng, max_width=4)
     eval_checked(d, random_bindings(d, rng))
-print(json.dumps(sorted(name + "." + attr for name, attr in empty
-                        if vars(modules[name])[attr])))
+grown = sorted(name + "." + attr for (name, attr), keys in dicts.items()
+               if set(vars(modules[name])[attr]) - keys)
+cached = sorted(name + "." + attr for name, module in modules.items()
+                for attr, value in vars(module).items()
+                if callable(getattr(value, "cache_clear", None))
+                and value.cache_info().currsize)
+print(json.dumps([grown, cached]))
 """
 
 
-def test_every_dict_evaluation_fills_is_a_cache():
-    """A module-level dict that evaluation fills is a memo, and its name
-    ends in _cache, so that perfbench empties it before every pass and a
-    pass pays for what it builds.  In a fresh process, after the builder
+def test_evaluation_memoizes_by_cached_builders_only():
+    """Every table evaluation builds once per shape is memoized by
+    functools.cache on a module-level builder, never in a module-level
+    dict, so that perfbench's clear_caches, which calls each module
+    attribute's cache_clear, empties it before every pass, and a pass
+    pays for what it builds.  In a fresh process, after the builder
     catalog at n = 2..4 and a seeded fuzz corpus at n = 2..5, both
-    evaluators each, every dict that was empty on import and is not now
-    is named so; the minors' plans are among them."""
+    evaluators each, no module-level dict holds a key it did not hold on
+    import, and the builders of the vertex tables, the ε sign tables, the
+    join plans and the minors' plans hold entries."""
     out = subprocess.run(
-        [sys.executable, "-c", _FILLED_DICTS], cwd=ROOT,
+        [sys.executable, "-c", _MEMOS], cwd=ROOT,
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(ROOT / "src"), str(ROOT / "tests")])})
     assert out.returncode == 0, out.stderr
-    filled = json.loads(out.stdout)
-    assert "tracediagrams.evaluate._minor_plan_cache" in filled
-    assert [name for name in filled if not name.endswith("_cache")] == []
+    grown, cached = json.loads(out.stdout)
+    assert grown == []
+    assert {"tracediagrams.evaluate._vertex_table",
+            "tracediagrams.evaluate._parity_table",
+            "tracediagrams.evaluate._minor_plan",
+            "tracediagrams.kernels._join_plan",
+            "tracediagrams.kernels.sign_table"} <= set(cached)
